@@ -25,7 +25,7 @@ from typing import Callable
 
 from repro.core.task import Task
 from repro.memory.cache import LRUCache
-from repro.runtime.engine import EventQueue
+from repro.sim.events import EventQueue
 from repro.util.units import MiB, us
 from repro.util.validation import check_positive
 

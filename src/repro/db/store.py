@@ -494,8 +494,7 @@ def read_trace(db: CampaignDB, run: str) -> "TraceRecorder":
     recording-time state and is not reconstructed.
     """
     from repro.obs.counters import IterationCounters
-    from repro.obs.recorder import TraceRecorder
-    from repro.profiler.trace import CommRecord
+    from repro.obs.recorder import CommRecord, TraceRecorder
 
     rid = run_id(run)
     rec = TraceRecorder()
@@ -503,15 +502,7 @@ def read_trace(db: CampaignDB, run: str) -> "TraceRecorder":
         "SELECT tid, name, loop, iteration, rank, worker, t_start, t_end "
         "FROM spans WHERE run = ? ORDER BY seq", (rid,)
     ):
-        tid, name, loop, it, rank, worker, t0, t1 = row
-        rec.span_tid.append(tid)
-        rec.span_name.append(rec.names(name))
-        rec.span_loop.append(loop)
-        rec.span_iteration.append(it)
-        rec.span_rank.append(rank)
-        rec.span_worker.append(worker)
-        rec.span_start.append(t0)
-        rec.span_end.append(t1)
+        rec.add_span(*row)
     for kind, t in db.read.execute(
         "SELECT kind, time FROM barriers WHERE run = ? ORDER BY seq", (rid,)
     ):

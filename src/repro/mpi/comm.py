@@ -25,7 +25,7 @@ from collections import defaultdict, deque
 from repro.core.program import CommKind
 from repro.mpi.network import NetworkSpec
 from repro.mpi.request import Request
-from repro.runtime.engine import EventQueue
+from repro.sim.events import EventQueue
 
 
 class Communicator:

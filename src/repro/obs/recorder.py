@@ -9,9 +9,9 @@
   :class:`~repro.sim.table.TaskTable` idiom so a million-span trace is a
   handful of lists, not a million objects;
 - **barrier events** (taskwait / persistent-iteration / loop);
-- **MPI request records** (the shared :class:`~repro.profiler.trace.CommRecord`
-  objects — in-flight requests keep a NaN completion time until the
-  matching ``msg_complete`` fires);
+- **MPI request records** (the shared :class:`CommRecord` objects —
+  in-flight requests keep a NaN completion time until the matching
+  ``msg_complete`` fires);
 - **discovery counters** (an embedded
   :class:`~repro.obs.counters.DiscoveryCounters`).
 
@@ -22,11 +22,47 @@ recorder itself never touches the simulation (observer neutrality).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.obs.counters import DiscoveryCounters
-from repro.profiler.trace import CommRecord
 from repro.util.interner import Interner
+from repro.util.serde import desanitize_float, flat_from_dict, flat_to_dict
+
+
+@dataclass(slots=True)
+class CommRecord:
+    """One traced MPI request (PMPI-style, §4.1 methodology)."""
+
+    kind: str
+    rank: int
+    peer: int
+    nbytes: int
+    post_time: float
+    complete_time: float
+    iteration: int = -1
+
+    @property
+    def duration(self) -> float:
+        """The paper's communication time c(r): posting to completion."""
+        return self.complete_time - self.post_time
+
+    def to_dict(self) -> dict:
+        """JSON-ready dict; inverse of :meth:`from_dict`.
+
+        ``complete_time`` may be NaN (request still in flight when the
+        trace was cut); the serde layer maps it to a sentinel so strict
+        JSON round-trips it.
+        """
+        return flat_to_dict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "CommRecord":
+        d = dict(data)
+        for f in ("post_time", "complete_time"):
+            if f in d:
+                d[f] = desanitize_float(d[f])
+        return flat_from_dict(cls, d)
 
 
 class TraceRecorder:
@@ -40,11 +76,15 @@ class TraceRecorder:
 
     On a shared multi-rank bus, ``register`` events map each runtime's
     task table to its rank; events from tables never registered are
-    attributed to rank 0.
+    attributed to rank 0.  ``rank`` keeps only the spans of tables
+    registered under that rank — the per-rank trace a traced
+    :class:`~repro.runtime.runtime.TaskRuntime` attaches to itself
+    (barriers, comm records and counters are not filtered).
     """
 
     __slots__ = (
         "sink",
+        "rank",
         "names",
         "span_tid",
         "span_name",
@@ -62,7 +102,9 @@ class TraceRecorder:
         "ranks",
     )
 
-    def __init__(self, sink=None) -> None:
+    def __init__(self, sink=None, *, rank: Optional[int] = None) -> None:
+        #: Span filter: None records every rank's spans.
+        self.rank = rank
         #: Optional streaming sink (:class:`repro.db.TraceDbWriter`): when
         #: set, recorded spans drain to it in batches mid-run instead of
         #: accumulating only in RAM; call ``sink.close(recorder)`` after
@@ -99,14 +141,27 @@ class TraceRecorder:
         self.counters.on_register(table, rank)
 
     def on_task_end(self, table, tid, worker, t_start, t_end) -> None:
+        rank = self._rank_of.get(id(table))
+        if self.rank is not None and rank != self.rank:
+            return
+        self.add_span(
+            tid, table.name[tid], int(table.loop_id[tid]),
+            int(table.iteration[tid]), 0 if rank is None else rank,
+            worker, t_start, t_end,
+        )
+
+    def add_span(
+        self, tid, name, loop, iteration, rank, worker, start, end
+    ) -> None:
+        """Append one task span (``name`` is interned)."""
         self.span_tid.append(tid)
-        self.span_name.append(self.names(table.name[tid]))
-        self.span_loop.append(int(table.loop_id[tid]))
-        self.span_iteration.append(int(table.iteration[tid]))
-        self.span_rank.append(self._rank_of.get(id(table), 0))
+        self.span_name.append(self.names(name))
+        self.span_loop.append(loop)
+        self.span_iteration.append(iteration)
+        self.span_rank.append(rank)
         self.span_worker.append(worker)
-        self.span_start.append(t_start)
-        self.span_end.append(t_end)
+        self.span_start.append(start)
+        self.span_end.append(end)
         s = self.sink
         if s is not None and len(self.span_tid) - s.mark >= s.batch:
             s.drain(self)
@@ -135,6 +190,11 @@ class TraceRecorder:
     def name_table(self) -> list[str]:
         """Interned names by id (first-seen order)."""
         return self.names.keys()
+
+    def span_names(self) -> list[str]:
+        """Task names, one per span (aligned with the span columns)."""
+        table = self.name_table()
+        return [table[i] for i in self.span_name]
 
     def durations(
         self, *, rank: Optional[int] = None

@@ -1,19 +1,15 @@
-"""Profiling and post-mortem analysis (the paper's §2.3.1/§4.1 methodology)."""
+"""Profiling and post-mortem analysis (the paper's §2.3.1/§4.1 methodology).
 
-from repro.profiler.trace import CommRecord, TaskTrace
+Every analysis here reads one process's spans from a
+:class:`~repro.obs.recorder.TraceRecorder` (``RunResult.trace``).
+"""
+
 from repro.profiler.breakdown import Breakdown, breakdown_of
 from repro.profiler.comm_metrics import CommMetrics, comm_metrics
 from repro.profiler.gantt import GanttChart, gantt_of
-from repro.profiler.report import (
-    LoopProfile,
-    iteration_spans,
-    loop_profiles,
-    text_report,
-)
+from repro.profiler.report import LoopProfile, iteration_spans, loop_profiles
 
 __all__ = [
-    "CommRecord",
-    "TaskTrace",
     "Breakdown",
     "breakdown_of",
     "CommMetrics",
@@ -23,5 +19,4 @@ __all__ = [
     "LoopProfile",
     "iteration_spans",
     "loop_profiles",
-    "text_report",
 ]

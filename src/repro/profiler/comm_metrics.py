@@ -1,6 +1,7 @@
 """Communication metrics (§4.1 "Methodology on Communications Profiling").
 
-Given the PMPI-style request records and the task trace of one MPI process:
+Given the PMPI-style request records and the recorded task spans of one MPI
+process:
 
 - the **communication time** of a request r is ``c(r) = completion - post``;
 - the **overlapped work** ``ov(r)`` is the work executed on any local core
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.profiler.trace import CommRecord, TaskTrace
+from repro.obs.recorder import CommRecord, TraceRecorder
 
 
 class _Coverage:
@@ -74,9 +75,24 @@ class CommMetrics:
         )
 
 
+def _work_intervals(trace: TraceRecorder, n_workers: int) -> list[np.ndarray]:
+    """Per-worker (start, end) span arrays sorted by start."""
+    worker = np.asarray(trace.span_worker, dtype=np.int64)
+    spans = np.stack(
+        [np.asarray(trace.span_start, dtype=np.float64),
+         np.asarray(trace.span_end, dtype=np.float64)],
+        axis=1,
+    )
+    out = []
+    for w in range(n_workers):
+        iv = spans[worker == w]
+        out.append(iv[np.argsort(iv[:, 0])])
+    return out
+
+
 def comm_metrics(
     records: list[CommRecord],
-    trace: TaskTrace,
+    trace: TraceRecorder,
     n_threads: int,
 ) -> CommMetrics:
     """Compute §4.1 metrics.  Only sends and collectives are considered."""
@@ -86,9 +102,7 @@ def comm_metrics(
         r for r in records if r.kind in ("isend", "iallreduce")
         and not np.isnan(r.complete_time)
     ]
-    coverages = [
-        _Coverage(iv) for iv in trace.work_intervals_by_worker(n_threads)
-    ]
+    coverages = [_Coverage(iv) for iv in _work_intervals(trace, n_threads)]
     comm_time = 0.0
     overlapped = 0.0
     coll = 0.0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.profiler.trace import TaskTrace
+from repro.obs.recorder import TraceRecorder
 
 #: Glyph cycle: iteration i renders as _GLYPHS[i % len].
 _GLYPHS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -80,29 +80,30 @@ class GanttChart:
 
 
 def gantt_of(
-    trace: TaskTrace,
+    trace: TraceRecorder,
     n_threads: int,
     *,
     width: int = 100,
     t0: float | None = None,
     t1: float | None = None,
 ) -> GanttChart:
-    """Build a Gantt chart from a task trace.
+    """Build a Gantt chart from one process's recorded spans.
 
     Buckets take the iteration of the latest-starting task covering them.
     """
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
-    cols = trace.arrays()
-    if len(cols["start"]) == 0:
+    if trace.n_spans == 0:
         return GanttChart(n_threads, 0.0, 0.0, width, -np.ones((n_threads, width)))
-    lo = float(cols["start"].min()) if t0 is None else t0
-    hi = float(cols["end"].max()) if t1 is None else t1
+    lo = min(trace.span_start) if t0 is None else t0
+    hi = max(trace.span_end) if t1 is None else t1
     if hi <= lo:
         hi = lo + 1e-9
     grid = -np.ones((n_threads, width), dtype=np.int64)
     scale = width / (hi - lo)
-    for s, e, w, it in zip(cols["start"], cols["end"], cols["worker"], cols["iteration"]):
+    for s, e, w, it in zip(
+        trace.span_start, trace.span_end, trace.span_worker, trace.span_iteration
+    ):
         if e < lo or s > hi or w >= n_threads:
             continue
         c0 = max(0, int((s - lo) * scale))

@@ -1,6 +1,6 @@
 """The simulated tasking runtime: DES engine, schedulers, cost models."""
 
-from repro.runtime.engine import EventQueue
+from repro.sim.events import EventQueue
 from repro.runtime.costs import DiscoveryCosts, SchedulerCosts
 from repro.runtime.scheduler import (
     FifoBreadthFirstScheduler,

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - circular at runtime
     from repro.mpi.comm import Communicator
     from repro.mpi.request import Request
-from repro.profiler.trace import CommRecord
+from repro.obs.recorder import CommRecord
 from repro.runtime.result import RunResult
 from repro.runtime.runtime import RuntimeConfig
 from repro.sim import EventQueue, InstrumentationBus, SimContext

@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.core.graph import EdgeStats
 from repro.memory.hierarchy import MemCounters
-from repro.profiler.trace import CommRecord, TaskTrace
+from repro.obs.recorder import CommRecord, TraceRecorder
 
 
 @dataclass
@@ -45,8 +45,8 @@ class RunResult:
     edges: EdgeStats
     #: Memory hierarchy counters.
     mem: MemCounters
-    #: Optional full task trace.
-    trace: Optional[TaskTrace] = None
+    #: This process's task spans (``config.trace`` runs only).
+    trace: Optional[TraceRecorder] = None
     #: Traced MPI requests (sends + collectives, §4.1).
     comm: list[CommRecord] = field(default_factory=list)
     #: Free-form extras (per-app metrics, scheduler stats...).
@@ -144,15 +144,14 @@ class RunResult:
             "n_tasks": self.n_tasks,
             "edges": self.edges.to_dict(),
             "mem": self.mem.to_dict(),
-            "trace": None if self.trace is None else self.trace.to_dict(),
+            "trace": None if self.trace is None else _trace_to_dict(self.trace),
             "comm": [r.to_dict() for r in self.comm],
             "extra": self.extra,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunResult":
-        from repro.profiler.trace import TaskTrace as _TaskTrace
-
+        extra = dict(data.get("extra", {}))
         return cls(
             name=data["name"],
             n_threads=int(data["n_threads"]),
@@ -167,10 +166,10 @@ class RunResult:
             mem=MemCounters.from_dict(data["mem"]),
             trace=(
                 None if data.get("trace") is None
-                else _TaskTrace.from_dict(data["trace"])
+                else _trace_from_dict(data["trace"], int(extra.get("rank", 0)))
             ),
             comm=[CommRecord.from_dict(r) for r in data.get("comm", [])],
-            extra=dict(data.get("extra", {})),
+            extra=extra,
         )
 
     # ------------------------------------------------------------------
@@ -182,3 +181,30 @@ class RunResult:
             f"ovh/thr={self.overhead_avg:.3f}s disc={self.discovery_busy:.3f}s "
             f"tasks={self.n_tasks} edges={self.edges.created}"
         )
+
+
+def _trace_to_dict(rec: TraceRecorder) -> dict:
+    """The recorder's spans as the v1 columnar ``"trace"`` dict."""
+    return {
+        "tid": list(rec.span_tid),
+        "name": rec.span_names(),
+        "loop": list(rec.span_loop),
+        "iteration": list(rec.span_iteration),
+        "worker": list(rec.span_worker),
+        "start": list(rec.span_start),
+        "end": list(rec.span_end),
+    }
+
+
+def _trace_from_dict(data: dict, rank: int) -> TraceRecorder:
+    """Inverse of :func:`_trace_to_dict`; every span belongs to ``rank``."""
+    rec = TraceRecorder(rank=rank)
+    for tid, name, loop, it, worker, start, end in zip(
+        data["tid"], data["name"], data["loop"], data["iteration"],
+        data["worker"], data["start"], data["end"],
+    ):
+        rec.add_span(
+            int(tid), str(name), int(loop), int(it), rank, int(worker),
+            float(start), float(end),
+        )
+    return rec

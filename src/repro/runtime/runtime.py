@@ -10,8 +10,8 @@ paper analyses.
 The runtime runs on the :mod:`repro.sim` kernel: the TDG lives in a
 struct-of-arrays :class:`~repro.sim.table.TaskTable` and the hot path works
 in ``tid`` space (no per-task objects are materialized while simulating);
-observers — the task trace, communication metrics, memory sampling — attach
-to the :class:`~repro.sim.bus.InstrumentationBus` rather than being calls
+observers — the task trace, discovery counters, communication metrics —
+attach to the :class:`~repro.sim.bus.InstrumentationBus` rather than being calls
 hard-wired into runtime logic.
 
 The simulator supports:
@@ -48,11 +48,11 @@ if TYPE_CHECKING:  # pragma: no cover - circular at runtime
     from repro.mpi.comm import Communicator
     from repro.mpi.request import Request
 from repro.accel.accelerator import Accelerator, AcceleratorSpec
-from repro.profiler.trace import CommRecord, TaskTrace
+from repro.obs.recorder import CommRecord, TraceRecorder
 from repro.runtime.costs import DiscoveryCosts, SchedulerCosts
 from repro.runtime.result import RunResult
 from repro.runtime.scheduler import make_scheduler
-from repro.sim import EventQueue, InstrumentationBus, SimContext, TraceSubscriber
+from repro.sim import EventQueue, InstrumentationBus, SimContext
 
 # TaskState values as plain ints (the hot path compares ints, see
 # repro.sim.table).
@@ -229,17 +229,17 @@ class TaskRuntime:
             else None
         )
         self.scheduler = make_scheduler(config.scheduler, n, seed=config.seed)
-        self.trace = TaskTrace(enabled=config.trace)
         self.comm_records: list[CommRecord] = []
 
         self._persistent_mode = config.opts.p and program.persistent_candidate
         self.graph = TaskGraph(persistent=self._persistent_mode)
         self.table = self.graph.table
         self.resolver = DependenceResolver(self.table, config.opts)
-        if config.trace:
-            # Filter on our table: on a shared (cluster-wide) bus the
-            # per-rank trace must not absorb other ranks' task events.
-            self.bus.attach(TraceSubscriber(self.trace, table=self.table))
+        #: This rank's task spans (None unless ``config.trace``).  The
+        #: rank filter keeps other ranks' spans on a shared bus out.
+        self.trace: Optional[TraceRecorder] = (
+            self.bus.attach(TraceRecorder(rank=rank)) if config.trace else None
+        )
         cbs = self.bus.register
         if cbs:
             for cb in cbs:
@@ -383,7 +383,7 @@ class TaskRuntime:
             n_tasks=self._n_completed_user,
             edges=self.graph.stats,
             mem=self.memory.counters,
-            trace=self.trace if self.config.trace else None,
+            trace=self.trace,
             comm=list(self.comm_records),
             extra={
                 "scheduler": {

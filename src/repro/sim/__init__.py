@@ -11,8 +11,8 @@ All three execution engines (:class:`~repro.runtime.runtime.TaskRuntime`,
 - :class:`InstrumentationBus` — typed hook points (``task_ready``,
   ``task_start``, ``task_end``, ``task_create``, ``task_replay``,
   ``msg_post``, ``msg_complete``, ``barrier``, ``register`` — see
-  ``HOOK_DOCS`` for the catalogue).  Profiling, communication metrics,
-  Gantt recording, discovery counters and memory-counter sampling
+  ``HOOK_DOCS`` for the catalogue).  The task trace, communication
+  records and discovery counters (:class:`repro.obs.TraceRecorder`)
   subscribe to the bus instead of being calls interleaved into runtime
   logic; an empty hook costs one attribute load and a falsy check on the
   hot path;
@@ -32,12 +32,7 @@ All three execution engines (:class:`~repro.runtime.runtime.TaskRuntime`,
 from repro.sim.bus import HOOK_DOCS, HookBus, InstrumentationBus
 from repro.sim.context import SimContext
 from repro.sim.events import EventQueue
-from repro.sim.subscribers import (
-    CommRecorder,
-    EventCounter,
-    MemorySampler,
-    TraceSubscriber,
-)
+from repro.sim.subscribers import EventCounter
 from repro.sim.table import TaskTable
 
 # tiers pulls in the runtime layer, which itself builds on this kernel
@@ -65,7 +60,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "AnalyticSimulator",
-    "CommRecorder",
     "DEFAULT_FIDELITY",
     "DesSimulator",
     "FIDELITIES",
@@ -74,12 +68,10 @@ __all__ = [
     "EventCounter",
     "EventQueue",
     "InstrumentationBus",
-    "MemorySampler",
     "ReplaySimulator",
     "SimContext",
     "Simulator",
     "TaskTable",
-    "TraceSubscriber",
     "get_simulator",
     "simulate",
 ]

@@ -31,7 +31,7 @@ Hook signatures (``table`` is the emitting runtime's
 ``task_start``    ``(table, tid, worker, time)`` — body begins
 ``task_end``      ``(table, tid, worker, t_start, t_end)`` — body done
 ``msg_post``      ``(record)`` — an MPI request was posted
-                  (:class:`~repro.profiler.trace.CommRecord`, completion
+                  (:class:`~repro.obs.recorder.CommRecord`, completion
                   time still NaN)
 ``msg_complete``  ``(record)`` — the same record, completion time filled
 ``barrier``       ``(kind, time)`` — ``"taskwait"``, ``"iteration"`` or

@@ -69,7 +69,7 @@ def canonical_json(obj: Any) -> str:
     exactly; with sorted keys and no whitespace drift, equal values always
     produce byte-identical documents — the property the result cache and
     the campaign determinism tests rely on.  NaN (legal in e.g. a
-    :class:`~repro.profiler.trace.CommRecord` that never completed) is
+    :class:`~repro.obs.recorder.CommRecord` that never completed) is
     mapped to a sentinel string because strict JSON has no NaN.
     """
     return json.dumps(

@@ -13,17 +13,22 @@ from __future__ import annotations
 
 import shutil
 import sqlite3
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.db import CampaignDB
+from repro.campaign.spec import ExperimentSpec
+from repro.db import CampaignDB, DbResultStore
 from repro.db.schema import (
     SCHEMA_VERSION,
     SchemaError,
     check_schema,
     stored_version,
 )
+from repro.obs import TraceRecorder
+from repro.runtime import presets
+from repro.util.serde import canonical_json
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_v1.sqlite"
 
@@ -110,6 +115,28 @@ class TestUpgrade:
         with CampaignDB(v1_copy) as db:
             _, rows = db.query("SELECT key FROM runs ORDER BY key")
         assert len(rows) >= 1
+
+    def test_traced_profile_run_round_trips(self, v1_copy):
+        # The fixture's profile run (make_golden_v1.py: the traced base
+        # spec) must load as a recorder-backed result whose serialization
+        # reproduces the stored document byte for byte.
+        base = ExperimentSpec(
+            app="lulesh",
+            config=replace(presets.mpc_omp(n_threads=4), trace=True),
+            params={"s": 8, "iterations": 2, "tpl": 8},
+        )
+        with CampaignDB(v1_copy) as db:
+            db.conn
+            (doc,) = db.conn.execute(
+                "SELECT doc FROM runs WHERE key = ?", (base.key,)
+            ).fetchone()
+            (n_spans,) = db.conn.execute(
+                "SELECT COUNT(*) FROM spans"
+            ).fetchone()
+            result = DbResultStore(db).get(base)
+        assert isinstance(result.trace, TraceRecorder)
+        assert result.trace.n_spans == n_spans > 0
+        assert canonical_json(result.to_dict()) == doc
 
 
 class TestReadOnlyRefusal:

@@ -13,7 +13,7 @@ from repro.db import CampaignDB, DbResultStore, read_trace, write_trace
 from repro.memory.machine import tiny_test_machine
 from repro.obs.counters import IterationCounters
 from repro.obs.recorder import TraceRecorder
-from repro.profiler.trace import CommRecord
+from repro.obs.recorder import CommRecord
 from repro.runtime import presets
 from repro.util.serde import canonical_json
 

@@ -126,13 +126,13 @@ class TestPriorityInteractions:
                               flops=100.0, priority=True))
         prog = Program.from_template(specs, 1)
         r = TaskRuntime(prog, cfg(trace=True, n_threads=2)).run()
-        names = r.trace.names()
-        cols = r.trace.arrays()
-        urgent_start = cols["start"][names.index("urgent")]
+        names = r.trace.span_names()
+        starts = r.trace.span_start
+        urgent_start = starts[names.index("urgent")]
         # Despite being submitted last, the priority task starts before
         # most of the bulk (it jumps the spawn queue).
         bulk_starts = sorted(
-            cols["start"][i] for i, n in enumerate(names) if n.startswith("bulk")
+            s for n, s in zip(names, starts) if n.startswith("bulk")
         )
         assert urgent_start < bulk_starts[len(bulk_starts) // 2]
 

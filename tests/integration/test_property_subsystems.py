@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.memory.cache import LRUCache
 from repro.mpi.comm import Communicator
 from repro.mpi.network import NetworkSpec
-from repro.runtime.engine import EventQueue
+from repro.sim.events import EventQueue
 
 
 class TestCommProperties:

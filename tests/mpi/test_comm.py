@@ -4,7 +4,7 @@ import pytest
 
 from repro.mpi.comm import Communicator
 from repro.mpi.network import NetworkSpec
-from repro.runtime.engine import EventQueue
+from repro.sim.events import EventQueue
 
 
 def make(n_ranks=2, **net_kw):

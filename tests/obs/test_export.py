@@ -15,7 +15,7 @@ from repro.obs import (
     write_ndjson,
     write_perfetto,
 )
-from repro.profiler.trace import CommRecord
+from repro.obs.recorder import CommRecord
 from repro.runtime import RuntimeConfig, TaskRuntime
 from repro.sim import InstrumentationBus
 

@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.obs.recorder import CommRecord, TraceRecorder
 from repro.profiler.comm_metrics import CommMetrics, _Coverage, comm_metrics
-from repro.profiler.trace import CommRecord, TaskTrace
 
 
 def trace_with(intervals_by_worker):
-    t = TaskTrace()
+    t = TraceRecorder()
     tid = 0
     for w, ivs in enumerate(intervals_by_worker):
         for a, b in ivs:
-            t.record(tid, f"t{tid}", 0, 0, w, a, b)
+            t.add_span(tid, f"t{tid}", 0, 0, 0, w, a, b)
             tid += 1
     return t
 
@@ -84,7 +84,7 @@ class TestCommMetrics:
 
     def test_bad_threads_rejected(self):
         with pytest.raises(ValueError):
-            comm_metrics([], TaskTrace(), 0)
+            comm_metrics([], TraceRecorder(), 0)
 
     def test_str_smoke(self):
         trace = trace_with([[(0.0, 1.0)]])

@@ -1,14 +1,14 @@
 """Unit tests for the ASCII Gantt chart."""
 
 
+from repro.obs.recorder import TraceRecorder
 from repro.profiler.gantt import gantt_of
-from repro.profiler.trace import TaskTrace
 
 
 def trace_of(records):
-    t = TaskTrace()
+    t = TraceRecorder()
     for tid, (worker, iteration, start, end) in enumerate(records):
-        t.record(tid, f"t{tid}", 0, iteration, worker, start, end)
+        t.add_span(tid, f"t{tid}", 0, iteration, 0, worker, start, end)
     return t
 
 
@@ -58,5 +58,5 @@ class TestGantt:
         assert "span" in out
 
     def test_empty_trace(self):
-        g = gantt_of(TaskTrace(), 2, width=10)
+        g = gantt_of(TraceRecorder(), 2, width=10)
         assert (g.grid == -1).all()

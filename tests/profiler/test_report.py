@@ -1,10 +1,11 @@
-"""Tests for per-loop aggregation and text reports."""
+"""Tests for per-loop aggregation."""
 
 import pytest
 
 from repro.core import ProgramBuilder
 from repro.memory import tiny_test_machine
-from repro.profiler.report import iteration_spans, loop_profiles, text_report
+from repro.obs.recorder import TraceRecorder
+from repro.profiler.report import iteration_spans, loop_profiles
 from repro.runtime import RuntimeConfig, TaskRuntime
 
 
@@ -46,9 +47,7 @@ class TestLoopProfiles:
         assert any(p.name == "ALPHA" for p in profiles)
 
     def test_empty_trace(self):
-        from repro.profiler.trace import TaskTrace
-
-        assert loop_profiles(TaskTrace()) == []
+        assert loop_profiles(TraceRecorder()) == []
 
 
 class TestIterationSpans:
@@ -58,21 +57,3 @@ class TestIterationSpans:
         for _, a, b in spans:
             assert a < b
 
-
-class TestTextReport:
-    def test_contains_sections(self, traced_result):
-        rep = text_report(traced_result)
-        assert "run report" in rep
-        assert "edges:" in rep
-        assert "memory:" in rep
-        assert "alpha" in rep
-        assert "iterations: 3" in rep
-
-    def test_untraced_run_degrades(self):
-        b = ProgramBuilder("p")
-        with b.iteration():
-            b.task("t", flops=100.0)
-        r = TaskRuntime(
-            b.build(), RuntimeConfig(machine=tiny_test_machine(2))
-        ).run()
-        assert "no task trace" in text_report(r)

@@ -8,7 +8,7 @@ from repro.core.program import Program, TaskSpec
 from repro.core.task import DepMode, Task
 from repro.memory import tiny_test_machine
 from repro.runtime import RuntimeConfig, TaskRuntime
-from repro.runtime.engine import EventQueue
+from repro.sim.events import EventQueue
 
 
 def spec(**kw):

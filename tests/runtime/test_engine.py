@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.runtime.engine import EventQueue
+from repro.sim.events import EventQueue
 
 
 class TestOrdering:

@@ -1,6 +1,5 @@
 """Persistent-TDG runtime behavior (§3.2 semantics)."""
 
-import numpy as np
 import pytest
 
 from repro.core import OptimizationSet, ProgramBuilder
@@ -8,6 +7,7 @@ from repro.core.persistent import PersistentStructureError
 from repro.core.program import IterationSpec, Program, TaskSpec
 from repro.core.task import DepMode
 from repro.memory import tiny_test_machine
+from repro.profiler import iteration_spans
 from repro.runtime import RuntimeConfig, TaskRuntime
 
 
@@ -61,10 +61,8 @@ class TestReplaySemantics:
         before iteration n completes (Fig. 8 bottom)."""
         prog = iterative_program(4, 8)
         r = TaskRuntime(prog, cfg(trace=True)).run()
-        cols = r.trace.arrays()
-        for it in range(3):
-            end_n = cols["end"][cols["iteration"] == it].max()
-            start_n1 = cols["start"][cols["iteration"] == it + 1].min()
+        spans = iteration_spans(r.trace)
+        for (_, _, end_n), (_, start_n1, _) in zip(spans, spans[1:]):
             assert start_n1 >= end_n - 1e-12
 
     def test_non_persistent_can_interleave(self):
@@ -79,9 +77,7 @@ class TestReplaySemantics:
                 b.task("b", inout=["xb"], flops=1000.0)
         prog = b.build()
         r = TaskRuntime(prog, cfg(opts=OptimizationSet.parse("abc"), trace=True, n_threads=4)).run()
-        cols = r.trace.arrays()
-        start_next = cols["start"][cols["iteration"] == 1].min()
-        end_prev = cols["end"][cols["iteration"] == 0].max()
+        (_, _, end_prev), (_, start_next, _) = iteration_spans(r.trace)[:2]
         assert start_next < end_prev
 
     def test_structure_divergence_detected(self):

@@ -36,8 +36,7 @@ class TestExecutionOrdering:
         prog = chain_program(10)
         rc = cfg(trace=True)
         r = TaskRuntime(prog, rc).run()
-        cols = r.trace.arrays()
-        order = cols["start"][np.argsort(cols["tid"])]
+        order = np.asarray(r.trace.span_start)[np.argsort(r.trace.span_tid)]
         assert np.all(np.diff(order) > 0)
 
     def test_edges_respected(self):
@@ -188,8 +187,7 @@ class TestThrottling:
         rc = cfg(throttle=ThrottleConfig(total_cap=4), n_threads=2, trace=True)
         r = TaskRuntime(prog, rc).run()
         # Thread 0 (producer) must have executed some tasks.
-        workers = r.trace.arrays()["worker"]
-        assert (workers == 0).any()
+        assert 0 in r.trace.span_worker
 
     def test_disabled_throttle_runs(self):
         prog = wide_program(50)

@@ -41,10 +41,10 @@ class TestTaskwaitExecution:
         rt = TaskRuntime(prog, cfg(trace=True))
         r = rt.run()
         assert r.n_tasks == 3
-        cols = r.trace.arrays()
-        names = r.trace.names()
-        start_c = cols["start"][names.index("c")]
-        end_ab = max(cols["end"][names.index("a")], cols["end"][names.index("b")])
+        t = r.trace
+        names = t.span_names()
+        start_c = t.span_start[names.index("c")]
+        end_ab = max(t.span_end[names.index("a")], t.span_end[names.index("b")])
         assert start_c >= end_ab - 1e-12
 
     def test_without_taskwait_c_runs_concurrently(self):
@@ -54,27 +54,20 @@ class TestTaskwaitExecution:
         ]
         prog = Program.from_template(specs, 1)
         r = TaskRuntime(prog, cfg(trace=True)).run()
-        cols = r.trace.arrays()
-        names = r.trace.names()
-        assert cols["start"][names.index("c")] < cols["end"][names.index("a")]
+        t = r.trace
+        names = t.span_names()
+        assert t.span_start[names.index("c")] < t.span_end[names.index("a")]
 
     def test_persistent_replay_honors_taskwait(self):
         prog = program_with_taskwait(iterations=3)
         r = TaskRuntime(prog, cfg(opts=OptimizationSet.parse("abcp"), trace=True)).run()
         assert r.n_tasks == 9
-        cols = r.trace.arrays()
-        names = r.trace.names()
-        for k in range(len(names)):
-            pass  # trace sanity below per iteration
+        t = r.trace
+        spans = list(zip(t.span_names(), t.span_iteration, t.span_start, t.span_end))
         for it in range(3):
-            mask = cols["iteration"] == it
-            its_names = [n for n, m in zip(names, mask) if m]
-            c_start = cols["start"][mask][its_names.index("c")]
-            ab_end = max(
-                cols["end"][mask][its_names.index("a")],
-                cols["end"][mask][its_names.index("b")],
-            )
-            assert c_start >= ab_end - 1e-12
+            start = {n: s for n, i, s, _ in spans if i == it}
+            end = {n: e for n, i, _, e in spans if i == it}
+            assert start["c"] >= max(end["a"], end["b"]) - 1e-12
 
     def test_taskwait_position_change_detected(self):
         from repro.core.persistent import PersistentStructureError

@@ -23,6 +23,7 @@ from repro.runtime.parallel_for import (
     ParallelForRuntime,
 )
 from repro.sim import EventCounter, InstrumentationBus, SimContext
+from repro.util.serde import canonical_json
 
 
 def cfg(**kw):
@@ -79,7 +80,7 @@ def pingpong(rank):
 def run_task(bus=None):
     rt = TaskRuntime(task_program(), cfg(trace=True), bus=bus)
     res = rt.run()
-    return res.trace.to_json_lines(), rt.engine.n_dispatched, res.makespan
+    return canonical_json(res.to_dict()["trace"]), rt.engine.n_dispatched, res.makespan
 
 
 def run_for(bus=None):
@@ -92,7 +93,7 @@ def run_cluster(bus=None):
     cluster = Cluster(2, ctx=SimContext(seed=7), bus=bus)
     res = cluster.run([pingpong(0), pingpong(1)],
                       [cfg(trace=True), cfg(trace=True)])
-    traces = tuple(r.trace.to_json_lines() for r in res.results)
+    traces = tuple(canonical_json(r.to_dict()["trace"]) for r in res.results)
     return traces, res.n_events, res.makespan
 
 

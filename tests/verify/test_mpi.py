@@ -246,12 +246,12 @@ class TestCrossRankRaces:
             progs,
             [RuntimeConfig(machine=machine, trace=True) for _ in range(2)],
         )
-        t0 = res.results[0].trace.to_dict()
+        t0 = res.results[0].trace
         end_a = max(
-            e for n, e in zip(t0["name"], t0["end"]) if n == "A"
+            e for n, e in zip(t0.span_names(), t0.span_end) if n == "A"
         )
         start_b = min(
-            s for n, s in zip(t0["name"], t0["start"]) if n == "B"
+            s for n, s in zip(t0.span_names(), t0.span_start) if n == "B"
         )
         assert end_a <= start_b
 
