@@ -202,8 +202,10 @@ TABLES: dict[str, tuple[tuple[tuple[str, str], ...], tuple[str, ...]]] = {
 #: Secondary indexes (deterministic DDL; they do not affect dump rows).
 #: ``spans`` deliberately has none: its ``(run, seq)`` primary key
 #: already clusters each run's rows for the per-run aggregate scans the
-#: reports run, and a secondary index would roughly double the per-span
-#: streaming-insert cost (the bench's ``--max-db-overhead`` gate).
+#: reports run, critical-path annotation reads a run's ``(seq, tid,
+#: iteration)`` once and updates each span through that key, and a
+#: secondary index would roughly double the per-span streaming-insert
+#: cost (the bench's ``--max-db-overhead`` gate).
 INDEXES = (
     "CREATE INDEX IF NOT EXISTS idx_runs_campaign ON runs(campaign)",
 )

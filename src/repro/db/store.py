@@ -389,8 +389,9 @@ class TraceDbWriter:
         # main file; one checkpoint at the end writes each page once.
         db.conn.execute("PRAGMA wal_autocheckpoint=0")
         # Only the recorded columns stream; ``slack``/``on_path`` stay
-        # NULL until :func:`annotate_critical_path` and omitting them
-        # cuts the per-row insert cost by ~40%.
+        # NULL until :func:`annotate_critical_path` (which stamps them
+        # through the ``(run, seq)`` key, so ``spans`` needs no secondary
+        # index) and omitting them cuts the per-row insert cost by ~40%.
         self._spans = BufferedWriter(
             db.conn, "spans", batch=batch,
             columns=columns_of("spans")[:10],
@@ -535,6 +536,12 @@ def read_trace(db: CampaignDB, run: str) -> "TraceRecorder":
 # ======================================================================
 # critical-path annotation
 # ======================================================================
+#: The per-span annotation update: one ``(run, seq)`` primary-key seek.
+_ANNOTATE_SQL = (
+    "UPDATE spans SET slack = ?, on_path = ? WHERE run = ? AND seq = ?"
+)
+
+
 def annotate_critical_path(
     db: CampaignDB,
     run: str,
@@ -544,44 +551,47 @@ def annotate_critical_path(
 ) -> int:
     """Stamp per-span ``slack`` and ``on_path`` from a measured analysis.
 
-    Persistent runs match spans by ``(tid, iteration)`` (the template
-    executes once per iteration); non-persistent runs by ``tid`` alone
-    (the artifact gives every iteration's tasks their own tids).  Only
-    existing span rows update — path tasks without a span (zero-weight
-    stubs) have nothing to annotate.  Returns the number of updates
-    issued.
+    Only spans of ``rank`` match.  Persistent runs match them by ``(tid,
+    iteration)`` (the template executes once per iteration);
+    non-persistent runs by ``tid`` alone (the artifact gives every
+    iteration's tasks their own tids).  Only existing span rows update —
+    path tasks without a span (zero-weight stubs) have nothing to
+    annotate.
+
+    One read of the rank's ``(seq, tid, iteration)`` columns maps each
+    match key to its span rows, so every update is a single ``(run,
+    seq)`` primary-key seek: linear in spans, where an update keyed on
+    ``tid`` scans every span of the run.  Returns the number of span
+    rows stamped.
     """
     rid = run_id(run)
-    rows: list[tuple] = []
-    if cp.persistent:
-        sql = (
-            "UPDATE spans SET slack = ?, on_path = ? "
-            "WHERE run = ? AND rank = ? AND tid = ? AND iteration = ?"
-        )
-        for itcp in cp.iterations:
-            path = set(itcp.path)
-            for t, slack in enumerate(itcp.slack):
-                rows.append(
-                    (slack, int(t in path), rid, rank, t, itcp.iteration)
-                )
-    else:
-        sql = (
-            "UPDATE spans SET slack = ?, on_path = ? "
-            "WHERE run = ? AND rank = ? AND tid = ?"
-        )
-        for itcp in cp.iterations:
-            path = set(itcp.path)
-            for t, slack in enumerate(itcp.slack):
-                rows.append((slack, int(t in path), rid, rank, t))
+    persistent = cp.persistent
     conn = db.conn
     conn.execute("BEGIN IMMEDIATE")
     try:
-        conn.executemany(sql, rows)
+        seqs: dict[object, list[int]] = {}
+        for seq, tid, iteration in conn.execute(
+            "SELECT seq, tid, iteration FROM spans WHERE run = ? AND rank = ?",
+            (rid, rank),
+        ):
+            key = (tid, iteration) if persistent else tid
+            seqs.setdefault(key, []).append(seq)
+        stamps: dict[int, tuple[float, int]] = {}
+        for itcp in cp.iterations:
+            path = set(itcp.path)
+            for t, slack in enumerate(itcp.slack):
+                key = (t, itcp.iteration) if persistent else t
+                for seq in seqs.get(key, ()):
+                    stamps[seq] = (slack, int(t in path))
+        conn.executemany(
+            _ANNOTATE_SQL,
+            [(slack, on, rid, seq) for seq, (slack, on) in sorted(stamps.items())],
+        )
         conn.execute("COMMIT")
     except BaseException:
         conn.execute("ROLLBACK")
         raise
-    return len(rows)
+    return len(stamps)
 
 
 # ======================================================================

@@ -20,6 +20,11 @@ T = TypeVar("T")
 
 _NAN_SENTINEL = "NaN"
 
+#: The canonical encoder: sorted keys, tight separators, strict floats.
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False
+)
+
 
 def flat_to_dict(obj: Any) -> dict:
     """Dataclass -> dict for *flat* dataclasses (scalar fields only)."""
@@ -70,14 +75,15 @@ def canonical_json(obj: Any) -> str:
     produce byte-identical documents — the property the result cache and
     the campaign determinism tests rely on.  NaN (legal in e.g. a
     :class:`~repro.obs.recorder.CommRecord` that never completed) is
-    mapped to a sentinel string because strict JSON has no NaN.
+    mapped to a sentinel string because strict JSON has no NaN; ±inf
+    raises ``ValueError``.  Almost no document holds a NaN, so the
+    strict dump runs first and the sanitizing deep copy only when it
+    rejects a non-finite float.
     """
-    return json.dumps(
-        _sanitize(obj),
-        sort_keys=True,
-        separators=(",", ":"),
-        allow_nan=False,
-    )
+    try:
+        return _CANONICAL.encode(obj)
+    except ValueError:
+        return _CANONICAL.encode(_sanitize(obj))
 
 
 def content_key(obj: Any) -> str:

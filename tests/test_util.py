@@ -1,10 +1,15 @@
 """Tests for the util helpers."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.util import Interner
 from repro.util.rng import DEFAULT_SEED, make_rng
+from repro.util.serde import _NAN_SENTINEL, _sanitize, canonical_json
 from repro.util.units import GiB, KiB, MiB, fmt_bytes, fmt_count, fmt_time, ms, ns, us
 from repro.util.validation import check_in, check_non_negative, check_positive
 
@@ -103,3 +108,54 @@ class TestValidation:
         check_in("mode", "a", ("a", "b"))
         with pytest.raises(ValueError, match="one of"):
             check_in("mode", "z", ("a", "b"))
+
+
+#: Nested JSON-shaped documents whose floats include NaN (never ±inf).
+documents = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.text(max_size=8),
+        st.floats(allow_infinity=False),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=8), children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+def sanitized_dump(obj) -> str:
+    """The canonical dump that always builds the sanitized copy first."""
+    return json.dumps(
+        _sanitize(obj), sort_keys=True, separators=(",", ":"), allow_nan=False
+    )
+
+
+class TestCanonicalJson:
+    @settings(max_examples=300, deadline=None)
+    @given(documents)
+    def test_equals_sanitized_dump(self, doc):
+        assert canonical_json(doc) == sanitized_dump(doc)
+
+    def test_nan_becomes_the_sentinel(self):
+        doc = {"b": [1.5, float("nan")], "a": (float("nan"),)}
+        assert canonical_json(doc) == (
+            f'{{"a":["{_NAN_SENTINEL}"],"b":[1.5,"{_NAN_SENTINEL}"]}}'
+        )
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_infinity_raises(self, value):
+        with pytest.raises(ValueError):
+            canonical_json({"x": [1.0, value]})
+        with pytest.raises(ValueError):
+            canonical_json({"x": [float("nan"), value]})
+
+    def test_golden_spec_keys_unchanged(self):
+        from repro.campaign.crosscheck import golden_specs
+
+        keys = "\n".join(spec.key for spec in golden_specs())
+        assert len(golden_specs()) == 19
+        assert hashlib.sha256(keys.encode()).hexdigest() == (
+            "0acb78103132151b0606c74408b7f7868f226276890c11455ed532663c6e1e05"
+        )
