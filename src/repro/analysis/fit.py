@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-import scipy.optimize
 
 from repro.runtime.costs import DiscoveryCosts
 
@@ -65,6 +64,8 @@ def fit_discovery_costs(
     four constants; other fields (prune, redirect, replay) are copied from
     ``base`` (they need dedicated experiments to identify).
     """
+    import scipy.optimize
+
     if len(observations) < 2:
         raise ValueError("need at least 2 observations to fit")
     a = np.array(

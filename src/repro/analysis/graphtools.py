@@ -14,9 +14,7 @@ ecosystem, never for the metrics themselves.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Union
-
-import networkx as nx
+from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 from repro.core.compiled import CompiledTDG
 from repro.core.graph import TaskGraph
@@ -26,6 +24,9 @@ from repro.core.graph_stats import (
     width_profile_from_csr,
 )
 from repro.core.task import Task
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "GraphShape",
@@ -77,6 +78,8 @@ def to_networkx(graph: AnyGraph, *, include_stubs: bool = True) -> nx.DiGraph:
     ``stub``; parallel (duplicate) edges collapse — use the graph's own
     :class:`~repro.core.graph.EdgeStats` for multiplicity accounting.
     """
+    import networkx as nx
+
     if isinstance(graph, CompiledTDG):
         name, loop_id = graph.name, graph.loop_id
         flops, is_stub = graph.flops, graph.is_stub

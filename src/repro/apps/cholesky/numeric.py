@@ -4,12 +4,14 @@ Single-process right-looking tile Cholesky on a numpy matrix; the task
 bodies perform the actual POTRF/TRSM/SYRK/GEMM kernels, so executing the
 TDG in any runtime schedule must produce L with ``L @ L.T == A`` — a wrong
 or missing edge corrupts the factorization.
+
+The TRSM kernel imports ``scipy.linalg`` on its first call, so that
+``import repro`` needs numpy alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
 from repro.core.program import Program, TaskSpec
 from repro.core.task import DepMode
@@ -47,6 +49,8 @@ class NumericCholesky:
         tile[:] = np.linalg.cholesky(tile)
 
     def trsm(self, i: int, k: int) -> None:
+        import scipy.linalg as sla
+
         lkk = self._t(k, k)
         tile = self._t(i, k)
         tile[:] = sla.solve_triangular(lkk, tile.T, lower=True).T

@@ -7,22 +7,31 @@ runtime produces must match the sequential blocked reference bit-for-bit
 non-associativity cannot leak in).  This is the strongest test of the
 dependence resolver: a missing or wrong edge reorders a read/write pair
 and changes the result.
+
+scipy is imported inside :func:`laplacian_27pt`, on first use, so that
+``import repro`` needs numpy alone; annotations name ``scipy.sparse``
+for type checkers only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.core.program import Program, TaskSpec
-from repro.core.task import Dep, DepMode
+from repro.core.task import DepMode
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 def laplacian_27pt(nx: int, ny: int, nz: int) -> sp.csr_matrix:
     """The HPCG operator: 27-point stencil, 26 off-diagonal -1s, 26 on the
     diagonal plus a small shift to keep it positive definite."""
+    import scipy.sparse as sp
+
     n = nx * ny * nz
     idx = np.arange(n).reshape(nz, ny, nx)
     rows, cols = [], []

@@ -443,12 +443,16 @@ def compile_program(
     """
     from repro.core.dependences import DependenceResolver
     from repro.core.graph import TaskGraph
+    from repro.core.task import split_footprint
 
     persistent = opts.p and program.persistent_candidate
     graph = TaskGraph(persistent=persistent)
     table = graph.table
     resolver = DependenceResolver(table, opts)
     create_cbs = bus.task_create if bus is not None else None
+    # Normalized footprint per spec object: ``Program.from_template``
+    # shares spec objects across iterations, so each is split once.
+    spec_prep: dict[int, tuple] = {}
     segment: list[int] = []
     spec_pos: list[int] = []
     disc: list[tuple[int, int, int, int]] = []
@@ -472,14 +476,12 @@ def compile_program(
             if spec.barrier:
                 seg += 1
                 continue
-            tid = table.new(
-                name=spec.name,
-                loop_id=spec.loop_id,
-                iteration=it.index,
-                flops=spec.flops,
-                footprint=spec.footprint,
-                fp_bytes=spec.fp_bytes,
-                comm=spec.comm,
+            prep = spec_prep.get(id(spec))
+            if prep is None:
+                prep = spec_prep[id(spec)] = split_footprint(spec.footprint)
+            tid = table.new_fast(
+                spec.name, spec.loop_id, it.index, spec.flops,
+                prep[0], prep[1], spec.fp_bytes, spec.comm, None,
             )
             segment.append(seg)
             spec_pos.append(pos)

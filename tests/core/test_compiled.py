@@ -1,5 +1,7 @@
 """Tests for the compiled TDG artifact, its signature, and its cache."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import (
@@ -144,6 +146,36 @@ class TestCompileProgram:
         c = compile_program(redirect_program(), ABCP, costs=DiscoveryCosts())
         back = CompiledTDG.from_dict(c.to_dict())
         assert back.to_dict() == c.to_dict()
+
+    @pytest.mark.parametrize("opts", ["none", "abc", "abcp"])
+    def test_shared_and_copied_specs_compile_equal(self, opts):
+        """Footprints are normalized once per spec object: a from_template
+        program and a copy with distinct but equal spec objects in every
+        iteration compile to the same artifact, and every task's footprint
+        bytes are its own spec's."""
+        from repro.apps.lulesh import LuleshConfig, build_task_program
+
+        shared = build_task_program(LuleshConfig(s=8, iterations=3, tpl=16))
+        copied = Program(
+            [
+                IterationSpec(
+                    index=it.index,
+                    tasks=[dataclasses.replace(s) for s in it.tasks],
+                )
+                for it in shared.iterations
+            ],
+            persistent_candidate=shared.persistent_candidate,
+            name=shared.name,
+        )
+        assert shared.iterations[0].tasks is shared.iterations[1].tasks
+        opt_set = OptimizationSet.parse(opts)
+        c = compile_program(shared, opt_set, costs=DiscoveryCosts())
+        assert c.to_dict() == compile_program(
+            copied, opt_set, costs=DiscoveryCosts()
+        ).to_dict()
+        for tid in c.user_tids:
+            spec = shared.iterations[c.iteration[tid]].tasks[c.spec_pos[tid]]
+            assert c.foot_bytes[tid] == sum(e[1] for e in spec.footprint)
 
 
 class TestRuntimeSnapshotEquality:
