@@ -118,9 +118,10 @@ def cluster_spec(
         network=network,
     )
 
-#: Campaign knobs shared by the benchmark drivers: a persistent result
-#: cache directory makes re-runs (and the CI smoke pass) skip completed
-#: runs; REPRO_BENCH_JOBS>1 fans sweep points out over workers.
+#: Campaign knobs shared by the benchmark drivers: a persistent campaign
+#: directory (its ``campaign.sqlite`` store) makes re-runs (and the CI
+#: smoke pass) skip completed runs; REPRO_BENCH_JOBS>1 fans sweep points
+#: out over workers.
 BENCH_CACHE = os.environ.get("REPRO_BENCH_CACHE") or None
 BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 

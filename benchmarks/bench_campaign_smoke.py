@@ -1,4 +1,4 @@
-"""Campaign engine smoke check (CI): cache, determinism, fan-out.
+"""Campaign engine smoke check (CI): store, determinism, fan-out.
 
 Runs a tiny Fig-1-style LULESH TPL campaign three ways and asserts the
 engine's core contracts:
@@ -6,15 +6,16 @@ engine's core contracts:
 1. a 2-worker parallel campaign produces bitwise-identical serialized
    results to the serial run (the DES is seed-deterministic, so worker
    scheduling must not leak into results);
-2. re-invoking the same campaign against the same cache executes nothing
-   (every run is a content-addressed cache hit);
+2. re-invoking the same campaign against the same store executes nothing
+   (every run is a content-addressed store hit);
 3. mutating one spec re-executes exactly that run.
 
 Wall-clock speedup is reported informationally — on single-core CI
 runners process fan-out cannot beat serial execution.
 
-Usage: ``python benchmarks/bench_campaign_smoke.py [cache-dir]``
-(temporary directory when omitted; run as a script, not under pytest).
+Usage: ``python benchmarks/bench_campaign_smoke.py [campaign-dir]``
+(results go to ``<campaign-dir>/campaign.sqlite``; a temporary directory
+when omitted; run as a script, not under pytest).
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from __future__ import annotations
 import sys
 import tempfile
 
-from repro.campaign import ExperimentSpec, ResultCache, run_campaign
+from repro.campaign import ExperimentSpec, run_campaign
+from repro.db import open_store
 from repro.runtime import presets
 from repro.util.serde import canonical_json
 
@@ -51,37 +53,37 @@ def main(cache_dir: str | None = None) -> int:
     if cache_dir is None:
         tmp = tempfile.TemporaryDirectory(prefix="repro-smoke-")
         cache_dir = tmp.name
+    store = open_store(cache_dir)
     try:
-        cache = ResultCache(cache_dir)
-
-        # A persistent cache dir may be pre-warmed by a previous invocation
+        # A persistent store may be pre-warmed by a previous invocation
         # (the CI runs this script twice to prove the resume contract), so
-        # assert relative to what the cache already holds.
-        pre_hits = sum(1 for s in specs if cache.contains(s))
-        fanout = run_campaign(specs, jobs=JOBS, cache=cache)
+        # assert relative to what the store already holds.
+        pre_hits = sum(1 for s in specs if store.contains(s))
+        fanout = run_campaign(specs, jobs=JOBS, cache=store)
         assert fanout.ok, fanout.failures[0].error
         got = [canonical_json(r.to_dict()) for r in fanout.results]
         assert got == reference, "parallel campaign diverged from serial run"
         assert fanout.n_executed == len(specs) - pre_hits, fanout.summary()
-        tag = "all cache hits" if pre_hits == len(specs) else \
+        tag = "all store hits" if pre_hits == len(specs) else \
             f"speedup vs serial: {serial.wall / max(fanout.wall, 1e-9):.2f}x, informational"
         print(f"parallel: {fanout.summary()} ({tag})")
 
-        again = run_campaign(specs, jobs=JOBS, cache=cache)
+        again = run_campaign(specs, jobs=JOBS, cache=store)
         assert again.n_executed == 0, f"expected all hits: {again.summary()}"
         assert again.n_cached == len(specs)
         assert [canonical_json(r.to_dict()) for r in again.results] == reference
-        print(f"resumed:  {again.summary()} — all cache hits")
+        print(f"resumed:  {again.summary()} — all store hits")
 
         mutated = list(specs)
         mutated[2] = mutated[2].with_params(tpl=TPLS[2] + 1)
-        expect_new = 0 if cache.contains(mutated[2]) else 1
-        third = run_campaign(mutated, jobs=JOBS, cache=cache)
+        expect_new = 0 if store.contains(mutated[2]) else 1
+        third = run_campaign(mutated, jobs=JOBS, cache=store)
         assert third.n_executed == expect_new, third.summary()
         assert third.n_cached == len(specs) - expect_new
         print(f"mutated:  {third.summary()} — "
               f"{'already cached' if expect_new == 0 else 'exactly one spec re-executed'}")
     finally:
+        store.db.close()
         if tmp is not None:
             tmp.cleanup()
 

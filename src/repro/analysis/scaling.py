@@ -20,10 +20,10 @@ from typing import Callable, Optional, Sequence, Union
 
 from repro.analysis.calibration import scaled_epyc, scaled_mpc, scaled_network
 from repro.apps.lulesh.config import LuleshConfig
-from repro.campaign.cache import ResultCache
 from repro.campaign.runner import run_experiment
 from repro.campaign.spec import ExperimentSpec
 from repro.core.optimizations import OptimizationSet
+from repro.db.store import DbResultStore, open_store
 from repro.mpi.network import NetworkSpec
 from repro.runtime.runtime import RuntimeConfig
 
@@ -78,7 +78,7 @@ def lulesh_scaling(
     fixed_tpl: Optional[int] = None,
     overlap_ratio: float = 0.85,
     nodes_per_task: int = 1024,
-    cache: Union[ResultCache, str, Path, None] = None,
+    cache: Union[DbResultStore, str, Path, None] = None,
     fidelity: Optional[str] = None,
 ) -> list[ScalingPoint]:
     """Model Table 3's weak/strong rows.
@@ -96,8 +96,10 @@ def lulesh_scaling(
         raise ValueError(f"mode must be 'weak' or 'strong', got {mode!r}")
     if isinstance(opts, str):
         opts = OptimizationSet.parse(opts)
-    if isinstance(cache, (str, Path)):
-        cache = ResultCache(cache)
+    # A store opened here from a path is closed again before returning.
+    owned = open_store(cache) if isinstance(cache, (str, Path)) else None
+    if owned is not None:
+        cache = owned
     net = network if network is not None else scaled_network()
 
     def probe(spec: ExperimentSpec) -> float:
@@ -111,86 +113,90 @@ def lulesh_scaling(
         return res.makespan
 
     points = []
-    for p in rank_counts:
-        side = round(p ** (1.0 / 3.0))
-        if side**3 != p:
-            raise ValueError(f"rank count {p} is not a perfect cube")
-        if mode == "weak":
-            s_local = s_weak
-        else:
-            s_local = max(4, round(s_strong_global / side))
-        cfg_probe = LuleshConfig(
-            s=s_local, iterations=sim_iterations, tpl=4, flops_per_item=flops_per_item
-        )
-        tpl = (fixed_tpl if fixed_tpl is not None
-               else dynamic_tpl(cfg_probe.n_nodes, nodes_per_task=nodes_per_task))
-        tpl = min(tpl, cfg_probe.n_elems)
-        cfg = LuleshConfig(
-            s=s_local, iterations=sim_iterations, tpl=tpl, flops_per_item=flops_per_item
-        )
-        rc = (
-            config_factory(p)
-            if config_factory is not None
-            else scaled_mpc(scaled_epyc(), opts=opts)
-        )
-
-        # Local per-iteration times from single-rank DES.  Steady state is
-        # measured by differencing two runs (n and 2n iterations), which
-        # removes the one-off first-iteration costs (full discovery for a
-        # persistent graph, cold caches) that a 64+-iteration production
-        # run amortizes away.
-        # The spec API derives everything from the config, so a
-        # config_factory config's opts govern both discovery and program
-        # building (legacy allowed them to differ; nothing used that).
-        run_cfg = rc
-
-        def _spec(engine: str, iters: int) -> ExperimentSpec:
-            return ExperimentSpec(
-                app="lulesh",
-                config=run_cfg,
-                params={"s": s_local, "iterations": iters, "tpl": tpl,
-                        "flops_per_item": flops_per_item},
-                engine=engine,
-                fidelity=(fidelity if fidelity and engine == "task"
-                          else "des"),
-                seed=run_cfg.seed,
-                network=net,
+    try:
+        for p in rank_counts:
+            side = round(p ** (1.0 / 3.0))
+            if side**3 != p:
+                raise ValueError(f"rank count {p} is not a perfect cube")
+            if mode == "weak":
+                s_local = s_weak
+            else:
+                s_local = max(4, round(s_strong_global / side))
+            cfg_probe = LuleshConfig(
+                s=s_local, iterations=sim_iterations, tpl=4, flops_per_item=flops_per_item
+            )
+            tpl = (fixed_tpl if fixed_tpl is not None
+                   else dynamic_tpl(cfg_probe.n_nodes, nodes_per_task=nodes_per_task))
+            tpl = min(tpl, cfg_probe.n_elems)
+            cfg = LuleshConfig(
+                s=s_local, iterations=sim_iterations, tpl=tpl, flops_per_item=flops_per_item
+            )
+            rc = (
+                config_factory(p)
+                if config_factory is not None
+                else scaled_mpc(scaled_epyc(), opts=opts)
             )
 
-        def per_iter_task(iters: int) -> float:
-            return probe(_spec("task", iters))
+            # Local per-iteration times from single-rank DES.  Steady state is
+            # measured by differencing two runs (n and 2n iterations), which
+            # removes the one-off first-iteration costs (full discovery for a
+            # persistent graph, cold caches) that a 64+-iteration production
+            # run amortizes away.
+            # The spec API derives everything from the config, so a
+            # config_factory config's opts govern both discovery and program
+            # building (legacy allowed them to differ; nothing used that).
+            run_cfg = rc
 
-        def per_iter_for(iters: int) -> float:
-            return probe(_spec("forloop", iters))
+            def _spec(engine: str, iters: int) -> ExperimentSpec:
+                return ExperimentSpec(
+                    app="lulesh",
+                    config=run_cfg,
+                    params={"s": s_local, "iterations": iters, "tpl": tpl,
+                            "flops_per_item": flops_per_item},
+                    engine=engine,
+                    fidelity=(fidelity if fidelity and engine == "task"
+                              else "des"),
+                    seed=run_cfg.seed,
+                    network=net,
+                )
 
-        n = sim_iterations
-        local_task = (per_iter_task(2 * n) - per_iter_task(n)) / n
-        local_for = (per_iter_for(2 * n) - per_iter_for(n)) / n
+            def per_iter_task(iters: int) -> float:
+                return probe(_spec("task", iters))
 
-        # Analytic per-iteration communication terms.
-        allreduce = net.allreduce_time(p, 8)
-        halo = _halo_time(net, cfg)
-        # Load-imbalance/OS-noise skew grows slowly with scale; LULESH's
-        # homogeneous weak scaling keeps it small (paper: >95% efficiency
-        # at 1,000 ranks).
-        skew_task = 0.005 * local_task * math.log2(max(2, p))
-        skew_for = 0.005 * local_for * math.log2(max(2, p))
-        comm_task = (1.0 - overlap_ratio) * (allreduce + halo) + skew_task
-        comm_for = allreduce + halo + skew_for
+            def per_iter_for(iters: int) -> float:
+                return probe(_spec("forloop", iters))
 
-        points.append(
-            ScalingPoint(
-                n_ranks=p,
-                s_local=s_local,
-                tpl=tpl,
-                time_task=(local_task + comm_task) * report_iterations,
-                time_for=(local_for + comm_for) * report_iterations,
-                local_task=local_task,
-                local_for=local_for,
-                comm_task=comm_task,
-                comm_for=comm_for,
+            n = sim_iterations
+            local_task = (per_iter_task(2 * n) - per_iter_task(n)) / n
+            local_for = (per_iter_for(2 * n) - per_iter_for(n)) / n
+
+            # Analytic per-iteration communication terms.
+            allreduce = net.allreduce_time(p, 8)
+            halo = _halo_time(net, cfg)
+            # Load-imbalance/OS-noise skew grows slowly with scale; LULESH's
+            # homogeneous weak scaling keeps it small (paper: >95% efficiency
+            # at 1,000 ranks).
+            skew_task = 0.005 * local_task * math.log2(max(2, p))
+            skew_for = 0.005 * local_for * math.log2(max(2, p))
+            comm_task = (1.0 - overlap_ratio) * (allreduce + halo) + skew_task
+            comm_for = allreduce + halo + skew_for
+
+            points.append(
+                ScalingPoint(
+                    n_ranks=p,
+                    s_local=s_local,
+                    tpl=tpl,
+                    time_task=(local_task + comm_task) * report_iterations,
+                    time_for=(local_for + comm_for) * report_iterations,
+                    local_task=local_task,
+                    local_for=local_for,
+                    comm_task=comm_task,
+                    comm_for=comm_for,
+                )
             )
-        )
+    finally:
+        if owned is not None:
+            owned.db.close()
     return points
 
 

@@ -7,14 +7,14 @@ The public experiment API:
   + scale + network).
 - :func:`run_experiment` — the single entrypoint executing one spec.
 - :func:`run_campaign` — execute a list of specs across worker processes
-  with a content-addressed :class:`ResultCache`, resumability, per-run
-  timeout, retry-once robustness and :class:`CampaignBus` progress events.
+  into the content-addressed SQLite store (:class:`repro.db.DbResultStore`)
+  with resumability, per-run timeout, retry-once robustness and
+  :class:`CampaignBus` progress events.
 - :func:`cross_check` — tier agreement on the golden set: analytic
   bounds bracket replay and DES, replay within tolerance of DES.
 """
 
 from repro.campaign.bus import CampaignBus, ProgressPrinter
-from repro.campaign.cache import CACHE_FORMAT, ResultCache
 from repro.campaign.crosscheck import (
     REPLAY_TOLERANCE,
     CrossCheckReport,
@@ -40,7 +40,6 @@ from repro.campaign.spec import (
 
 __all__ = [
     "APPS",
-    "CACHE_FORMAT",
     "CampaignBus",
     "CampaignResult",
     "CrossCheckReport",
@@ -50,7 +49,6 @@ __all__ = [
     "FIDELITIES",
     "ProgressPrinter",
     "REPLAY_TOLERANCE",
-    "ResultCache",
     "RunRecord",
     "build_programs",
     "cross_check",

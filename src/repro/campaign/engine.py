@@ -5,13 +5,14 @@ A *campaign* is an ordered list of :class:`~repro.campaign.spec.ExperimentSpec`
 dozens-to-hundreds of independent DES runs.  :func:`run_campaign`
 executes one with:
 
-- **cache-backed skipping** — runs whose key is already in the
-  :class:`~repro.campaign.cache.ResultCache` are not re-executed;
+- **store-backed skipping** — runs whose key is already in the
+  :class:`~repro.db.DbResultStore` are not re-executed;
 - **parallel fan-out** — ``jobs`` worker processes, each executing one
   run then exiting (a crashing run can never poison a sibling);
-- **resumability** — results land in the cache atomically as they
-  complete, so an interrupted (Ctrl-C'd, OOM-killed) campaign re-launched
-  with the same specs completes only the missing runs;
+- **resumability** — results land in the store atomically (one SQL
+  transaction each) as they complete, so an interrupted (Ctrl-C'd,
+  OOM-killed) campaign re-launched with the same specs completes only
+  the missing runs;
 - **robustness** — a per-run ``timeout`` and retry-on-worker-death
   (``retries`` more attempts, default one);
 - **live progress** — events on a :class:`~repro.campaign.bus.CampaignBus`.
@@ -32,16 +33,15 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from repro.campaign.bus import CampaignBus, ProgressPrinter
-from repro.campaign.cache import ResultCache
 from repro.campaign.runner import run_experiment
 from repro.campaign.spec import ExperimentSpec
 from repro.core.compiled import CompiledGraphCache
 from repro.db.store import DbResultStore, open_store
 from repro.runtime.result import RunResult
 
-#: Anything the engine can persist results into: the JSON-file cache,
-#: the SQLite store, or a locator path that :func:`open_store` resolves.
-Store = Union[ResultCache, DbResultStore, str, Path]
+#: Anything the engine can persist results into: the SQLite store, or a
+#: locator path that :func:`open_store` resolves.
+Store = Union[DbResultStore, str, Path]
 
 _POLL_S = 0.02
 
@@ -138,11 +138,11 @@ class CampaignResult:
 def _worker_entry(spec_json: str, locator: str, campaign: str = "") -> None:
     """Executed in a worker process: run one spec, write it to the store.
 
-    The store write is the only channel back to the parent — atomic
-    (file replace or SQL transaction), and exactly what a resumed
-    campaign would read — so worker death between run and write just
-    means the run retries.  ``locator`` names the parent's store
-    (:func:`repro.db.open_store` resolves it).
+    The store write is the only channel back to the parent — one SQL
+    transaction, and exactly what a resumed campaign would read — so
+    worker death between run and write just means the run retries.
+    ``locator`` names the parent's store (:func:`repro.db.open_store`
+    resolves it).
     """
     spec = ExperimentSpec.from_json(spec_json)
     cache = open_store(locator, campaign=campaign)
@@ -204,19 +204,18 @@ def run_campaign(
         serially in-process (no subprocess overhead); otherwise each run
         executes in its own worker process.
     cache:
-        A :class:`ResultCache`, a :class:`~repro.db.DbResultStore`, a
-        locator path (directory → JSON cache, ``.sqlite`` file → SQLite
-        store), or None — parallel and timeout modes need a store as the
-        result channel, so None then means a temporary directory
-        (discarded afterwards).
+        A :class:`~repro.db.DbResultStore`, a locator path (``.sqlite``
+        file → that store, directory ``D`` → ``D/campaign.sqlite``), or
+        None — parallel and timeout modes need a store as the result
+        channel, so None then means a temporary store (discarded
+        afterwards).  A store opened here from a locator is closed
+        before returning; a store object passed in stays open.
     store:
         Alias for ``cache`` (the SQLite-store spelling); passing both is
-        an error.  Same types accepted — the engine drives either
-        backend through the identical content-addressed interface.
+        an error.  Same types accepted.
     campaign:
-        Campaign id tagged onto every run row a
-        :class:`~repro.db.DbResultStore` writes (reports compare ids);
-        ignored by the JSON cache.
+        Campaign id tagged onto every run row the store writes (reports
+        compare ids).
     reuse_cache:
         When False, existing entries are ignored (every run re-executes
         and overwrites; ``--no-resume`` in the CLI).
@@ -233,12 +232,12 @@ def run_campaign(
     metrics:
         An existing :class:`~repro.metrics.campaign.CampaignMetrics` to
         attach (``live=True`` creates one when omitted).  If it has no
-        store bound and the campaign persists into a
-        :class:`~repro.db.DbResultStore`, deterministic metric snapshots
-        land in that store's ``metrics`` table.
+        store bound and the campaign persists into a store,
+        deterministic metric snapshots land in that store's ``metrics``
+        table.
     snapshot_every:
         Persist an intermediate metrics snapshot every N settled runs
-        (0: final snapshot only; only meaningful with a SQLite store).
+        (0: final snapshot only; only meaningful with a store).
     fidelity:
         When set, every spec is rewritten to that simulation tier
         (``spec.with_fidelity``) before execution — the campaign-level
@@ -254,9 +253,13 @@ def run_campaign(
         if cache is not None:
             raise ValueError("pass either cache= or store=, not both")
         cache = store
+    # A store this call opens (from a locator, or the temporary worker
+    # channel) it also closes, after campaign_done has taken the final
+    # metrics snapshot: that last close checkpoints the WAL into the file.
+    owned: Optional[DbResultStore] = None
     if isinstance(cache, (str, Path)):
-        cache = open_store(cache, campaign=campaign)
-    if campaign and isinstance(cache, DbResultStore):
+        cache = owned = open_store(cache)
+    if campaign and cache is not None:
         cache.campaign = campaign
     # Observers attach after store resolution (metrics may bind to it)
     # but before the cache pass, so run_cached events are never missed.
@@ -265,9 +268,7 @@ def run_campaign(
 
         metrics = CampaignMetrics(len(specs), snapshot_every=snapshot_every)
     if metrics is not None:
-        if getattr(metrics, "db", None) is None and isinstance(
-            cache, DbResultStore
-        ):
+        if getattr(metrics, "db", None) is None and cache is not None:
             metrics.bind_store(cache)
         bus.attach(metrics)
     if live:
@@ -285,7 +286,12 @@ def run_campaign(
     try:
         if cache is None and use_workers:
             tmpdir = tempfile.TemporaryDirectory(prefix="repro-campaign-")
-            cache = ResultCache(tmpdir.name)
+            cache = owned = open_store(tmpdir.name)
+        if cache is not None:
+            # Open for writing before the cache pass: a file that is not
+            # a store fails before any run executes, and the close of this
+            # connection is the one that can checkpoint the workers' WAL.
+            cache.db.conn
 
         # ---- cache pass -------------------------------------------------
         pending: list[int] = []
@@ -318,12 +324,14 @@ def run_campaign(
                 rec.error = first.error
                 if rec.result is not None:
                     _emit(bus.run_cached, i, rec.spec, rec.result)
+
+        out = CampaignResult(records=records, wall=time.monotonic() - t0)
+        _emit(bus.campaign_done, out)
     finally:
+        if owned is not None:
+            owned.db.close()
         if tmpdir is not None:
             tmpdir.cleanup()
-
-    out = CampaignResult(records=records, wall=time.monotonic() - t0)
-    _emit(bus.campaign_done, out)
     return out
 
 
@@ -370,11 +378,7 @@ def _run_workers(records, pending, jobs, cache, timeout, retries, bus) -> None:
         rec.attempts = attempt
         proc = ctx.Process(
             target=_worker_entry,
-            args=(
-                rec.spec.to_json(),
-                cache.locator,
-                getattr(cache, "campaign", ""),
-            ),
+            args=(rec.spec.to_json(), cache.locator, cache.campaign),
             daemon=True,
         )
         proc.start()
@@ -439,7 +443,7 @@ def _run_workers(records, pending, jobs, cache, timeout, retries, bus) -> None:
                 time.sleep(_POLL_S)
     finally:
         # Interrupt (Ctrl-C) or internal error: reap the workers.  The
-        # cache keeps everything completed so far — re-launching the same
+        # store keeps everything completed so far — re-launching the same
         # campaign resumes from here.
         for slot in slots:
             if slot.proc.is_alive():

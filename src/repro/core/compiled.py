@@ -20,9 +20,8 @@ firstprivate sizes, flops) together with the discovery optimization set —
 everything that determines the discovered graph — through
 :func:`repro.util.serde.content_key`.  Two structurally identical programs
 compile to the same key in any process, which is what lets
-:class:`CompiledGraphCache` (same atomic-write idiom as the campaign
-:class:`~repro.campaign.cache.ResultCache`) share compiled graphs across
-runs and across consumers.
+:class:`CompiledGraphCache` (atomic JSON files next to the campaign
+store) share compiled graphs across runs and across consumers.
 """
 
 from __future__ import annotations
@@ -526,7 +525,6 @@ def compile_program(
 class CompiledGraphCache:
     """A directory of compiled graphs, content-addressed by signature.
 
-    Same idiom as the campaign :class:`~repro.campaign.cache.ResultCache`:
     ``<root>/<key[:2]>/<key>.json`` entries written atomically (temp file
     + ``os.replace``), safe under concurrent writers, resumable.  A hit
     means "this exact program structure was already compiled" — by this
@@ -542,7 +540,7 @@ class CompiledGraphCache:
 
     @classmethod
     def for_campaign(cls, cache_root: Union[str, Path]) -> "CompiledGraphCache":
-        """The compiled-graph cache nested inside a campaign cache dir."""
+        """The compiled-graph cache nested inside a campaign directory."""
         return cls(Path(cache_root) / cls.SUBDIR)
 
     # ------------------------------------------------------------------

@@ -6,13 +6,12 @@ buffered **write** connection (WAL journal, ``executemany`` batches via
 **read-only** query connection — the pyotter ``otter/db`` split that
 lets analyses run against a store a campaign is still writing.
 
-:class:`DbResultStore` puts the content-addressed
-:class:`~repro.campaign.cache.ResultCache` interface on top: ``get`` /
-``put`` / ``put_error`` keyed by the spec's sha256, so
-``run_campaign(store=...)`` keeps its resume/dedup semantics and
-byte-identical cache keys while every result lands as a queryable row.
-:func:`open_store` picks the backend from a locator path (a ``.sqlite``
-file or an entry directory), which is how campaign worker processes
+:class:`DbResultStore` is the campaign result store built on it:
+``get`` / ``put`` / ``put_error`` keyed by the spec's sha256, so
+``run_campaign(store=...)`` resumes and deduplicates by content key
+while every result lands as a queryable row.  :func:`open_store` opens
+it from a locator path (a ``.sqlite`` file, or a campaign directory
+holding :data:`STORE_FILENAME`), which is how campaign worker processes
 reopen the parent's store.
 
 :class:`TraceDbWriter` is the streaming sink a
@@ -50,7 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.recorder import TraceRecorder
     from repro.runtime.result import RunResult
 
-#: Default store file name inside a campaign cache directory.
+#: The store file a campaign directory (``--cache-dir``) holds.
 STORE_FILENAME = "campaign.sqlite"
 
 #: File suffixes :func:`open_store` treats as SQLite stores.
@@ -89,11 +88,23 @@ class CampaignDB:
         if self._conn is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             conn = sqlite3.connect(self.path, isolation_level=None)
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute(f"PRAGMA busy_timeout={_BUSY_TIMEOUT_MS}")
-            init_schema(conn)
-            check_schema(conn)
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                conn.execute("PRAGMA synchronous=NORMAL")
+                conn.execute(f"PRAGMA busy_timeout={_BUSY_TIMEOUT_MS}")
+                init_schema(conn)
+                check_schema(conn)
+            except BaseException as exc:
+                conn.close()
+                # Locked, read-only or I/O failures pass through; any
+                # other database error means the file is not a store.
+                if isinstance(exc, sqlite3.DatabaseError) and not isinstance(
+                    exc, sqlite3.OperationalError
+                ):
+                    raise SchemaError(
+                        f"not a repro.db store: {self.path}: {exc}"
+                    ) from exc
+                raise
             self._conn = conn
         return self._conn
 
@@ -138,7 +149,10 @@ class CampaignDB:
         return self._read
 
     def close(self) -> None:
-        for conn in (self._conn, self._read):
+        # The read connection first: only a write connection's close can
+        # checkpoint, and only the last close in the process does, which
+        # leaves the store file self-contained.
+        for conn in (self._read, self._conn):
             if conn is not None:
                 conn.close()
         self._conn = self._read = None
@@ -189,17 +203,18 @@ class CampaignDB:
 
 
 # ======================================================================
-# result store (the ResultCache interface over a CampaignDB)
+# the campaign result store
 # ======================================================================
 class DbResultStore:
     """Content-addressed result store backed by :class:`CampaignDB`.
 
-    Implements the :class:`~repro.campaign.cache.ResultCache` interface
-    the campaign engine drives (``contains``/``get``/``put``/
-    ``put_error``/``get_error``/``keys``/``len``), with identical cache
-    keys (the spec sha256) and identical hit semantics — plus queryable
-    ``specs``/``runs`` rows extracted from every result.  ``campaign``
-    tags rows so reports can compare two campaign ids in one store.
+    The one result backend the campaign engine drives (``contains``/
+    ``get``/``put``/``put_error``/``get_error``/``keys``/``len``), keyed
+    by the spec sha256: a hit means "this exact experiment already ran".
+    It is also the worker→parent channel and the resume state, and every
+    result is extracted into queryable ``specs``/``runs`` rows.
+    ``campaign`` tags rows so reports can compare two campaign ids in
+    one store.
     """
 
     def __init__(
@@ -219,10 +234,10 @@ class DbResultStore:
     @property
     def root(self) -> Path:
         """Directory alongside the store file (compiled-TDG artifacts
-        and other campaign-scoped files nest here, like a cache dir)."""
+        and other campaign-scoped files nest here)."""
         return self.db.path.parent
 
-    # -- ResultCache interface ------------------------------------------
+    # -- result interface -----------------------------------------------
     def contains(self, spec: "ExperimentSpec") -> bool:
         try:
             row = self.db.read.execute(
@@ -331,23 +346,19 @@ class DbResultStore:
         return [r[0] for r in rows]
 
 
-def open_store(
-    locator: Union[str, Path], *, campaign: str = ""
-) -> "Union[DbResultStore, ResultCache]":  # noqa: F821 - forward ref
+def open_store(locator: Union[str, Path], *, campaign: str = "") -> DbResultStore:
     """Open the result store a locator names.
 
-    A path ending in ``.sqlite``/``.db`` (or an existing regular file)
-    is a :class:`DbResultStore`; a directory (existing or not) is the
-    JSON-file :class:`~repro.campaign.cache.ResultCache`.  This is how
-    campaign worker processes reconstruct the parent's store from one
-    string.
+    A path ending in ``.sqlite``/``.sqlite3``/``.db`` (or an existing
+    regular file) is the store file itself; any other path is a campaign
+    directory holding :data:`STORE_FILENAME`, whose compiled-graph
+    artifacts land next to it under ``compiled/``.  This is how campaign
+    worker processes reopen the parent's store from one string.
     """
-    from repro.campaign.cache import ResultCache
-
     path = Path(locator)
-    if path.suffix in _DB_SUFFIXES or path.is_file():
-        return DbResultStore(path, campaign=campaign)
-    return ResultCache(path)
+    if path.suffix not in _DB_SUFFIXES and not path.is_file():
+        path = path / STORE_FILENAME
+    return DbResultStore(path, campaign=campaign)
 
 
 # ======================================================================

@@ -1,16 +1,16 @@
-"""Acceptance gate: the golden campaign through both store backends.
+"""Acceptance gate: the golden campaign through the result store.
 
 The 19-spec golden set (``repro.campaign.crosscheck.golden_specs``) runs
-once into the JSON ``ResultCache`` and once into a ``DbResultStore``;
-both backends must hand back bit-identical RunResults on cache hits, and
-the SQL rows must mirror the result documents they were derived from.
+into two independent stores, once through a campaign directory and once
+through a store file; both must hold bit-identical RunResults, resumed
+hits must equal the executed results, and the SQL rows must mirror the
+result documents they were derived from.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.campaign.cache import ResultCache
 from repro.campaign.crosscheck import golden_specs
 from repro.campaign.engine import run_campaign
 from repro.db import CampaignDB, DbResultStore
@@ -21,29 +21,26 @@ from repro.util.serde import canonical_json
 def golden(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     specs = golden_specs()
-    json_out = run_campaign(specs, cache=ResultCache(root / "json"))
+    dir_out = run_campaign(specs, cache=root / "campaign")
     db_out = run_campaign(specs, store=root / "store.sqlite", campaign="g")
-    assert json_out.ok and db_out.ok
-    return root, specs, json_out, db_out
+    assert dir_out.ok and db_out.ok
+    return root, specs, dir_out, db_out
 
 
 class TestGoldenStoreParity:
     def test_executed_results_bitwise_equal(self, golden):
-        _, _, json_out, db_out = golden
-        a = [canonical_json(r.to_dict()) for r in json_out.results]
+        _, _, dir_out, db_out = golden
+        a = [canonical_json(r.to_dict()) for r in dir_out.results]
         b = [canonical_json(r.to_dict()) for r in db_out.results]
         assert a == b
 
-    def test_cache_hits_bitwise_equal_across_backends(self, golden):
+    def test_cache_hits_bitwise_equal_executed(self, golden):
         root, specs, _, first = golden
-        cache = ResultCache(root / "json")
         store = DbResultStore(root / "store.sqlite")
-        for spec in specs:
-            from_json = cache.get(spec)
-            from_db = store.get(spec)
-            assert from_json is not None and from_db is not None
-            assert (canonical_json(from_db.to_dict())
-                    == canonical_json(from_json.to_dict()))
+        for spec, executed in zip(specs, first.results):
+            hit = store.get(spec)
+            assert hit is not None
+            assert canonical_json(hit.to_dict()) == canonical_json(executed.to_dict())
 
     def test_resume_is_all_hits_and_adds_no_rows(self, golden):
         root, specs, _, _ = golden

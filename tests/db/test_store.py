@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import shutil
 import sqlite3
 
 import pytest
 
-from repro.campaign.cache import ResultCache
+from repro.campaign.bus import CampaignBus
 from repro.campaign.engine import run_campaign
 from repro.campaign.runner import run_experiment
 from repro.campaign.spec import ExperimentSpec
@@ -14,6 +15,7 @@ from repro.db import (
     CampaignDB,
     DbResultStore,
     SCHEMA_VERSION,
+    STORE_FILENAME,
     SchemaError,
     open_store,
 )
@@ -76,26 +78,16 @@ class TestDbResultStore:
         _, rows = db.query("SELECT campaign FROM runs WHERE key = ?", (s.key,))
         assert rows == [("alpha",)]
 
-    def test_same_keys_as_json_cache(self, tmp_path):
-        # the content-addressed key is the spec's, not the backend's
-        store = DbResultStore(tmp_path / "s.sqlite")
-        cache = ResultCache(tmp_path / "json")
-        s = spec()
-        res = run_experiment(s)
-        store.put(s, res)
-        cache.put(s, res)
-        assert store.keys() == [s.key]
-        assert cache.get(s) is not None and store.get(s) is not None
-
 
 class TestOpenStore:
     def test_sqlite_suffix_dispatches_to_db(self, tmp_path):
         st = open_store(str(tmp_path / "x.sqlite"))
         assert isinstance(st, DbResultStore)
 
-    def test_directory_dispatches_to_json_cache(self, tmp_path):
+    def test_directory_resolves_to_campaign_sqlite(self, tmp_path):
         st = open_store(str(tmp_path / "cachedir"))
-        assert isinstance(st, ResultCache)
+        assert st.db.path == tmp_path / "cachedir" / STORE_FILENAME
+        assert st.root == tmp_path / "cachedir"
 
     def test_existing_db_file_dispatches_by_content(self, tmp_path):
         path = tmp_path / "oddname"
@@ -146,6 +138,18 @@ class TestSchemaGate:
         with pytest.raises(SchemaError, match="migration"), CampaignDB(path) as db:
             db.conn
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_non_sqlite_store_fails_before_any_run(self, tmp_path, jobs):
+        path = tmp_path / "notes.sqlite"
+        path.write_text("not a database")
+        started: list[int] = []
+        bus = CampaignBus()
+        bus.subscribe("run_start", lambda i, s, a: started.append(i))
+        with pytest.raises(SchemaError, match="not a repro.db store"):
+            run_campaign(SPECS[:1], store=path, jobs=jobs, bus=bus)
+        assert started == []
+        assert path.read_text() == "not a database"
+
     def test_read_connection_requires_existing_file(self, tmp_path):
         with pytest.raises(SchemaError, match="no such store"):
             with CampaignDB(tmp_path / "missing.sqlite") as db:
@@ -170,7 +174,7 @@ class TestCampaignIntegration:
 
     def test_store_and_cache_are_mutually_exclusive(self, tmp_path):
         with pytest.raises(ValueError, match="not both"):
-            run_campaign(SPECS[:1], cache=ResultCache(tmp_path),
+            run_campaign(SPECS[:1], cache=tmp_path,
                          store=tmp_path / "s.sqlite")
 
     def test_two_worker_campaign_into_one_store(self, tmp_path):
@@ -183,6 +187,16 @@ class TestCampaignIntegration:
         with CampaignDB(path) as db:
             _, rows = db.query("SELECT COUNT(*) FROM runs")
         assert rows[0][0] == len(SPECS)
+
+    def test_parallel_campaign_leaves_self_contained_store(self, tmp_path):
+        # The engine closes the store it opened, checkpointing the WAL
+        # its workers wrote: the store file alone holds every row.
+        path = tmp_path / "s.sqlite"
+        run_campaign(SPECS, store=path, jobs=2)
+        copy = tmp_path / "copy.sqlite"
+        shutil.copyfile(path, copy)
+        with CampaignDB(copy) as db:
+            assert db.table_counts()["runs"] == len(SPECS)
 
     def test_resume_from_partial_store(self, tmp_path):
         path = tmp_path / "s.sqlite"

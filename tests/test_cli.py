@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.db import open_store
 
 
 class TestParser:
@@ -156,12 +157,10 @@ class TestSweepJobs:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "best TPL=" in out
-        # One result per point, plus one compiled-graph artifact per
-        # distinct program structure (3 TPLs) under compiled/.
-        results = [p for p in cache.rglob("*.json")
-                   if "compiled" not in p.parts]
+        # One stored result per point, plus one compiled-graph artifact
+        # per distinct program structure (3 TPLs) under compiled/.
+        assert len(open_store(cache)) == 3
         compiled = [p for p in cache.rglob("*.json") if "compiled" in p.parts]
-        assert len(results) == 3
         assert len(compiled) == 3
 
 
