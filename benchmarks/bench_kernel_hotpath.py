@@ -22,9 +22,9 @@ a :class:`~repro.obs.TraceRecorder` attached, plus a microbenchmarked
 estimate of the quiet-bus *hook-check* tax — the ``cbs = bus.hook; if
 cbs:`` branch the discovery hot path pays per task even when nobody is
 listening.  ``--check`` also gates that tax at ``--max-hook-overhead``
-(default 5%) of the quiet wall time, and the counter-only
-:class:`~repro.metrics.sim.SimMetrics` observer at
-``--max-metrics-overhead`` (default 1.10x quiet).
+(default 5%) of the quiet wall time, and the recorded run plus
+:func:`~repro.db.write_trace` into a SQLite store at
+``--max-db-overhead`` (default 1.15x quiet).
 """
 
 from __future__ import annotations
@@ -101,20 +101,19 @@ def run_obs_case(name, s, iterations, tpl, make_config, repeats=1):
 
     Returns a record with the wall times, the recorder overhead ratio
     (informational — observers are expected to cost something), the
-    streaming-store overhead ratio (recorder draining into a SQLite
-    campaign store mid-run, including the final flush), and the
+    store overhead ratio (the recorded run plus ``write_trace`` of the
+    finished recording into a SQLite campaign store), and the
     estimated fraction of the *quiet* wall time spent on the new
     discovery-counter hook checks (``task_create``/``task_replay`` fire
     once per task created or replayed, so the check count ≈ ``n_tasks``).
     """
-    from repro.db import CampaignDB, TraceDbWriter
-    from repro.metrics.sim import SimMetrics
+    from repro.db import CampaignDB, write_trace
 
     prog = build_task_program(
         LuleshConfig(s=s, iterations=iterations, tpl=tpl, flops_per_item=25.0),
         opt_a=False,
     )
-    quiet = attached = streamed = metered = None
+    quiet = attached = stored = None
     n_tasks = n_spans = n_db_rows = 0
     for _ in range(repeats):
         rt = TaskRuntime(prog, make_config())
@@ -134,33 +133,23 @@ def run_obs_case(name, s, iterations, tpl, make_config, repeats=1):
         n_spans = recorder.n_spans
         attached = wall if attached is None else min(attached, wall)
 
-        # Recorder + streaming SQLite sink: spans drain in batches
-        # mid-run; the measured wall includes the final flush.
+        # Recorder, then the finished recording written into a SQLite
+        # store (schema created beforehand); the wall includes the write.
         with tempfile.TemporaryDirectory() as td:
             db = CampaignDB(Path(td) / "bench.sqlite")
-            sink = TraceDbWriter(db, "bench")
+            db.conn
             bus = InstrumentationBus()
-            recorder = TraceRecorder(sink=sink)
-            bus.attach(recorder)
+            recorder = bus.attach(TraceRecorder())
             rt = TaskRuntime(prog, make_config(), bus=bus)
             t0 = time.perf_counter()
             rt.run()
-            sink.close(recorder)
+            write_trace(db, "bench", recorder)
             wall = time.perf_counter() - t0
-            n_db_rows = sink._spans.rows_written
+            (n_db_rows,) = db.conn.execute(
+                "SELECT COUNT(*) FROM spans"
+            ).fetchone()
             db.close()
-        streamed = wall if streamed is None else min(streamed, wall)
-
-        # Counter-only metrics observer: every hook is a handful of
-        # attribute increments, so this bounds what ``repro profile``
-        # and campaign telemetry add to a run.
-        bus = InstrumentationBus()
-        bus.attach(SimMetrics())
-        rt = TaskRuntime(prog, make_config(), bus=bus)
-        t0 = time.perf_counter()
-        rt.run()
-        wall = time.perf_counter() - t0
-        metered = wall if metered is None else min(metered, wall)
+        stored = wall if stored is None else min(stored, wall)
 
     check_cost = _hook_check_cost()
     hook_overhead = check_cost * n_tasks / quiet if quiet > 0 else 0.0
@@ -174,11 +163,9 @@ def run_obs_case(name, s, iterations, tpl, make_config, repeats=1):
         "n_db_spans_written": n_db_rows,
         "quiet_wall_s": quiet,
         "recorder_wall_s": attached,
-        "db_wall_s": streamed,
-        "metrics_wall_s": metered,
+        "db_wall_s": stored,
         "recorder_overhead_ratio": attached / quiet if quiet > 0 else 0.0,
-        "db_overhead_ratio": streamed / quiet if quiet > 0 else 0.0,
-        "metrics_overhead_ratio": metered / quiet if quiet > 0 else 0.0,
+        "db_overhead_ratio": stored / quiet if quiet > 0 else 0.0,
         "hook_check_cost_s": check_cost,
         "quiet_hook_overhead_frac": hook_overhead,
     }
@@ -203,12 +190,9 @@ def main(argv=None) -> int:
                     help="gate: quiet-bus hook-check tax as a fraction of "
                          "quiet wall time (default 0.05)")
     ap.add_argument("--max-db-overhead", type=float, default=1.15,
-                    help="gate: recorder-with-SQLite-sink wall over quiet "
-                         "wall (default 1.15; plain recorder baselines "
-                         "around 1.08)")
-    ap.add_argument("--max-metrics-overhead", type=float, default=1.10,
-                    help="gate: SimMetrics-attached wall over quiet wall "
-                         "(default 1.10; counter increments only)")
+                    help="gate: recorded run plus write_trace wall over "
+                         "quiet wall (default 1.15; plain recorder "
+                         "baselines around 1.08)")
     args = ap.parse_args(argv)
 
     machine = scaled_skylake()
@@ -275,10 +259,8 @@ def main(argv=None) -> int:
           f"recorder {obs['recorder_wall_s']:.3f}s  "
           f"({obs['recorder_overhead_ratio']:.2f}x, "
           f"{obs['n_spans_recorded']:,} spans)  "
-          f"db sink {obs['db_wall_s']:.3f}s "
+          f"db write {obs['db_wall_s']:.3f}s "
           f"({obs['db_overhead_ratio']:.2f}x)  "
-          f"metrics {obs['metrics_wall_s']:.3f}s "
-          f"({obs['metrics_overhead_ratio']:.2f}x)  "
           f"hook-check tax {obs['quiet_hook_overhead_frac']:.2%}")
 
     if args.check:
@@ -313,28 +295,17 @@ def main(argv=None) -> int:
             return 1
         print(f"OK: {obs['case']} quiet-bus hook-check tax {frac:.2%} "
               f"<= {args.max_hook_overhead:.0%}")
-        # Fourth gate: streaming the recording into a SQLite store must
-        # stay close to the plain in-RAM recorder — the batched
-        # executemany drains amortize to a list append per span.
+        # Fourth gate: writing the recording into a SQLite store must
+        # stay close to the plain in-RAM recorder — one bulk executemany
+        # per table amortizes to a tuple per span.
         ratio = obs["db_overhead_ratio"]
         if ratio > args.max_db_overhead:
-            print(f"FAIL: {obs['case']} streaming-store overhead "
+            print(f"FAIL: {obs['case']} store overhead "
                   f"{ratio:.2f}x > {args.max_db_overhead:.2f}x",
                   file=sys.stderr)
             return 1
-        print(f"OK: {obs['case']} streaming-store overhead {ratio:.2f}x "
+        print(f"OK: {obs['case']} store overhead {ratio:.2f}x "
               f"<= {args.max_db_overhead:.2f}x")
-        # Fifth gate: the counter-only SimMetrics observer must stay
-        # cheap enough to attach by default in ``repro profile`` and
-        # campaign telemetry (attribute increments, no allocation).
-        ratio = obs["metrics_overhead_ratio"]
-        if ratio > args.max_metrics_overhead:
-            print(f"FAIL: {obs['case']} sim-metrics overhead "
-                  f"{ratio:.2f}x > {args.max_metrics_overhead:.2f}x",
-                  file=sys.stderr)
-            return 1
-        print(f"OK: {obs['case']} sim-metrics overhead {ratio:.2f}x "
-              f"<= {args.max_metrics_overhead:.2f}x")
     return 0
 
 

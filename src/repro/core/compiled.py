@@ -522,6 +522,30 @@ def compile_program(
 # ======================================================================
 # the cache
 # ======================================================================
+def _write_atomic(path: Path, doc: dict) -> Path:
+    """Write ``doc`` as canonical JSON to ``path``: temp file + ``os.replace``.
+
+    Readers see the old entry or the new one, never a torn write; a
+    failed write removes its temp file.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.stem[:8]}-", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(canonical_json(doc))
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    return path
+
+
 class CompiledGraphCache:
     """A directory of compiled graphs, content-addressed by signature.
 
@@ -564,26 +588,10 @@ class CompiledGraphCache:
     def put(self, compiled: CompiledTDG) -> Path:
         """Store ``compiled`` under its key, atomically."""
         key = compiled.key
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        doc = canonical_json(
-            {"format": COMPILED_FORMAT, "key": key, "compiled": compiled.to_dict()}
+        return _write_atomic(
+            self.path_for(key),
+            {"format": COMPILED_FORMAT, "key": key, "compiled": compiled.to_dict()},
         )
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(doc)
-                fh.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
 
     # ------------------------------------------------------------------
     # alias index: arbitrary string key -> structural signature
@@ -609,26 +617,10 @@ class CompiledGraphCache:
 
     def put_alias(self, alias: str, key: str) -> Path:
         """Record ``alias -> key``, atomically."""
-        path = self.alias_path(alias)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        doc = canonical_json(
-            {"format": COMPILED_FORMAT, "alias": alias, "key": key}
+        return _write_atomic(
+            self.alias_path(alias),
+            {"format": COMPILED_FORMAT, "alias": alias, "key": key},
         )
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{alias[:8]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(doc)
-                fh.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
 
     def invalidate(self, key: str) -> bool:
         """Drop a stale artifact (e.g. after a

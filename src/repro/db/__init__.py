@@ -23,7 +23,6 @@ from repro.db.store import (
     STORE_FILENAME,
     CampaignDB,
     DbResultStore,
-    TraceDbWriter,
     annotate_critical_path,
     add_findings,
     delete_trace,
@@ -34,6 +33,7 @@ from repro.db.store import (
     read_trace,
     run_id,
     store_profile,
+    write_counters,
     write_metrics,
     write_trace,
 )
@@ -48,7 +48,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "STORE_FILENAME",
     "SchemaError",
-    "TraceDbWriter",
     "add_findings",
     "annotate_critical_path",
     "delete_trace",
@@ -64,6 +63,7 @@ __all__ = [
     "store_profile",
     "table_inventory",
     "top_critical_tasks",
+    "write_counters",
     "write_metrics",
     "write_trace",
 ]

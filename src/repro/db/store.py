@@ -14,10 +14,11 @@ it from a locator path (a ``.sqlite`` file, or a campaign directory
 holding :data:`STORE_FILENAME`), which is how campaign worker processes
 reopen the parent's store.
 
-:class:`TraceDbWriter` is the streaming sink a
-:class:`~repro.obs.recorder.TraceRecorder` drains into mid-run; span,
-barrier, comm and counter columns map 1:1 onto the ``repro.obs.trace``
-v1 event fields (see :mod:`repro.db.schema`).
+:func:`write_trace` stores a finished
+:class:`~repro.obs.recorder.TraceRecorder` and :func:`write_counters` a
+discovery-counters snapshot; span, barrier, comm and counter columns map
+1:1 onto the ``repro.obs.trace`` v1 event fields and the
+``repro.obs.counters`` v1 rows (see :mod:`repro.db.schema`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import hashlib
 import json
 import math
 import sqlite3
-from itertools import repeat
+from itertools import count, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
@@ -362,115 +363,8 @@ def open_store(locator: Union[str, Path], *, campaign: str = "") -> DbResultStor
 
 
 # ======================================================================
-# trace streaming
+# traces
 # ======================================================================
-class TraceDbWriter:
-    """Streaming sink draining a :class:`TraceRecorder` into a store.
-
-    Attach via ``TraceRecorder(sink=TraceDbWriter(db, run_key))``: the
-    recorder calls :meth:`drain` every :attr:`batch` spans, so a long
-    recording streams through the buffered writer mid-run instead of
-    accumulating only in RAM; call :meth:`close` after the run to flush
-    the tail plus barriers, comm records and discovery counters.
-    """
-
-    __slots__ = ("db", "run", "rid", "batch", "mark", "_spans")
-
-    def __init__(
-        self,
-        db: CampaignDB,
-        run: str,
-        *,
-        batch: int = DEFAULT_BATCH,
-        replace: bool = True,
-    ) -> None:
-        self.db = db
-        self.run = run
-        self.rid = run_id(run)
-        self.batch = batch
-        #: Spans [0, mark) have been handed to the buffered writer.
-        self.mark = 0
-        if replace:
-            delete_trace(db, run)
-        db.conn.execute(
-            insert_sql("trace_runs", replace=True), (self.rid, run)
-        )
-        # Defer WAL checkpoints until the recording closes: mid-stream
-        # checkpoints repeatedly copy the same hot b-tree pages into the
-        # main file; one checkpoint at the end writes each page once.
-        db.conn.execute("PRAGMA wal_autocheckpoint=0")
-        # Only the recorded columns stream; ``slack``/``on_path`` stay
-        # NULL until :func:`annotate_critical_path` (which stamps them
-        # through the ``(run, seq)`` key, so ``spans`` needs no secondary
-        # index) and omitting them cuts the per-row insert cost by ~40%.
-        self._spans = BufferedWriter(
-            db.conn, "spans", batch=batch,
-            columns=columns_of("spans")[:10],
-        )
-
-    def drain(self, recorder: "TraceRecorder") -> None:
-        """Buffer every span recorded since the previous drain.
-
-        Bulk ``zip`` over column slices rather than a per-row index
-        loop: this runs once per recorded task on the simulation hot
-        path, and the zip form builds rows ~2.5x faster (the bench's
-        ``--max-db-overhead`` gate measures exactly this cost).
-        """
-        lo, hi = self.mark, recorder.n_spans
-        if hi <= lo:
-            return
-        names = recorder.name_table()
-        w = self._spans
-        w.rows.extend(
-            zip(
-                repeat(self.rid), range(lo, hi),
-                recorder.span_tid[lo:hi],
-                map(names.__getitem__, recorder.span_name[lo:hi]),
-                recorder.span_loop[lo:hi], recorder.span_iteration[lo:hi],
-                recorder.span_rank[lo:hi], recorder.span_worker[lo:hi],
-                recorder.span_start[lo:hi], recorder.span_end[lo:hi],
-            )
-        )
-        if len(w.rows) >= w.batch:
-            w.flush()
-        self.mark = hi
-
-    def close(self, recorder: "TraceRecorder") -> None:
-        """Flush the span tail, then barriers, comms and counters."""
-        self.drain(recorder)
-        self._spans.flush()
-        rid = self.rid
-
-        barriers = BufferedWriter(self.db.conn, "barriers", batch=self.batch)
-        for i, (kind, t) in enumerate(
-            zip(recorder.barrier_kind, recorder.barrier_time)
-        ):
-            barriers.append((rid, i, kind, t))
-        barriers.flush()
-
-        comms = BufferedWriter(self.db.conn, "comms", batch=self.batch)
-        for i, rec in enumerate(recorder.comm_records):
-            complete = (
-                None if math.isnan(rec.complete_time) else rec.complete_time
-            )
-            comms.append(
-                (rid, i, rec.kind, rec.rank, rec.peer, rec.nbytes,
-                 rec.post_time, complete, rec.iteration)
-            )
-        comms.flush()
-
-        counters = BufferedWriter(self.db.conn, "counters", batch=self.batch)
-        for (rank, iteration), row in sorted(recorder.counters.rows.items()):
-            counters.append(
-                (rid, rank, iteration)
-                + tuple(row.to_dict()[c] for c in columns_of("counters")[3:])
-            )
-        counters.flush()
-        # Re-arm WAL autocheckpointing (SQLite default 1000 pages); the
-        # deferred checkpoint runs on the next commit or connection close.
-        self.db.conn.execute("PRAGMA wal_autocheckpoint=1000")
-
-
 def delete_trace(db: CampaignDB, run: str) -> None:
     """Drop every trace row of ``run`` (spans/barriers/comms/counters)."""
     rid = run_id(run)
@@ -485,27 +379,88 @@ def delete_trace(db: CampaignDB, run: str) -> None:
         raise
 
 
-def write_trace(
-    db: CampaignDB,
-    run: str,
-    recorder: "TraceRecorder",
-    *,
-    batch: int = DEFAULT_BATCH,
-) -> None:
-    """Stream a finished recording into the store in one go."""
-    sink = TraceDbWriter(db, run, batch=batch)
-    sink.close(recorder)
+def write_trace(db: CampaignDB, run: str, recorder: "TraceRecorder") -> None:
+    """Store a finished recording: spans, then barriers and comm records.
+
+    Replaces every trace row ``run`` already has, its counters included
+    (write those after with :func:`write_counters`).  Only the recorded
+    span columns are written: ``slack``/``on_path`` stay NULL until
+    :func:`annotate_critical_path` stamps them through the ``(run, seq)``
+    key, so ``spans`` needs no secondary index, and omitting them cuts
+    the per-row insert cost by ~40%.
+    """
+    delete_trace(db, run)
+    rid = run_id(run)
+    conn = db.conn
+    conn.execute(insert_sql("trace_runs", replace=True), (rid, run))
+    # Defer WAL checkpoints until every table is written, so a recording
+    # costs one checkpoint rather than one per table commit.
+    conn.execute("PRAGMA wal_autocheckpoint=0")
+    try:
+        names = recorder.name_table()
+        spans = BufferedWriter(
+            conn, "spans", columns=columns_of("spans")[:10]
+        )
+        spans.extend(
+            zip(
+                repeat(rid), count(), recorder.span_tid,
+                map(names.__getitem__, recorder.span_name),
+                recorder.span_loop, recorder.span_iteration,
+                recorder.span_rank, recorder.span_worker,
+                recorder.span_start, recorder.span_end,
+            )
+        )
+        spans.flush()
+        barriers = BufferedWriter(conn, "barriers")
+        barriers.extend(
+            zip(repeat(rid), count(), recorder.barrier_kind,
+                recorder.barrier_time)
+        )
+        barriers.flush()
+        comms = BufferedWriter(conn, "comms")
+        comms.extend(
+            (rid, i, rec.kind, rec.rank, rec.peer, rec.nbytes,
+             rec.post_time,
+             None if math.isnan(rec.complete_time) else rec.complete_time,
+             rec.iteration)
+            for i, rec in enumerate(recorder.comm_records)
+        )
+        comms.flush()
+    finally:
+        # Re-arm WAL autocheckpointing (SQLite default 1000 pages); the
+        # deferred checkpoint runs on the next commit or connection close.
+        conn.execute("PRAGMA wal_autocheckpoint=1000")
+
+
+def write_counters(db: CampaignDB, run: str, doc: dict) -> int:
+    """Store a counters document's per-iteration rows under ``run``.
+
+    ``doc`` is a ``repro.obs.counters`` snapshot
+    (:meth:`~repro.obs.counters.DiscoveryCounters.to_dict`); rows
+    ``run`` already has are replaced.  Returns the number of rows
+    written.
+    """
+    rid = run_id(run)
+    conn = db.conn
+    conn.execute("DELETE FROM counters WHERE run = ?", (rid,))
+    conn.execute(insert_sql("trace_runs", replace=True), (rid, run))
+    columns = columns_of("counters")[1:]
+    writer = BufferedWriter(conn, "counters")
+    writer.extend(
+        (rid, *(row[c] for c in columns)) for row in doc["per_iteration"]
+    )
+    writer.flush()
+    return writer.rows_written
 
 
 def read_trace(db: CampaignDB, run: str) -> "TraceRecorder":
     """Rebuild a :class:`TraceRecorder` from the stored rows.
 
-    The inverse of :func:`write_trace` for the recorded columns: spans
-    (names re-interned in first-seen order), barriers, comm records and
-    discovery counters round-trip; the table-to-rank registration map is
-    recording-time state and is not reconstructed.
+    The inverse of :func:`write_trace`: spans (names re-interned in
+    first-seen order), barriers and comm records round-trip; the
+    table-to-rank registration map is recording-time state and is not
+    reconstructed.
     """
-    from repro.obs.counters import IterationCounters
     from repro.obs.recorder import CommRecord, TraceRecorder
 
     rid = run_id(run)
@@ -531,15 +486,6 @@ def read_trace(db: CampaignDB, run: str) -> "TraceRecorder":
                 complete_time=float("nan") if complete is None else complete,
                 iteration=it,
             )
-        )
-    counter_cols = columns_of("counters")[3:]
-    for row in db.read.execute(
-        "SELECT rank, iteration, " + ", ".join(counter_cols) +
-        " FROM counters WHERE run = ? ORDER BY rank, iteration", (rid,)
-    ):
-        rank, iteration = row[0], row[1]
-        rec.counters.rows[rank, iteration] = IterationCounters(
-            **dict(zip(counter_cols, row[2:]))
         )
     return rec
 
@@ -748,12 +694,13 @@ def store_profile(
     """Persist one :func:`~repro.obs.profile.profile_spec` run entirely.
 
     Writes the spec + result rows (so the run joins campaign queries),
-    streams the recording, and — when the engine compiled a TDG —
-    annotates spans with measured critical-path slack.  Returns the run
-    key.
+    the recording and the discovery counters, and — when the engine
+    compiled a TDG — annotates spans with measured critical-path slack.
+    Returns the run key (the profiled spec's key).
     """
     run = report.spec.key
     write_trace(db, run, report.recorder)
+    write_counters(db, run, report.counters)
     if report.cp is not None:
         annotate_critical_path(db, run, report.cp, rank=report.profiled_rank)
     DbResultStore(db, campaign=campaign).put(report.spec, report.result)

@@ -1,11 +1,10 @@
-"""``repro.metrics`` — deterministic campaign/simulation telemetry.
+"""``repro.metrics`` — deterministic campaign telemetry.
 
 One :class:`MetricsRegistry` holds counters, gauges and fixed-bucket
 histograms (label sets interned to dense child ids via
-:class:`repro.util.interner.Interner`); two bus observers feed it —
-:class:`CampaignMetrics` on the :class:`~repro.campaign.bus.CampaignBus`
-and :class:`SimMetrics` on the simulation kernel's
-:class:`~repro.sim.InstrumentationBus` — and three front-ends read it:
+:class:`repro.util.interner.Interner`); :class:`CampaignMetrics` on the
+:class:`~repro.campaign.bus.CampaignBus` feeds it, and three front-ends
+read it:
 
 - the in-place live terminal renderer behind ``repro campaign --live``
   (:mod:`repro.metrics.live`);
@@ -36,7 +35,6 @@ from repro.metrics.registry import (
     MetricsRegistry,
 )
 from repro.metrics.report import render_report, write_report
-from repro.metrics.sim import SimMetrics
 
 __all__ = [
     "CampaignMetrics",
@@ -45,7 +43,6 @@ __all__ = [
     "Histogram",
     "LiveRenderer",
     "MetricsRegistry",
-    "SimMetrics",
     "parse_exposition",
     "render_prometheus",
     "render_report",

@@ -2,9 +2,11 @@
 
 Record once, analyze many ways (the Otter/pyotter architecture): one
 :class:`TraceRecorder` subscribed to the simulation kernel's
-:class:`~repro.sim.InstrumentationBus` captures task spans, barriers,
-MPI requests and discovery counters in struct-of-arrays columns; the
-exporters and analyses all read that one artifact:
+:class:`~repro.sim.InstrumentationBus` captures task spans, barriers and
+MPI requests in struct-of-arrays columns, and one
+:class:`DiscoveryCounters` beside it counts what discovery did; each
+event reaches each of them once, and the exporters and analyses all read
+those two artifacts:
 
 - :mod:`repro.obs.counters` — per-iteration discovery counters (dedup
   hits, redirect savings, replay stamps, firstprivate bytes) with a

@@ -1,7 +1,8 @@
 """One-call profiling: run a spec with full observability attached.
 
-:func:`profile_spec` wires a :class:`~repro.obs.recorder.TraceRecorder`
-onto the experiment bus, executes the spec through the campaign runner
+:func:`profile_spec` wires one :class:`~repro.obs.recorder.TraceRecorder`
+and one :class:`~repro.obs.counters.DiscoveryCounters` onto the
+experiment bus, executes the spec through the campaign runner
 (the same entrypoint every other caller uses — profiling changes nothing
 about the run), compiles the profiled rank's TDG, and derives the
 measured critical path.  The :class:`ProfileReport` it returns feeds the
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.obs.counters import diff_counters
+from repro.obs.counters import DiscoveryCounters, diff_counters
 from repro.obs.critical_path import CriticalPathResult, measured_critical_path
 from repro.obs.recorder import TraceRecorder
 
@@ -28,6 +29,8 @@ class ProfileReport:
     """Everything one profiled run produced."""
 
     spec: "ExperimentSpec"
+    #: ``result.trace`` is None unless ``spec.config.trace`` asked for
+    #: it; the spans live in ``recorder``.
     result: "RunResult"
     recorder: TraceRecorder
     #: Counters JSON document (versioned; see repro.obs.counters).
@@ -37,35 +40,23 @@ class ProfileReport:
     cp: Optional[CriticalPathResult]
     #: The rank whose tid space ``compiled``/``cp`` describe.
     profiled_rank: int
-    #: Cheap per-run counts from the same bus (tasks, comm, barriers,
-    #: discovery share) — ``sim_metrics.fill_registry()`` turns them into
-    #: exportable metric families.
-    sim_metrics: "Optional[object]" = None
 
 
 def profile_spec(spec: "ExperimentSpec") -> ProfileReport:
     """Run ``spec`` with a recorder attached and analyze the recording.
 
-    Tracing is forced on (the recorder needs ``task_end`` spans); beyond
-    that the run is exactly what ``run_experiment(spec)`` executes — the
-    bus subscribers observe without perturbing (the determinism suite's
-    observer-neutrality contract).
+    The run is exactly what ``run_experiment(spec)`` executes: the bus
+    subscribers observe without perturbing (the determinism suite's
+    observer-neutrality contract), and the bus delivers ``task_end`` to
+    the recorder whatever ``config.trace`` says.  Only the counters'
+    JSON document is kept, so no task table outlives the call.
     """
-    from dataclasses import replace
-
     from repro.campaign.runner import build_programs, derive_config, run_experiment
-    from repro.metrics.sim import SimMetrics
     from repro.sim import InstrumentationBus
 
-    cfg = derive_config(spec)
-    if not cfg.trace:
-        spec = replace(spec, config=replace(spec.config, trace=True))
-        cfg = derive_config(spec)
-
     bus = InstrumentationBus()
-    recorder = TraceRecorder()
-    bus.attach(recorder)
-    sim_metrics = bus.attach(SimMetrics())
+    recorder = bus.attach(TraceRecorder())
+    counters = bus.attach(DiscoveryCounters())
     result = run_experiment(spec, bus=bus)
     profiled_rank = result.extra.get("cluster", {}).get("profiled_rank", 0)
 
@@ -74,6 +65,7 @@ def profile_spec(spec: "ExperimentSpec") -> ProfileReport:
     if spec.engine == "task":
         from repro.core.compiled import compile_program
 
+        cfg = derive_config(spec)
         program = build_programs(spec)[profiled_rank]
         compiled = compile_program(program, cfg.opts, owner=profiled_rank)
         cp = measured_critical_path(
@@ -86,11 +78,10 @@ def profile_spec(spec: "ExperimentSpec") -> ProfileReport:
         spec=spec,
         result=result,
         recorder=recorder,
-        counters=recorder.counters.to_dict(),
+        counters=counters.to_dict(),
         compiled=compiled,
         cp=cp,
         profiled_rank=profiled_rank,
-        sim_metrics=sim_metrics,
     )
 
 
@@ -103,6 +94,17 @@ def _fmt_bytes(n: float) -> str:
             return f"{n:.1f} {unit}" if unit != "B" else f"{int(n)} B"
         n /= 1024.0
     return f"{n:.1f} GiB"  # pragma: no cover - unreachable
+
+
+def discovery_share(totals: dict, t_end: float) -> float:
+    """Producer seconds over the makespan ``t_end`` (0.0 before any end).
+
+    ``totals`` is a counters row (``counters["totals"]``).  The creation
+    and replay costs are summed over ranks, so a wide run can report a
+    share above 1.
+    """
+    discovery = totals["creation_cost"] + totals["replay_cost"]
+    return discovery / t_end if t_end > 0 else 0.0
 
 
 def text_report(report: ProfileReport) -> str:
@@ -164,13 +166,12 @@ def text_report(report: ProfileReport) -> str:
         f"trace: {n} task spans, {len(report.recorder.barrier_kind)} "
         f"barriers, {len(report.recorder.comm_records)} MPI requests"
     )
-    if report.sim_metrics is not None:
-        sm = report.sim_metrics
-        lines.append(
-            f"sim metrics: discovery share {sm.discovery_share():.4f} "
-            f"({sm.tasks_created} created + {sm.tasks_replayed} replayed "
-            f"over makespan {sm.t_last_end:.6f}s)"
-        )
+    t_end = max(report.recorder.span_end, default=0.0)
+    lines.append(
+        f"discovery share {discovery_share(tot, t_end):.4f} "
+        f"({tot['tasks_created']} created + {tot['replay_stamps']} replayed "
+        f"over makespan {t_end:.6f}s)"
+    )
     return "\n".join(lines)
 
 

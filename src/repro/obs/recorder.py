@@ -11,9 +11,12 @@
 - **barrier events** (taskwait / persistent-iteration / loop);
 - **MPI request records** (the shared :class:`CommRecord` objects —
   in-flight requests keep a NaN completion time until the matching
-  ``msg_complete`` fires);
-- **discovery counters** (an embedded
-  :class:`~repro.obs.counters.DiscoveryCounters`).
+  ``msg_complete`` fires).
+
+It keeps no reference to a task table, so a recording (a kept
+``RunResult.trace``) never holds the run's TDG alive.  Discovery
+counters are a separate subscriber,
+:class:`~repro.obs.counters.DiscoveryCounters`, attached beside it.
 
 Exporters (:mod:`repro.obs.export`) and the measured critical-path
 analysis (:mod:`repro.obs.critical_path`) read these columns; the
@@ -25,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.obs.counters import DiscoveryCounters
 from repro.util.interner import Interner
 from repro.util.serde import desanitize_float, flat_from_dict, flat_to_dict
 
@@ -66,7 +68,7 @@ class CommRecord:
 
 
 class TraceRecorder:
-    """Record spans, barriers, comm records and counters from one bus.
+    """Record spans, barriers and comm records from one bus.
 
     Attach before constructing the runtime(s)::
 
@@ -79,11 +81,10 @@ class TraceRecorder:
     attributed to rank 0.  ``rank`` keeps only the spans of tables
     registered under that rank — the per-rank trace a traced
     :class:`~repro.runtime.runtime.TaskRuntime` attaches to itself
-    (barriers, comm records and counters are not filtered).
+    (barriers and comm records are not filtered).
     """
 
     __slots__ = (
-        "sink",
         "rank",
         "names",
         "span_tid",
@@ -97,19 +98,13 @@ class TraceRecorder:
         "barrier_kind",
         "barrier_time",
         "comm_records",
-        "counters",
         "_rank_of",
         "ranks",
     )
 
-    def __init__(self, sink=None, *, rank: Optional[int] = None) -> None:
+    def __init__(self, *, rank: Optional[int] = None) -> None:
         #: Span filter: None records every rank's spans.
         self.rank = rank
-        #: Optional streaming sink (:class:`repro.db.TraceDbWriter`): when
-        #: set, recorded spans drain to it in batches mid-run instead of
-        #: accumulating only in RAM; call ``sink.close(recorder)`` after
-        #: the run to flush the tail plus barriers/comms/counters.
-        self.sink = sink
         #: Interned task-name table (``names.keys[i]`` is name id ``i``).
         self.names = Interner()
         # -- task spans (parallel columns) ------------------------------
@@ -126,8 +121,6 @@ class TraceRecorder:
         self.barrier_time: list[float] = []
         # -- MPI --------------------------------------------------------
         self.comm_records: list[CommRecord] = []
-        # -- discovery counters ----------------------------------------
-        self.counters = DiscoveryCounters()
         self._rank_of: dict[int, int] = {}
         #: Registered ranks in registration order.
         self.ranks: list[int] = []
@@ -138,7 +131,6 @@ class TraceRecorder:
             self.ranks.append(rank)
         if table is not None:
             self._rank_of[id(table)] = rank
-        self.counters.on_register(table, rank)
 
     def on_task_end(self, table, tid, worker, t_start, t_end) -> None:
         rank = self._rank_of.get(id(table))
@@ -162,15 +154,6 @@ class TraceRecorder:
         self.span_worker.append(worker)
         self.span_start.append(start)
         self.span_end.append(end)
-        s = self.sink
-        if s is not None and len(self.span_tid) - s.mark >= s.batch:
-            s.drain(self)
-
-    def on_task_create(self, table, tid, res, cost, time) -> None:
-        self.counters.on_task_create(table, tid, res, cost, time)
-
-    def on_task_replay(self, table, tid, iteration, cost, time) -> None:
-        self.counters.on_task_replay(table, tid, iteration, cost, time)
 
     def on_msg_post(self, record: CommRecord) -> None:
         self.comm_records.append(record)

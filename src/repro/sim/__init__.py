@@ -11,11 +11,11 @@ All three execution engines (:class:`~repro.runtime.runtime.TaskRuntime`,
 - :class:`InstrumentationBus` — typed hook points (``task_ready``,
   ``task_start``, ``task_end``, ``task_create``, ``task_replay``,
   ``msg_post``, ``msg_complete``, ``barrier``, ``register`` — see
-  ``HOOK_DOCS`` for the catalogue).  The task trace, communication
-  records and discovery counters (:class:`repro.obs.TraceRecorder`)
-  subscribe to the bus instead of being calls interleaved into runtime
-  logic; an empty hook costs one attribute load and a falsy check on the
-  hot path;
+  ``HOOK_DOCS`` for the catalogue).  The task trace and communication
+  records (:class:`repro.obs.TraceRecorder`) and the discovery counters
+  (:class:`repro.obs.DiscoveryCounters`) subscribe to the bus instead
+  of being calls interleaved into runtime logic; an empty hook costs one
+  attribute load and a falsy check on the hot path;
 - :class:`TaskTable` — struct-of-arrays storage for the TDG hot path
   (parallel columns for state, predecessor counts, cost fields; successor
   lists flattenable to a CSR layout).  :class:`~repro.core.task.Task`

@@ -9,9 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.campaign.runner import run_experiment
 from repro.campaign.spec import ExperimentSpec
-from repro.db import CampaignDB, DbResultStore, read_trace, write_trace
+from repro.db import (
+    CampaignDB,
+    DbResultStore,
+    read_trace,
+    run_id,
+    write_counters,
+    write_trace,
+)
 from repro.memory.machine import tiny_test_machine
-from repro.obs.counters import IterationCounters
+from repro.obs.counters import DiscoveryCounters, IterationCounters
 from repro.obs.recorder import TraceRecorder
 from repro.obs.recorder import CommRecord
 from repro.runtime import presets
@@ -61,7 +68,7 @@ counters_st = st.dictionaries(
 )
 
 
-def synthetic_recorder(spans, barriers, comms, counters) -> TraceRecorder:
+def synthetic_recorder(spans, barriers, comms) -> TraceRecorder:
     rec = TraceRecorder()
     for tid, name, loop, it, rank, worker, start, end in spans:
         rec.span_tid.append(tid)
@@ -81,10 +88,24 @@ def synthetic_recorder(spans, barriers, comms, counters) -> TraceRecorder:
             complete_time=math.nan if complete is None else complete,
             iteration=it,
         ))
-    for (rank, it), (created, edges, cost) in counters.items():
-        rec.counters.rows[rank, it] = IterationCounters(
-            tasks_created=created, edges_created=edges, creation_cost=cost)
     return rec
+
+
+def synthetic_counters(counters) -> dict:
+    dc = DiscoveryCounters()
+    for (rank, it), (created, edges, cost) in counters.items():
+        dc.rows[rank, it] = IterationCounters(
+            tasks_created=created, edges_created=edges, creation_cost=cost)
+    return dc.to_dict()
+
+
+def stored_counters(db, run) -> list[dict]:
+    """The run's counter rows as ``per_iteration`` dicts, via SQL."""
+    columns, rows = db.query(
+        "SELECT * FROM counters WHERE run = ? ORDER BY rank, iteration",
+        (run_id(run),),
+    )
+    return [dict(zip(columns[1:], row[1:])) for row in rows]
 
 
 class TestTraceRoundTrip:
@@ -93,11 +114,14 @@ class TestTraceRoundTrip:
            counters=counters_st)
     def test_columns_survive(self, tmp_path_factory, spans, barriers, comms,
                              counters):
-        rec = synthetic_recorder(spans, barriers, comms, counters)
+        rec = synthetic_recorder(spans, barriers, comms)
+        doc = synthetic_counters(counters)
         path = tmp_path_factory.mktemp("db") / "t.sqlite"
         with CampaignDB(path) as db:
             write_trace(db, "r1", rec)
+            write_counters(db, "r1", doc)
             back = read_trace(db, "r1")
+            stored = stored_counters(db, "r1")
         assert back.span_tid == rec.span_tid
         assert back.name_table() == rec.name_table()
         assert back.span_name == rec.span_name
@@ -119,16 +143,20 @@ class TestTraceRoundTrip:
                     assert math.isnan(y), (f, x, y)
                 else:
                     assert x == y, (f, x, y)
-        assert back.counters.rows == rec.counters.rows
+        assert stored == doc["per_iteration"]
 
     def test_rewrite_replaces_not_appends(self, tmp_path):
-        rec = synthetic_recorder(
-            [(1, "a", 0, 0, 0, 0, 0.0, 1.0)], [], [], {})
+        rec = synthetic_recorder([(1, "a", 0, 0, 0, 0, 0.0, 1.0)], [], [])
+        doc = synthetic_counters({(0, 0): (1, 0, 0.5)})
         with CampaignDB(tmp_path / "t.sqlite") as db:
             write_trace(db, "r1", rec)
             write_trace(db, "r1", rec)
-            _, rows = db.query("SELECT COUNT(*) FROM spans")
-        assert rows[0][0] == 1
+            write_counters(db, "r1", doc)
+            write_counters(db, "r1", doc)
+            _, rows = db.query(
+                "SELECT (SELECT COUNT(*) FROM spans),"
+                " (SELECT COUNT(*) FROM counters)")
+        assert rows == [(1, 1)]
 
 
 class TestResultRoundTrip:

@@ -1,4 +1,8 @@
-"""SimMetrics: hook accounting, registry materialization, integration."""
+"""Per-run simulation metrics fed by bus hooks.
+
+The discovery share that ``repro profile`` prints is computed from what
+the run's ``DiscoveryCounters`` and ``TraceRecorder`` saw on the bus.
+"""
 
 from __future__ import annotations
 
@@ -6,124 +10,33 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.metrics.prometheus import render_prometheus, validate_exposition
-from repro.metrics.sim import SimMetrics
+from repro.obs import DiscoveryCounters, TraceRecorder
+from repro.obs.profile import discovery_share
+
+# One-task table: the columns the two subscribers read.
+TABLE = SimpleNamespace(
+    name=["t"], loop_id=[0], iteration=[0], fp_bytes=[0],
+    succs=[[]], npred_initial=[0], is_stub=[False],
+)
+RES = SimpleNamespace(
+    n_addrs=0, n_edges=0, n_skipped=0, n_dup_skipped=0, n_dup_created=0,
+    n_pruned=0, n_redirects=0,
+)
 
 
-def res(n_edges=0, n_skipped=0, n_redirects=0):
-    return SimpleNamespace(
-        n_edges=n_edges, n_skipped=n_skipped, n_redirects=n_redirects
-    )
+def share(counters: DiscoveryCounters, recorder: TraceRecorder) -> float:
+    totals = counters.to_dict()["totals"]
+    return discovery_share(totals, max(recorder.span_end, default=0.0))
 
 
 class TestHookAccounting:
-    def test_task_end_tracks_latest_end_time(self):
-        sm = SimMetrics()
-        sm.on_task_end(None, 0, 0, 0.0, 2.0)
-        sm.on_task_end(None, 1, 1, 0.5, 1.0)  # earlier end must not win
-        assert sm.tasks_executed == 2
-        assert sm.t_last_end == 2.0
-
-    def test_task_create_accumulates_discovery_counters(self):
-        sm = SimMetrics()
-        sm.on_task_create(None, 0, res(3, 1, 0), cost=0.25, time=0.0)
-        sm.on_task_create(None, 1, res(2, 2, 1), cost=0.5, time=0.1)
-        assert sm.tasks_created == 2
-        assert sm.edges == 5 and sm.edges_avoided == 3 and sm.redirects == 1
-        assert sm.discovery_cost == pytest.approx(0.75)
-
-    def test_replay_charges_discovery_only(self):
-        sm = SimMetrics()
-        sm.on_task_replay(None, 0, 1, cost=0.1, time=0.0)
-        assert sm.tasks_replayed == 1
-        assert sm.discovery_cost == pytest.approx(0.1)
-        assert sm.edges == 0
-
-    def test_msgs_and_barriers(self):
-        sm = SimMetrics()
-        sm.on_msg_post(None)
-        sm.on_msg_post(None)
-        sm.on_msg_complete(None)
-        sm.on_barrier("iteration", 1.0)
-        sm.on_barrier("iteration", 2.0)
-        sm.on_barrier("taskwait", 2.0)
-        assert sm.msgs_posted == 2 and sm.msgs_completed == 1
-        assert sm.barriers == {"iteration": 2, "taskwait": 1}
-
     def test_discovery_share(self):
-        sm = SimMetrics()
-        assert sm.discovery_share() == 0.0  # no makespan yet
-        sm.on_task_end(None, 0, 0, 0.0, 4.0)
-        sm.on_task_create(None, 0, res(), cost=1.0, time=0.0)
-        assert sm.discovery_share() == pytest.approx(0.25)
-
-
-class TestFillRegistry:
-    def test_counts_materialize_as_families(self):
-        sm = SimMetrics()
-        sm.on_task_end(None, 0, 0, 0.0, 2.0)
-        sm.on_task_create(None, 0, res(3, 1, 0), cost=0.5, time=0.0)
-        sm.on_msg_post(None)
-        sm.on_msg_complete(None)
-        sm.on_barrier("loop", 1.0)
-        sm.on_register(None, 0)
-        r = sm.fill_registry()
-        assert r.get("repro_sim_tasks_total").value == 1
-        assert r.get("repro_sim_edges_total").value == 3
-        assert r.get("repro_sim_msgs_total").labels("posted").value == 1
-        assert r.get("repro_sim_barriers_total").labels("loop").value == 1
-        assert r.get("repro_sim_ranks").value == 1.0
-        assert r.get("repro_sim_makespan_seconds").value == 2.0
-        assert r.get("repro_sim_discovery_share").value == pytest.approx(0.25)
-
-    def test_registry_renders_as_valid_exposition(self):
-        sm = SimMetrics()
-        sm.on_task_end(None, 0, 0, 0.0, 1.0)
-        sm.on_barrier("iteration", 0.5)
-        fams = validate_exposition(render_prometheus(sm.fill_registry()))
-        assert "repro_sim_tasks_total" in fams
-
-
-class TestIntegration:
-    def test_attached_run_counts_match_result(self):
-        from repro.campaign.runner import run_experiment
-        from repro.campaign.spec import ExperimentSpec
-        from repro.memory.machine import tiny_test_machine
-        from repro.runtime import presets
-        from repro.sim import InstrumentationBus
-
-        spec = ExperimentSpec(
-            app="lulesh",
-            config=presets.mpc_omp(tiny_test_machine(4), n_threads=4),
-            params={"s": 6, "iterations": 2, "tpl": 2},
-        )
-        bus = InstrumentationBus()
-        sm = bus.attach(SimMetrics())
-        result = run_experiment(spec, bus=bus)
-        assert sm.tasks_executed == result.n_tasks
-        # The makespan extends past the last task end by the closing
-        # barrier, so t_last_end is a tight lower bound, not equal.
-        assert 0.0 < sm.t_last_end <= result.makespan
-        assert sm.t_last_end == pytest.approx(result.makespan, rel=0.05)
-        assert sm.tasks_created > 0
-        assert 0.0 < sm.discovery_share()
-
-    def test_two_identical_runs_report_identical_counts(self):
-        from repro.campaign.runner import run_experiment
-        from repro.campaign.spec import ExperimentSpec
-        from repro.memory.machine import tiny_test_machine
-        from repro.runtime import presets
-        from repro.sim import InstrumentationBus
-
-        def counts():
-            spec = ExperimentSpec(
-                app="lulesh",
-                config=presets.mpc_omp(tiny_test_machine(4), n_threads=4),
-                params={"s": 6, "iterations": 1, "tpl": 2},
-            )
-            bus = InstrumentationBus()
-            sm = bus.attach(SimMetrics())
-            run_experiment(spec, bus=bus)
-            return render_prometheus(sm.fill_registry())
-
-        assert counts() == counts()
+        counters, recorder = DiscoveryCounters(), TraceRecorder()
+        counters.on_register(TABLE, 0)
+        recorder.on_register(TABLE, 0)
+        assert share(counters, recorder) == 0.0  # no makespan yet
+        recorder.on_task_end(TABLE, 0, 0, 0.0, 4.0)
+        counters.on_task_create(TABLE, 0, RES, cost=1.0, time=0.0)
+        assert share(counters, recorder) == pytest.approx(0.25)
+        counters.on_task_replay(TABLE, 0, 1, cost=1.0, time=0.0)
+        assert share(counters, recorder) == pytest.approx(0.5)

@@ -1,10 +1,12 @@
 """End-to-end tests of the ``repro profile`` CLI subcommand."""
 
 import json
+import re
 
 import pytest
 
 from repro.cli import main
+from repro.db import CampaignDB
 from repro.obs import check_counters_doc, validate_perfetto
 
 FAST = ["-s", "8", "-i", "2", "--tpl", "8", "--machine", "tiny", "--threads", "2"]
@@ -22,6 +24,8 @@ class TestProfileReport:
         assert "discovery counters" in out
         assert "measured critical path" in out
         assert "time breakdown" in out
+        share = re.search(r"^discovery share (\d+\.\d+) \(\d+ created", out, re.M)
+        assert share and float(share.group(1)) > 0.0
 
     def test_json_summary(self, capsys):
         rc, out = run_profile(["--json"], capsys)
@@ -60,6 +64,17 @@ class TestProfileArtifacts:
         assert rc == 0
         doc = check_counters_doc(json.loads(counters.read_text()))
         assert doc["totals"]["tasks_created"] > 0
+
+    def test_db_stores_run_under_json_key(self, tmp_path, capsys):
+        """The printed ``spec_key`` is the key of the stored run."""
+        path = tmp_path / "s.sqlite"
+        rc, out = run_profile(["--json", "--db", str(path)], capsys)
+        assert rc == 0
+        key = json.loads(out)["spec_key"]
+        with CampaignDB(path) as db:
+            _, runs = db.query("SELECT key FROM runs")
+            _, traces = db.query("SELECT key FROM trace_runs")
+        assert runs == traces == [(key,)]
 
     def test_ndjson_log(self, tmp_path, capsys):
         nd = tmp_path / "events.ndjson"

@@ -1,5 +1,7 @@
 """Behavioral tests of the task runtime simulator."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.core import OptimizationSet, ProgramBuilder, ThrottleConfig
 from repro.core.program import CommKind, CommSpec, Program
 from repro.memory import tiny_test_machine
 from repro.runtime import RuntimeConfig, TaskRuntime
+from repro.sim.table import TaskTable
 
 
 def cfg(**kw):
@@ -62,6 +65,23 @@ class TestExecutionOrdering:
         r = TaskRuntime(prog, cfg()).run()
         assert r.n_tasks == 0
         assert r.makespan == 0.0
+
+
+class TestTraceLifetime:
+    def test_kept_traced_result_frees_task_table(self):
+        """``RunResult.trace`` holds no reference to the run's TDG."""
+
+        def live_tables():
+            # TaskTable has __slots__ and no __weakref__: count instances.
+            gc.collect()
+            return sum(isinstance(o, TaskTable) for o in gc.get_objects())
+
+        before = live_tables()
+        rt = TaskRuntime(chain_program(6, iterations=2), cfg(trace=True))
+        result = rt.run()
+        del rt
+        assert result.trace.n_spans > 0
+        assert live_tables() == before
 
 
 class TestParallelism:

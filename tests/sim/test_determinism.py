@@ -152,13 +152,14 @@ class TestRecorderNeutrality:
     byte-identical on every engine."""
 
     def test_task_runtime_recorder_neutral(self):
-        from repro.obs import TraceRecorder
+        from repro.obs import DiscoveryCounters, TraceRecorder
 
         bus = InstrumentationBus()
         recorder = bus.attach(TraceRecorder())
+        counters = bus.attach(DiscoveryCounters())
         assert run_task(bus=bus) == run_task()
         assert recorder.n_spans > 0
-        assert recorder.counters.totals().tasks_created > 0
+        assert counters.totals().tasks_created > 0
 
     def test_parallel_for_recorder_neutral(self):
         from repro.obs import TraceRecorder
