@@ -74,11 +74,20 @@ def _config(args) -> "RuntimeConfig":
     return cfg
 
 
+def _opts_spec(spec: str) -> str:
+    """argparse ``type=`` for ``--opts``: validate, keep the text as given."""
+    try:
+        OptimizationSet.parse(spec)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+    return spec
+
+
 def _add_runtime_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--machine", default="scaled-skylake",
                    help="machine preset (default: scaled-skylake)")
     p.add_argument("--threads", type=int, default=None, help="OpenMP threads")
-    p.add_argument("--opts", default="abcp",
+    p.add_argument("--opts", type=_opts_spec, default="abcp",
                    help="discovery optimizations, letters from 'abcp' or 'none'")
     p.add_argument("--cost-scale", type=float, default=0.05,
                    help="per-task runtime cost scale (default 0.05, see calibration)")
@@ -788,7 +797,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_campaign)
 
     p = sub.add_parser("validate", help="numeric end-to-end validation")
-    p.add_argument("--opts", default="abcp")
+    p.add_argument("--opts", type=_opts_spec, default="abcp")
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser(

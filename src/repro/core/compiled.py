@@ -30,10 +30,11 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from repro.core.graph_stats import EdgeStats
+from repro.core.graph_stats import EdgeStats, topological_order
 from repro.util.serde import canonical_json, content_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -226,6 +227,17 @@ class CompiledTDG:
     def comm_tids(self) -> list[int]:
         """Tids that post an MPI request, in submission order."""
         return [t for t, k in enumerate(self.comm_kind) if k >= 0]
+
+    @cached_property
+    def topo_order(self) -> list[int]:
+        """The graph's :func:`~repro.core.graph_stats.topological_order`.
+
+        Derived once per artifact and never serialized: every pass over
+        the CSR walks this order, because tid order is not topological
+        once redirect stubs exist.  The CSR is never mutated after
+        construction, so the cache cannot go stale.
+        """
+        return topological_order(self.succ_offsets, self.succ_targets)
 
     def successors(self, tid: int) -> list[int]:
         return self.succ_targets[self.succ_offsets[tid]:self.succ_offsets[tid + 1]]

@@ -13,8 +13,7 @@ edges accordingly.  The paper's optimizations hook in here:
 
 The resolver is part of the discovery hot path, so it works in ``tid``
 space directly against the struct-of-arrays task table
-(:meth:`DependenceResolver.resolve_tid`); :meth:`DependenceResolver.resolve`
-is the object-level wrapper for callers holding :class:`Task` views.
+(:meth:`DependenceResolver.resolve_tid`).
 
 Semantics implemented (sufficient for the paper's workloads):
 
@@ -37,7 +36,7 @@ from typing import Union
 
 from repro.core.graph import TaskGraph
 from repro.core.optimizations import OptimizationSet
-from repro.core.task import Dep, DepMode, Task
+from repro.core.task import Dep, DepMode
 from repro.sim.table import COMPLETED as _COMPLETED
 from repro.sim.table import TaskTable
 
@@ -82,9 +81,6 @@ class ResolutionResult:
     n_pruned: int = 0
     #: Redirect stub tids (the runtime arms and counts them).
     redirect_tids: list[int] = field(default_factory=list)
-    #: The stubs as :class:`Task` views — filled by :meth:`resolve`, empty
-    #: on the tid fast path.
-    redirect_tasks: list[Task] = field(default_factory=list)
 
 
 class DependenceResolver:
@@ -111,15 +107,6 @@ class DependenceResolver:
         self._addr_map.clear()
 
     # ------------------------------------------------------------------
-    def resolve(self, task: Union[Task, int], depends: tuple[Dep, ...]) -> ResolutionResult:
-        """Object-level wrapper: resolve and return stub views as well."""
-        tid = task if type(task) is int else task._i
-        res = self.resolve_tid(tid, depends)
-        if res.redirect_tids:
-            view = self.table.view
-            res.redirect_tasks = [view(t) for t in res.redirect_tids]
-        return res
-
     def resolve_tid(self, tid: int, depends: tuple[Dep, ...]) -> ResolutionResult:
         """Create the edges implied by ``depends`` for freshly created ``tid``.
 

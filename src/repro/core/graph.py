@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterator, Union
 
-from repro.core.graph_stats import EdgeStats
+from repro.core.graph_stats import EdgeStats, topological_order
 from repro.core.task import Task
 from repro.sim.table import TaskTable
 
@@ -103,29 +103,9 @@ class TaskGraph:
     def validate_acyclic(self) -> None:
         """Raise ``ValueError`` if the materialized graph has a cycle.
 
-        Sequential submission should make cycles impossible (edges always
-        point from earlier to later tasks); this is a debugging invariant
-        used by the test-suite, not a hot path.
+        Sequential submission makes cycles impossible (every edge points
+        at the task being resolved or at a redirect stub it just created),
+        even though tid order is not topological once stubs exist; this is
+        a debugging invariant used by the test-suite, not a hot path.
         """
-        succs = self.table.succs
-        n = len(succs)
-        indeg = [0] * n
-        for succ_list in succs:
-            for s in succ_list:
-                indeg[s] += 1
-        stack = [t for t in range(n) if indeg[t] == 0]
-        seen = 0
-        while stack:
-            t = stack.pop()
-            seen += 1
-            for s in succs[t]:
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    stack.append(s)
-        if seen != n:
-            raise ValueError("task graph contains a cycle")
-
-    def topological_order(self) -> list[Task]:
-        """One valid topological order (used by the sequential executor)."""
-        self.validate_acyclic()
-        return self.table.views()  # creation order is topological by construction
+        topological_order(*self.table.build_csr())

@@ -9,12 +9,17 @@ every frozen graph (:class:`~repro.core.compiled.CompiledTDG`,
 :meth:`~repro.sim.table.TaskTable.build_csr`) already holds — so depth,
 critical path and average parallelism need no per-task objects and no
 external graph library.
+
+:func:`topological_order` is the one place that decides which order of a
+frozen graph is topological; every pass over a CSR walks its result
+(cached per artifact as
+:attr:`~repro.core.compiled.CompiledTDG.topo_order`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 
 @dataclass(slots=True)
@@ -81,59 +86,86 @@ class GraphShape:
         )
 
 
+def topological_order(
+    offsets: Sequence[int], targets: Sequence[int]
+) -> list[int]:
+    """The topological order every pass over a frozen TDG walks.
+
+    FIFO Kahn over the CSR ``(offsets, targets)`` pair: sources in tid
+    order, then successors as their last predecessor is dequeued.  Tid
+    (creation) order is *not* topological under optimization (c): a
+    redirect stub is created while its reader's ``depend`` clauses are
+    resolved, so its tid exceeds the reader's.  A duplicate edge counts
+    once per copy towards the in-degree and is released once per copy.
+    Raises ``ValueError`` on a cycle.
+    """
+    n = len(offsets) - 1
+    indeg = [0] * n
+    for s in targets:
+        indeg[s] += 1
+    order = [t for t in range(n) if indeg[t] == 0]
+    append = order.append
+    for t in order:  # the list is the FIFO queue: appends are visited too
+        for s in targets[offsets[t]:offsets[t + 1]]:
+            indeg[s] -= 1
+            if indeg[s] == 0:
+                append(s)
+    if len(order) != n:
+        raise ValueError("CSR graph contains a cycle")
+    return order
+
+
+def _levels(
+    offsets: Sequence[int], targets: Sequence[int], order: Sequence[int]
+) -> list[int]:
+    """Per-node depth in tasks (sources at 1) along ``order``."""
+    level = [1] * (len(offsets) - 1)
+    for t in order:
+        nl = level[t] + 1
+        for s in targets[offsets[t]:offsets[t + 1]]:
+            if nl > level[s]:
+                level[s] = nl
+    return level
+
+
 def shape_from_csr(
     offsets: Sequence[int],
     targets: Sequence[int],
     weights: Sequence[float],
+    order: Optional[Sequence[int]] = None,
 ) -> GraphShape:
-    """Shape metrics of a CSR graph in one Kahn pass.
+    """Shape metrics of a CSR graph along its topological order.
 
     ``targets[offsets[t]:offsets[t + 1]]`` are ``t``'s successors;
     duplicate edges are harmless for depth/span (max over predecessors)
     and are folded out of :attr:`GraphShape.n_edges`.  ``weights`` is the
-    per-node cost, aligned by node index.
+    per-node cost, aligned by node index.  ``order`` is the graph's
+    :func:`topological_order` when the caller already holds it (e.g.
+    :attr:`~repro.core.compiled.CompiledTDG.topo_order`).
     """
     n = len(offsets) - 1
     if n <= 0:
         return GraphShape(0, 0, 0, 0.0, 0.0, 0.0)
-    indeg = [0] * n
-    for s in targets:
-        indeg[s] += 1
-    depth = [1] * n
+    if order is None:
+        order = topological_order(offsets, targets)
     #: Longest weighted path *ending at* each node's predecessors.
     pred_span = [0.0] * n
-    stack = [t for t in range(n) if indeg[t] == 0]
-    seen = 0
-    max_depth = 0
     tinf = 0.0
     unique = 0
-    while stack:
-        t = stack.pop()
-        seen += 1
-        d = depth[t]
+    for t in order:
         span = pred_span[t] + weights[t]
-        if d > max_depth:
-            max_depth = d
         if span > tinf:
             tinf = span
-        nd = d + 1
         succ = targets[offsets[t]:offsets[t + 1]]
         unique += len(set(succ))
         for s in succ:
-            if nd > depth[s]:
-                depth[s] = nd
             if span > pred_span[s]:
                 pred_span[s] = span
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                stack.append(s)
-    if seen != n:
-        raise ValueError("CSR graph contains a cycle")
     total = sum(weights)
     return GraphShape(
         n_tasks=n,
         n_edges=unique,
-        depth=max_depth,
+        depth=max(_levels(offsets, targets, order)),
         critical_path_weight=tinf,
         total_weight=total,
         avg_parallelism=(total / tinf) if tinf > 0 else 0.0,
@@ -144,32 +176,8 @@ def width_profile_from_csr(
     offsets: Sequence[int], targets: Sequence[int]
 ) -> list[int]:
     """Tasks per depth level — the breadth the scheduler could exploit."""
-    n = len(offsets) - 1
-    if n <= 0:
-        return []
-    indeg = [0] * n
-    for s in targets:
-        indeg[s] += 1
-    level = [1] * n
-    stack = [t for t in range(n) if indeg[t] == 0]
-    seen = 0
-    max_level = 0
-    while stack:
-        t = stack.pop()
-        seen += 1
-        lv = level[t]
-        if lv > max_level:
-            max_level = lv
-        nl = lv + 1
-        for s in targets[offsets[t]:offsets[t + 1]]:
-            if nl > level[s]:
-                level[s] = nl
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                stack.append(s)
-    if seen != n:
-        raise ValueError("CSR graph contains a cycle")
-    out = [0] * max_level
+    level = _levels(offsets, targets, topological_order(offsets, targets))
+    out = [0] * max(level, default=0)
     for lv in level:
         out[lv - 1] += 1
     return out

@@ -25,7 +25,6 @@ count).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -37,39 +36,33 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def _longest_path(
-    offsets: Sequence[int], targets: Sequence[int], dur: Sequence[float]
+    offsets: Sequence[int],
+    targets: Sequence[int],
+    dur: Sequence[float],
+    order: Sequence[int],
 ) -> tuple[float, list[float], list[float], list[int]]:
     """Longest weighted path over a CSR DAG with node weights ``dur``.
 
+    ``order`` is the graph's
+    :func:`~repro.core.graph_stats.topological_order`; its FIFO sequence
+    fixes the argmax tie-breaks, so the reported path is deterministic.
     Returns ``(length, finish, tail, path)`` where ``finish[t]`` is the
     longest path *ending* at ``t`` (inclusive), ``tail[t]`` the longest
     path *starting* at ``t`` (inclusive), and ``path`` the tids of one
-    maximal chain in execution order (deterministic tie-breaking by tid).
+    maximal chain in execution order.
     """
     n = len(offsets) - 1
     if n == 0:
         return 0.0, [], [], []
-    indeg = [0] * n
-    for s in targets:
-        indeg[s] += 1
     best = [0.0] * n  # best predecessor finish
     argp = [-1] * n
     finish = [0.0] * n
-    order: list[int] = []
-    q = deque(t for t in range(n) if indeg[t] == 0)
-    while q:
-        p = q.popleft()
-        order.append(p)
+    for p in order:
         fp = finish[p] = best[p] + dur[p]
         for s in targets[offsets[p] : offsets[p + 1]]:
             if fp > best[s]:
                 best[s] = fp
                 argp[s] = p
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                q.append(s)
-    if len(order) != n:
-        raise ValueError("graph has a cycle; not a discovered TDG")
     tail = [0.0] * n
     for p in reversed(order):
         m = 0.0
@@ -208,8 +201,9 @@ def measured_critical_path(
     if rank is None:
         rank = compiled.owner[0] if compiled.owner else 0
     offsets, targets = compiled.succ_offsets, compiled.succ_targets
+    order = compiled.topo_order
     weights = [f / flops_per_core for f in compiled.flops]
-    static_shape = shape_from_csr(offsets, targets, weights)
+    static_shape = shape_from_csr(offsets, targets, weights, order)
     durations = recorder.durations(rank=rank)
 
     if compiled.persistent:
@@ -231,7 +225,9 @@ def measured_critical_path(
         else:
             dur = [durations.get((t, it), 0.0) for t in range(n)]
             label = it
-        length, finish, tail, path = _longest_path(offsets, targets, dur)
+        length, finish, tail, path = _longest_path(
+            offsets, targets, dur, order
+        )
         slack = [length - (finish[t] + tail[t] - dur[t]) for t in range(n)]
         through = [finish[t] + tail[t] - dur[t] for t in range(n)]
         iterations.append(

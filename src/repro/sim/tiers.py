@@ -289,35 +289,50 @@ def _result(
 # analytic tier
 # ======================================================================
 def _segment_spans(
-    compiled: "CompiledTDG", weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Per-segment (T₁, T∞) plus the whole-graph critical path.
+    compiled: "CompiledTDG", weights: np.ndarray, *, with_depth: bool = False
+) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """Per-segment (T₁, T∞), the whole-graph critical path and its depth.
 
-    One forward relaxation over the CSR (tids are topologically ordered
-    by construction); segment spans only follow intra-segment edges —
-    taskwait barriers already serialize cross-segment work.
+    One forward relaxation over the CSR along
+    :attr:`~repro.core.compiled.CompiledTDG.topo_order` — tid order is not
+    topological, because an opt-(c) redirect stub is created after the
+    reader it feeds.  Segment spans only follow intra-segment edges —
+    taskwait barriers already serialize cross-segment work.  The depth
+    (longest path in tasks) is tracked only ``with_depth``, else 0.
     """
     seg = compiled.segment
     n_seg = (max(seg) + 1) if seg else 1
     t1 = np.zeros(n_seg)
     np.add.at(t1, seg, weights)
     offsets, targets = compiled.succ_offsets, compiled.succ_targets
-    dist = [0.0] * compiled.n_tasks  # finish-time along intra-segment paths
-    dist_g = [0.0] * compiled.n_tasks  # along any path
+    n = compiled.n_tasks
+    dist = [0.0] * n  # finish-time along intra-segment paths
+    dist_g = [0.0] * n  # along any path
+    level = [1] * n if with_depth else None
     span = [0.0] * n_seg
+    t_inf = 0.0
     wl = weights.tolist()
-    for t in range(compiled.n_tasks):
+    for t in compiled.topo_order:
         st = seg[t]
         ft = dist[t] + wl[t]
         fg = dist_g[t] + wl[t]
         if ft > span[st]:
             span[st] = ft
-        for s in targets[offsets[t]:offsets[t + 1]]:
+        if fg > t_inf:
+            t_inf = fg
+        succ = targets[offsets[t]:offsets[t + 1]]
+        for s in succ:
             if seg[s] == st and ft > dist[s]:
                 dist[s] = ft
             if fg > dist_g[s]:
                 dist_g[s] = fg
-    return t1, np.asarray(span), max(dist_g[t] + wl[t] for t in range(len(wl))) if wl else 0.0
+        if level is not None:
+            nl = level[t] + 1
+            for s in succ:
+                if nl > level[s]:
+                    level[s] = nl
+    depth = max(level) if level else 0
+    return t1, np.asarray(span), t_inf, depth
 
 
 class AnalyticSimulator:
@@ -341,9 +356,11 @@ class AnalyticSimulator:
         # memory-bound steady state); T1/N then reads "all bytes at
         # aggregate DRAM bandwidth".
         body_nom = tw.body + tw.mem_shared * w
-        t1_seg, span_seg, t_inf_graph = _segment_spans(compiled, body_nom)
-        t1_lo_seg, span_lo_seg, _ = _segment_spans(compiled, tw.body_lo)
-        t1_hi_seg, span_hi_seg, _ = _segment_spans(compiled, tw.body_hi)
+        t1_seg, span_seg, t_inf_graph, depth = _segment_spans(
+            compiled, body_nom, with_depth=True
+        )
+        t1_lo_seg, span_lo_seg, _, _ = _segment_spans(compiled, tw.body_lo)
+        t1_hi_seg, span_hi_seg, _, _ = _segment_spans(compiled, tw.body_hi)
 
         t1 = float(t1_seg.sum()) * rounds
         t_inf = max(t_inf_graph, float(span_seg.sum())) * rounds
@@ -375,7 +392,6 @@ class AnalyticSimulator:
             tn_lower, disc_total
         )
 
-        shape_depth = _depth(compiled)
         bounds = {
             "t1": t1,
             "t_inf": t_inf,
@@ -385,7 +401,7 @@ class AnalyticSimulator:
             "discovery_lower": disc_lo,
             "makespan_lower": lower,
             "makespan_upper": upper,
-            "depth": shape_depth,
+            "depth": depth,
             "avg_parallelism": (t1 / t_inf) if t_inf > 0 else 1.0,
             "rounds": rounds,
         }
@@ -402,23 +418,6 @@ class AnalyticSimulator:
             n_tasks=compiled.n_user_tasks * rounds,
             bounds=bounds,
         )
-
-
-def _depth(compiled: "CompiledTDG") -> int:
-    """Longest path in tasks (unit weights), one forward pass."""
-    offsets, targets = compiled.succ_offsets, compiled.succ_targets
-    n = compiled.n_tasks
-    d = [1] * n
-    best = 1 if n else 0
-    for t in range(n):
-        dt = d[t]
-        if dt > best:
-            best = dt
-        nxt = dt + 1
-        for s in targets[offsets[t]:offsets[t + 1]]:
-            if nxt > d[s]:
-                d[s] = nxt
-    return best
 
 
 # ======================================================================

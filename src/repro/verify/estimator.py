@@ -134,6 +134,7 @@ def estimate_discovery(
         compiled.succ_offsets,
         compiled.succ_targets,
         _task_seconds(compiled, machine),
+        compiled.topo_order,
     )
     per_graph_exec = max(
         shape.total_weight / max(threads, 1), shape.critical_path_weight

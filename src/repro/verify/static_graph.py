@@ -96,32 +96,20 @@ class StaticTDG:
         """Per-node ancestor sets as bitmasks over node indices.
 
         ``ancestors()[i] >> j & 1`` says node *j* is a (transitive) graph
-        predecessor of node *i*.  Computed once over a Kahn topological
-        order (creation order is *not* topological: redirect stubs receive
-        edges towards earlier-created tasks).
+        predecessor of node *i*.  Computed once by OR-ing masks along the
+        artifact's :attr:`~repro.core.compiled.CompiledTDG.topo_order`
+        (tid order is *not* topological: a redirect stub's tid exceeds the
+        reader it feeds); duplicate edges are harmless for OR.
         """
         if self._ancestors is not None:
             return self._ancestors
-        n = len(self.nodes)
-        succs: list[list[int]] = [[] for _ in range(n)]
-        indeg = [0] * n
-        for p, s in self.unique_edges():
-            succs[p].append(s)
-            indeg[s] += 1
-        anc = [0] * n
-        stack = [i for i in range(n) if indeg[i] == 0]
-        seen = 0
-        while stack:
-            i = stack.pop()
-            seen += 1
+        c = self.compiled
+        offsets, targets = c.succ_offsets, c.succ_targets
+        anc = [0] * c.n_tasks
+        for i in c.topo_order:
             mask = anc[i] | (1 << i)
-            for j in succs[i]:
+            for j in targets[offsets[i]:offsets[i + 1]]:
                 anc[j] |= mask
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    stack.append(j)
-        if seen != n:  # pragma: no cover - resolver guarantees a DAG
-            raise ValueError("static TDG contains a cycle")
         self._ancestors = anc
         return anc
 

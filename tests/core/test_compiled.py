@@ -147,6 +147,17 @@ class TestCompileProgram:
         back = CompiledTDG.from_dict(c.to_dict())
         assert back.to_dict() == c.to_dict()
 
+    def test_topo_order_is_derived_once_and_never_serialized(self):
+        c = compile_program(redirect_program(), ABCP, costs=DiscoveryCosts())
+        doc = c.to_dict()
+        # r0 (tid 3) closes the acc group: its stub (tid 4) precedes it.
+        assert c.successors(4) == [3, 5]
+        assert c.topo_order == [0, 1, 2, 4, 3, 5]
+        assert c.topo_order is c.topo_order
+        assert c.to_dict() == doc
+        assert "topo_order" not in doc
+        assert CompiledTDG.from_dict(doc).topo_order == c.topo_order
+
     @pytest.mark.parametrize("opts", ["none", "abc", "abcp"])
     def test_shared_and_copied_specs_compile_equal(self, opts):
         """Footprints are normalized once per spec object: a from_template

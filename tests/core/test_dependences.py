@@ -4,7 +4,7 @@
 from repro.core.dependences import DependenceResolver
 from repro.core.graph import TaskGraph
 from repro.core.optimizations import OptimizationSet
-from repro.core.task import DepMode, Task, TaskState
+from repro.core.task import DepMode, TaskState
 
 
 def make(opts="", persistent=False):
@@ -14,7 +14,7 @@ def make(opts="", persistent=False):
 
 def submit(graph, resolver, deps, name=""):
     t = graph.new_task(name=name)
-    res = resolver.resolve(t, tuple(deps))
+    res = resolver.resolve_tid(t.tid, tuple(deps))
     return t, res
 
 
@@ -246,7 +246,12 @@ class TestResolutionResult:
         g, r = make("c")
         for _ in range(2):
             submit(g, r, [(X, DepMode.INOUTSET)])
-        _, res = submit(g, r, [(X, DepMode.IN)])
+        reader, res = submit(g, r, [(X, DepMode.IN)])
         assert res.n_redirects == 1
-        assert len(res.redirect_tasks) == 1
-        assert res.redirect_tasks[0].is_stub
+        assert len(res.redirect_tids) == 1
+        stub = g.table.view(res.redirect_tids[0])
+        assert stub.is_stub
+        # The stub is created while the reader resolves, so it feeds a
+        # task with a smaller tid: tid order is not topological.
+        assert stub.tid > reader.tid
+        assert stub.successors == [reader]

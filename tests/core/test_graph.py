@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.graph import EdgeStats, TaskGraph
+from repro.core.graph_stats import topological_order
 from repro.core.task import TaskState
 
 
@@ -111,12 +112,22 @@ class TestGraphLifecycle:
         with pytest.raises(ValueError, match="cycle"):
             g.validate_acyclic()
 
-    def test_topological_order_is_creation_order(self):
-        g = TaskGraph()
-        ts = [g.new_task() for _ in range(4)]
-        g.add_edge(ts[0], ts[2], dedup=False)
-        g.add_edge(ts[1], ts[3], dedup=False)
-        assert g.topological_order() == ts
+
+class TestTopologicalOrder:
+    def test_fifo_from_sources_in_tid_order(self):
+        # 2 -> 0 and 3 -> 1: sources 2, 3 first, then their successors in
+        # the order they were released (a stack would give 3, 1, 2, 0).
+        assert topological_order([0, 0, 0, 1, 2], [0, 1]) == [2, 3, 0, 1]
+
+    def test_duplicate_edges(self):
+        assert topological_order([0, 2, 2], [1, 1]) == [0, 1]
+
+    def test_empty_graph(self):
+        assert topological_order([0], []) == []
+
+    def test_cycle_detected(self):
+        with pytest.raises(ValueError, match="cycle"):
+            topological_order([0, 1, 2], [1, 0])
 
 
 class TestEdgeStats:

@@ -13,8 +13,10 @@ agreement check (the cross-check tolerance), not an ordering.
 
 from __future__ import annotations
 
+import networkx as nx
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.graphtools import to_networkx
 from repro.core import OptimizationSet
 from repro.core.compiled import compile_program
 from repro.core.program import IterationSpec, Program, TaskSpec
@@ -74,6 +76,9 @@ class TestLadderOrdering:
         replay = simulate(art, cfg, fidelity="replay")
         des = simulate(art, cfg, fidelity="des", program=prog)
 
+        # Depth in tasks against an independent reference: inoutset
+        # groups closed under opt (c) put stubs after their readers.
+        assert bounds["depth"] == nx.dag_longest_path_length(to_networkx(art)) + 1
         # T_inf <= replay(N=inf): no schedule beats the critical path.
         assert bounds["t_inf"] <= ideal.makespan + EPS
         # replay(N=inf) <= replay(N): workers never hurt a list schedule

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import ProgramBuilder
 from repro.core.compiled import compile_program
+from repro.core.graph_stats import topological_order
 from repro.core.optimizations import OptimizationSet
 from repro.memory import tiny_test_machine
 from repro.obs import TraceRecorder, measured_critical_path
@@ -43,10 +44,16 @@ def profile(opts):
     return compiled, cp
 
 
+def longest_path(offsets, targets, dur):
+    return _longest_path(
+        offsets, targets, dur, topological_order(offsets, targets)
+    )
+
+
 class TestLongestPath:
     def test_chain(self):
         # 0 -> 1 -> 2 with durations 1, 2, 3.
-        length, finish, tail, path = _longest_path(
+        length, finish, tail, path = longest_path(
             [0, 1, 2, 2], [1, 2], [1.0, 2.0, 3.0]
         )
         assert length == pytest.approx(6.0)
@@ -56,18 +63,18 @@ class TestLongestPath:
 
     def test_diamond_picks_heavier_branch(self):
         # 0 -> {1, 2} -> 3; branch 2 is heavier.
-        length, _, _, path = _longest_path(
+        length, _, _, path = longest_path(
             [0, 2, 3, 4, 4], [1, 2, 3, 3], [1.0, 1.0, 5.0, 1.0]
         )
         assert length == pytest.approx(7.0)
         assert path == [0, 2, 3]
 
     def test_empty_graph(self):
-        assert _longest_path([0], [], []) == (0.0, [], [], [])
+        assert longest_path([0], [], []) == (0.0, [], [], [])
 
     def test_cycle_detected(self):
         with pytest.raises(ValueError, match="cycle"):
-            _longest_path([0, 1, 2], [1, 0], [1.0, 1.0])
+            longest_path([0, 1, 2], [1, 0], [1.0, 1.0])
 
 
 class TestMeasuredCriticalPath:

@@ -63,6 +63,33 @@ def chain_program(n: int = 16) -> Program:
     return Program([IterationSpec(index=0, tasks=specs)])
 
 
+def stub_chain_program(n: int = 16, flops: float = FLOPS) -> Program:
+    """``r0 -> s0 -> r1 -> s1 -> ... -> r{n-1} -> s{n-1} -> z``.
+
+    Each ``r_i`` reads ``a_{i-1}`` and opens an inoutset group on ``a_i``
+    with a peer ``p_i``; the next reader closes the group, so under opt
+    (c) every link runs through a redirect stub created while its reader
+    resolves — the stub's tid is larger than the reader it feeds.
+    """
+    specs = []
+    for i in range(n):
+        reads = ((i - 1, DepMode.IN),) if i else ()
+        specs.append(
+            TaskSpec(
+                name=f"r{i}",
+                depends=reads + ((i, DepMode.INOUTSET),),
+                flops=flops,
+            )
+        )
+        specs.append(
+            TaskSpec(name=f"p{i}", depends=((i, DepMode.INOUTSET),), flops=flops)
+        )
+    specs.append(
+        TaskSpec(name="z", depends=((n - 1, DepMode.IN),), flops=flops)
+    )
+    return Program([IterationSpec(index=0, tasks=specs)])
+
+
 def wide_program(n: int = 32) -> Program:
     specs = [
         TaskSpec(name=f"w{i}", depends=((i, DepMode.OUT),), flops=FLOPS)
@@ -188,6 +215,19 @@ class TestAnalytic:
         # T_inf of the chain equals its T1 (every task is on the path).
         assert chain["t_inf"] == pytest.approx(chain["t1"])
 
+        art = compiled_for(stub_chain_program(16), cfg)
+        # Every stub feeds a reader created before it: tid order is not
+        # topological, so the bounds must walk the artifact's topo order.
+        assert art.n_stubs == 16
+        assert all(s < t for t in art.stub_tids for s in art.successors(t))
+        stub = simulate(art, cfg, fidelity="analytic").extra["bounds"]
+        ref = simulate(
+            compiled_for(chain_program(17), cfg), cfg, fidelity="analytic"
+        ).extra["bounds"]
+        # r0 -> s0 -> ... -> r15 -> s15 -> z: 17 user tasks, 16 stubs.
+        assert stub["depth"] == 33
+        assert stub["t_inf"] == pytest.approx(ref["t_inf"])
+
     def test_persistent_rounds(self):
         prog = persistent_program(3)
         cfg = config(opts=OptimizationSet.parse("abcp"))
@@ -249,7 +289,15 @@ class TestOrdering:
     """The ladder's defining invariant on a fixed graph."""
 
     @pytest.mark.parametrize(
-        "make", [diamond_program, chain_program, wide_program]
+        "make",
+        [
+            diamond_program,
+            chain_program,
+            wide_program,
+            pytest.param(
+                lambda: stub_chain_program(16, 4e5), id="stub_chain_program"
+            ),
+        ],
     )
     def test_analytic_brackets_replay_and_des(self, make):
         prog = make()

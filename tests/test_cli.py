@@ -23,6 +23,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["lulesh", "--machine", "cray-1", "-s", "8", "-i", "1", "--tpl", "4"])
 
+    @pytest.mark.parametrize("cmd", ["lulesh", "sweep", "validate"])
+    def test_unknown_opts_letter_is_usage_error(self, cmd, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--opts", "xq"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --opts: unknown optimization 'x'" in err
+        assert "Traceback" not in err
+        # Valid specs pass through as typed (the sweep title prints them).
+        assert build_parser().parse_args([cmd, "--opts", "none"]).opts == "none"
+
 
 class TestCommands:
     def test_info(self, capsys):
