@@ -17,25 +17,33 @@ discovered TDG that every consumer reads:
 Artifacts are content-addressed: :func:`structural_signature` hashes the
 program's *structure* (names, loop ids, dependences, taskwait positions,
 firstprivate sizes, flops) together with the discovery optimization set —
-everything that determines the discovered graph — through
-:func:`repro.util.serde.content_key`.  Two structurally identical programs
-compile to the same key in any process, which is what lets
-:class:`CompiledGraphCache` (atomic JSON files next to the campaign
-store) share compiled graphs across runs and across consumers.
+everything that determines the discovered graph — as the sha256 of one
+canonical-JSON document.  Two structurally identical programs compile to
+the same key in any process, which is what lets
+:class:`CompiledGraphCache` (atomic files next to the campaign store)
+share compiled graphs across runs and across consumers.  On disk an
+artifact is a digest-checked file of typed little-endian column arrays
+(:meth:`CompiledTDG.to_bytes`); a damaged, stale or misfiled one decodes
+to None (:meth:`CompiledTDG.from_bytes`), so it misses and is recompiled,
+never misparsed.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import struct
 import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
+import numpy as np
+
 from repro.core.graph_stats import EdgeStats, topological_order
-from repro.util.serde import canonical_json, content_key
+from repro.util.serde import canonical_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.graph import TaskGraph
@@ -45,8 +53,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.table import TaskTable
 
 #: On-disk format of cached compiled graphs; bump on schema change so
-#: stale entries miss instead of deserializing wrongly.
-COMPILED_FORMAT = 3
+#: stale entries miss instead of deserializing wrongly.  Format 4 is the
+#: binary column layout of :meth:`CompiledTDG.to_bytes`.
+COMPILED_FORMAT = 4
 
 #: Signature schema version (bump when the signature covers new fields —
 #: old cache entries then miss, never alias).
@@ -77,34 +86,105 @@ def _spec_signature(spec) -> list:
 def structural_signature(program: "Program", opts: "OptimizationSet") -> str:
     """Content hash identifying the graph ``compile_program`` would build.
 
-    Iteration spec lists shared across iterations (the
-    :meth:`~repro.core.program.Program.from_template` layout) are
-    serialized once and reused, so signing a large program costs one pass
-    over its distinct specs — content-equal programs hash equal whether
-    or not their iterations share lists.
+    The sha256 of the canonical JSON of ``{"format", "iterations",
+    "opts", "persistent_candidate"}``, streamed: each distinct iteration
+    spec list (the :meth:`~repro.core.program.Program.from_template`
+    layout shares one across iterations) is encoded once and its bytes
+    are fed to the hash once per iteration, so signing a large program
+    costs one pass over its distinct specs — content-equal programs hash
+    equal whether or not their iterations share lists.
     """
-    frag_by_list: dict[int, list] = {}
-    iterations = []
-    for it in program.iterations:
+    frag_by_list: dict[int, bytes] = {}
+    h = hashlib.sha256(b'{"format":%d,"iterations":[' % _SIGNATURE_FORMAT)
+    for i, it in enumerate(program.iterations):
         frag = frag_by_list.get(id(it.tasks))
         if frag is None:
-            frag = frag_by_list[id(it.tasks)] = [
-                _spec_signature(s) for s in it.tasks
-            ]
-        iterations.append(frag)
-    return content_key(
-        {
-            "format": _SIGNATURE_FORMAT,
-            "persistent_candidate": bool(program.persistent_candidate),
-            "opts": opts.to_dict(),
-            "iterations": iterations,
-        }
+            frag = frag_by_list[id(it.tasks)] = canonical_json(
+                [_spec_signature(s) for s in it.tasks]
+            ).encode()
+        if i:
+            h.update(b",")
+        h.update(frag)
+    # Keys after "iterations", in canonical (sorted) order.
+    h.update(
+        (
+            '],"opts":' + canonical_json(opts.to_dict())
+            + ',"persistent_candidate":'
+            + canonical_json(bool(program.persistent_candidate)) + "}"
+        ).encode()
     )
+    return h.hexdigest()
 
 
 # ======================================================================
 # the artifact
 # ======================================================================
+#: Little-endian byte length of the canonical-JSON header that opens an
+#: artifact file.
+_HEADER_LEN = struct.Struct("<I")
+
+#: Integer column types, narrowest first: each integer column is stored
+#: in the first that holds its range, so the type follows the content
+#: and equal artifacts encode to equal bytes.
+_INT_DTYPES = ("<i1", "<i2", "<i4", "<i8")
+_INT_RANGES = tuple((d, np.iinfo(d).min, np.iinfo(d).max) for d in _INT_DTYPES)
+
+#: The payload's columns in file order, each with the types it may take.
+#: ``name`` holds ``<i4`` codes into the header's sorted ``names``.
+_COLUMNS: tuple[tuple[str, tuple[str, ...]], ...] = (
+    ("succ_offsets", _INT_DTYPES),
+    ("succ_targets", _INT_DTYPES),
+    ("indegree", _INT_DTYPES),
+    ("name", ("<i4",)),
+    ("loop_id", _INT_DTYPES),
+    ("iteration", _INT_DTYPES),
+    ("segment", _INT_DTYPES),
+    ("spec_pos", _INT_DTYPES),
+    ("is_stub", ("|b1",)),
+    ("fp_bytes", _INT_DTYPES),
+    ("flops", ("<f8",)),
+    ("owner", _INT_DTYPES),
+    ("iteration_costs", ("<f8",)),
+    ("comm_kind", _INT_DTYPES),
+    ("comm_peer", _INT_DTYPES),
+    ("comm_tag", _INT_DTYPES),
+    ("comm_nbytes", _INT_DTYPES),
+    ("disc_addrs", _INT_DTYPES),
+    ("disc_edges", _INT_DTYPES),
+    ("disc_skips", _INT_DTYPES),
+    ("disc_redirects", _INT_DTYPES),
+    ("foot_bytes", _INT_DTYPES),
+)
+
+#: Columns with one entry per task (the CSR and the per-iteration costs
+#: are sized otherwise).
+_PER_TASK = tuple(
+    c for c, _ in _COLUMNS
+    if c not in ("succ_offsets", "succ_targets", "iteration_costs")
+)
+
+
+def _encode_column(values: list, dtypes: tuple[str, ...]) -> tuple[str, np.ndarray]:
+    """``(dtype, array)`` for one column; integers take the narrowest type."""
+    if dtypes is not _INT_DTYPES:
+        return dtypes[0], np.asarray(values, dtype=dtypes[0])
+    if not values:
+        return _INT_DTYPES[0], np.zeros(0, dtype=_INT_DTYPES[0])
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        raise TypeError(f"integer column holds {arr.dtype} values")
+    lo, hi = arr.min(), arr.max()
+    dtype = next(d for d, dmin, dmax in _INT_RANGES if dmin <= lo and hi <= dmax)
+    return dtype, arr.astype(dtype)
+
+
+def _digest(header: dict, payload) -> str:
+    """sha256 over the canonical header (without its digest) and payload."""
+    h = hashlib.sha256(canonical_json(header).encode())
+    h.update(payload)
+    return h.hexdigest()
+
+
 @dataclass
 class CompiledTDG:
     """A discovered TDG frozen into CSR arrays.
@@ -376,7 +456,7 @@ class CompiledTDG:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-ready dict; inverse of :meth:`from_dict`."""
+        """Every field as plain JSON-ready values (for comparing artifacts)."""
         return {
             "key": self.key,
             "persistent": self.persistent,
@@ -406,12 +486,124 @@ class CompiledTDG:
             "distinct_foot_bytes": self.distinct_foot_bytes,
         }
 
+    def to_bytes(self) -> bytes:
+        """The artifact file: header length, header, column payload.
+
+        A little-endian ``uint32`` header length, then a canonical-JSON
+        header (format, key, scalar fields, the sorted distinct task
+        ``names``, the column layout ``[name, dtype, count]`` and a
+        ``sha256`` over the rest of the header and the payload), then
+        each column's little-endian bytes in layout order.  Integer
+        columns take the narrowest of ``<i1``..``<i8`` holding their
+        range, floats are ``<f8`` (bit-exact), ``is_stub`` is ``|b1`` and
+        ``name`` is stored as ``<i4`` codes into ``names`` — so equal
+        artifacts give equal bytes.
+        """
+        names = sorted(set(self.name))
+        code = {nm: i for i, nm in enumerate(names)}
+        layout: list[list] = []
+        parts: list[bytes] = []
+        for col, dtypes in _COLUMNS:
+            values = getattr(self, col)
+            if col == "name":
+                values = [code[nm] for nm in values]
+            dtype, arr = _encode_column(values, dtypes)
+            layout.append([col, dtype, len(arr)])
+            parts.append(arr.tobytes())
+        payload = b"".join(parts)
+        header = {
+            "format": COMPILED_FORMAT,
+            "key": self.key,
+            "persistent": self.persistent,
+            "stats": self.stats.to_dict(),
+            "distinct_foot_bytes": self.distinct_foot_bytes,
+            "names": names,
+            "columns": layout,
+        }
+        header["sha256"] = _digest(header, payload)
+        head = canonical_json(header).encode()
+        return _HEADER_LEN.pack(len(head)) + head + payload
+
     @classmethod
-    def from_dict(cls, data: dict) -> "CompiledTDG":
-        d = dict(data)
-        d["stats"] = EdgeStats.from_dict(d["stats"])
-        d["is_stub"] = [bool(v) for v in d["is_stub"]]
-        return cls(**d)
+    def from_bytes(cls, buf: bytes, key: str) -> Optional["CompiledTDG"]:
+        """Decode a :meth:`to_bytes` file stored under ``key``, else None.
+
+        Never raises on bad input.  A short buffer, a header that does
+        not parse, another format or key, an unexpected column set or
+        dtype, counts that do not align (``n + 1`` offsets,
+        ``offsets[-1]`` targets, ``n`` per task), missing or extra
+        payload bytes and a digest mismatch all return None: a damaged,
+        stale or misfiled artifact misses rather than misparses.
+        """
+        if len(buf) < _HEADER_LEN.size:
+            return None
+        start = _HEADER_LEN.size + _HEADER_LEN.unpack_from(buf)[0]
+        try:
+            header = json.loads(buf[_HEADER_LEN.size:start])
+        except (ValueError, RecursionError):  # also UnicodeDecodeError
+            return None
+        if (
+            not isinstance(header, dict)
+            or header.get("format") != COMPILED_FORMAT
+            or header.get("key") != key
+        ):
+            return None
+        layout = header.get("columns")
+        if not isinstance(layout, list) or len(layout) != len(_COLUMNS):
+            return None
+        arrays: dict[str, np.ndarray] = {}
+        offset = start
+        for (col, dtypes), entry in zip(_COLUMNS, layout):
+            if not (
+                isinstance(entry, list)
+                and len(entry) == 3
+                and entry[0] == col
+                and entry[1] in dtypes
+                and type(entry[2]) is int
+                and entry[2] >= 0
+            ):
+                return None
+            dtype = np.dtype(entry[1])
+            end = offset + entry[2] * dtype.itemsize
+            if end > len(buf):
+                return None
+            arrays[col] = np.frombuffer(buf, dtype, entry[2], offset)
+            offset = end
+        n = len(arrays["indegree"])
+        offsets = arrays["succ_offsets"]
+        if (
+            offset != len(buf)
+            or len(offsets) != n + 1
+            or len(arrays["succ_targets"]) != offsets[-1]
+            or any(len(arrays[c]) != n for c in _PER_TASK)
+        ):
+            return None
+        digest = header.pop("sha256", None)
+        try:
+            if digest != _digest(header, memoryview(buf)[start:]):
+                return None
+            stats = EdgeStats.from_dict(header["stats"])
+        except (KeyError, TypeError, ValueError):
+            return None
+        names = header.get("names")
+        codes = arrays.pop("name")
+        persistent = header.get("persistent")
+        distinct = header.get("distinct_foot_bytes")
+        if (
+            not isinstance(names, list)
+            or not isinstance(persistent, bool)
+            or type(distinct) is not int
+            or (n and not (0 <= codes.min() and codes.max() < len(names)))
+        ):
+            return None
+        return cls(
+            key=key,
+            persistent=persistent,
+            stats=stats,
+            distinct_foot_bytes=distinct,
+            name=np.asarray(names, dtype=object)[codes].tolist(),
+            **{col: arr.tolist() for col, arr in arrays.items()},
+        )
 
 
 # ======================================================================
@@ -534,8 +726,8 @@ def compile_program(
 # ======================================================================
 # the cache
 # ======================================================================
-def _write_atomic(path: Path, doc: dict) -> Path:
-    """Write ``doc`` as canonical JSON to ``path``: temp file + ``os.replace``.
+def _write_atomic(path: Path, data: bytes) -> Path:
+    """Write ``data`` to ``path``: temp file + ``os.replace``.
 
     Readers see the old entry or the new one, never a torn write; a
     failed write removes its temp file.
@@ -545,9 +737,8 @@ def _write_atomic(path: Path, doc: dict) -> Path:
         dir=path.parent, prefix=f".{path.stem[:8]}-", suffix=".tmp"
     )
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(canonical_json(doc))
-            fh.write("\n")
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -561,10 +752,14 @@ def _write_atomic(path: Path, doc: dict) -> Path:
 class CompiledGraphCache:
     """A directory of compiled graphs, content-addressed by signature.
 
-    ``<root>/<key[:2]>/<key>.json`` entries written atomically (temp file
-    + ``os.replace``), safe under concurrent writers, resumable.  A hit
-    means "this exact program structure was already compiled" — by this
-    process, a campaign worker, or a previous run entirely.
+    ``<root>/<key[:2]>/<key>.tdg`` entries (:meth:`CompiledTDG.to_bytes`)
+    written atomically (temp file + ``os.replace``), safe under
+    concurrent writers, resumable.  A hit means "this exact program
+    structure was already compiled" — by this process, a campaign
+    worker, or a previous run entirely.  An entry that does not decode
+    for its key (damaged, truncated, another format, copied under another
+    name) is a miss; artifacts of older formats (``<key>.json``) are
+    never read.
     """
 
     #: Subdirectory name campaign caches use for their compiled graphs.
@@ -581,29 +776,23 @@ class CompiledGraphCache:
 
     # ------------------------------------------------------------------
     def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        return self.root / key[:2] / f"{key}.tdg"
 
     def contains(self, key: str) -> bool:
         return self.path_for(key).is_file()
 
     def get(self, key: str) -> Optional[CompiledTDG]:
-        """The cached artifact for ``key``, or None on miss/stale format."""
-        path = self.path_for(key)
+        """The stored artifact for ``key``, or None when it is missing or
+        does not decode as a current-format artifact of ``key``."""
         try:
-            doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            buf = self.path_for(key).read_bytes()
+        except OSError:
             return None
-        if doc.get("format") != COMPILED_FORMAT or doc.get("key") != key:
-            return None
-        return CompiledTDG.from_dict(doc["compiled"])
+        return CompiledTDG.from_bytes(buf, key)
 
     def put(self, compiled: CompiledTDG) -> Path:
         """Store ``compiled`` under its key, atomically."""
-        key = compiled.key
-        return _write_atomic(
-            self.path_for(key),
-            {"format": COMPILED_FORMAT, "key": key, "compiled": compiled.to_dict()},
-        )
+        return _write_atomic(self.path_for(compiled.key), compiled.to_bytes())
 
     # ------------------------------------------------------------------
     # alias index: arbitrary string key -> structural signature
@@ -629,9 +818,9 @@ class CompiledGraphCache:
 
     def put_alias(self, alias: str, key: str) -> Path:
         """Record ``alias -> key``, atomically."""
+        doc = {"format": COMPILED_FORMAT, "alias": alias, "key": key}
         return _write_atomic(
-            self.alias_path(alias),
-            {"format": COMPILED_FORMAT, "alias": alias, "key": key},
+            self.alias_path(alias), (canonical_json(doc) + "\n").encode()
         )
 
     def invalidate(self, key: str) -> bool:
@@ -646,8 +835,8 @@ class CompiledGraphCache:
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        return sum(1 for _ in self.root.glob("*/*.tdg"))
 
     def keys(self) -> list[str]:
         """Sorted keys of every stored artifact."""
-        return sorted(p.stem for p in self.root.glob("*/*.json"))
+        return sorted(p.stem for p in self.root.glob("*/*.tdg"))

@@ -32,7 +32,6 @@ All three execution engines (:class:`~repro.runtime.runtime.TaskRuntime`,
 from repro.sim.bus import HOOK_DOCS, HookBus, InstrumentationBus
 from repro.sim.context import SimContext
 from repro.sim.events import EventQueue
-from repro.sim.subscribers import EventCounter
 from repro.sim.table import TaskTable
 
 # tiers pulls in the runtime layer, which itself builds on this kernel
@@ -65,7 +64,6 @@ __all__ = [
     "FIDELITIES",
     "HOOK_DOCS",
     "HookBus",
-    "EventCounter",
     "EventQueue",
     "InstrumentationBus",
     "ReplaySimulator",

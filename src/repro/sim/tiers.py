@@ -7,7 +7,7 @@ compiled CSR artifact freezes that shape.  This module runs experiments
 :class:`~repro.runtime.result.RunResult`:
 
 ``analytic``
-    Work/span bounds by array reductions over the CSR: T₁, T∞, the Brent
+    Work/span bounds from one walk over the CSR: T₁, T∞, the Brent
     bounds ``max(T₁/N, T∞) ≤ TN ≤ T₁/N + T∞`` per barrier segment, plus
     the serial-producer discovery limit.  No events at all; the reported
     makespan is the nominal lower Brent bound and ``extra["bounds"]``
@@ -289,50 +289,76 @@ def _result(
 # analytic tier
 # ======================================================================
 def _segment_spans(
-    compiled: "CompiledTDG", weights: np.ndarray, *, with_depth: bool = False
-) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """Per-segment (T₁, T∞), the whole-graph critical path and its depth.
+    compiled: "CompiledTDG",
+    w_nom: np.ndarray,
+    w_lo: np.ndarray,
+    w_hi: np.ndarray,
+) -> tuple[list[np.ndarray], list[np.ndarray], float, int]:
+    """Per-segment T₁ and T∞ of three weight vectors, plus the nominal
+    whole-graph critical path and the depth, in one walk.
 
-    One forward relaxation over the CSR along
-    :attr:`~repro.core.compiled.CompiledTDG.topo_order` — tid order is not
-    topological, because an opt-(c) redirect stub is created after the
-    reader it feeds.  Segment spans only follow intra-segment edges —
-    taskwait barriers already serialize cross-segment work.  The depth
-    (longest path in tasks) is tracked only ``with_depth``, else 0.
+    Returns ``([t1_nom, t1_lo, t1_hi], [span_nom, span_lo, span_hi],
+    t_inf, depth)``.  The spans come from one forward relaxation over the
+    CSR along :attr:`~repro.core.compiled.CompiledTDG.topo_order` — tid
+    order is not topological, because an opt-(c) redirect stub is
+    created after the reader it feeds.  Segment spans only follow
+    intra-segment edges (taskwait barriers already serialize
+    cross-segment work); ``t_inf`` follows every edge under ``w_nom``;
+    the depth is the longest path in tasks.  Each vector's maxima and
+    additions are the ones a walk of that vector alone would make, so
+    the results do not depend on the fusion.
     """
     seg = compiled.segment
     n_seg = (max(seg) + 1) if seg else 1
-    t1 = np.zeros(n_seg)
-    np.add.at(t1, seg, weights)
+    t1s = []
+    for weights in (w_nom, w_lo, w_hi):
+        t1 = np.zeros(n_seg)
+        np.add.at(t1, seg, weights)
+        t1s.append(t1)
     offsets, targets = compiled.succ_offsets, compiled.succ_targets
     n = compiled.n_tasks
-    dist = [0.0] * n  # finish-time along intra-segment paths
-    dist_g = [0.0] * n  # along any path
-    level = [1] * n if with_depth else None
-    span = [0.0] * n_seg
+    # Finish times along intra-segment paths, per vector, and along any
+    # path under the nominal vector.
+    d_nom = [0.0] * n
+    d_lo = [0.0] * n
+    d_hi = [0.0] * n
+    d_all = [0.0] * n
+    level = [1] * n
+    s_nom = [0.0] * n_seg
+    s_lo = [0.0] * n_seg
+    s_hi = [0.0] * n_seg
     t_inf = 0.0
-    wl = weights.tolist()
+    wn, wl, wh = w_nom.tolist(), w_lo.tolist(), w_hi.tolist()
     for t in compiled.topo_order:
         st = seg[t]
-        ft = dist[t] + wl[t]
-        fg = dist_g[t] + wl[t]
-        if ft > span[st]:
-            span[st] = ft
-        if fg > t_inf:
-            t_inf = fg
-        succ = targets[offsets[t]:offsets[t + 1]]
-        for s in succ:
-            if seg[s] == st and ft > dist[s]:
-                dist[s] = ft
-            if fg > dist_g[s]:
-                dist_g[s] = fg
-        if level is not None:
-            nl = level[t] + 1
-            for s in succ:
-                if nl > level[s]:
-                    level[s] = nl
+        f_nom = d_nom[t] + wn[t]
+        f_lo = d_lo[t] + wl[t]
+        f_hi = d_hi[t] + wh[t]
+        f_all = d_all[t] + wn[t]
+        if f_nom > s_nom[st]:
+            s_nom[st] = f_nom
+        if f_lo > s_lo[st]:
+            s_lo[st] = f_lo
+        if f_hi > s_hi[st]:
+            s_hi[st] = f_hi
+        if f_all > t_inf:
+            t_inf = f_all
+        nl = level[t] + 1
+        for s in targets[offsets[t]:offsets[t + 1]]:
+            if seg[s] == st:
+                if f_nom > d_nom[s]:
+                    d_nom[s] = f_nom
+                if f_lo > d_lo[s]:
+                    d_lo[s] = f_lo
+                if f_hi > d_hi[s]:
+                    d_hi[s] = f_hi
+            if f_all > d_all[s]:
+                d_all[s] = f_all
+            if nl > level[s]:
+                level[s] = nl
     depth = max(level) if level else 0
-    return t1, np.asarray(span), t_inf, depth
+    spans = [np.asarray(s_nom), np.asarray(s_lo), np.asarray(s_hi)]
+    return t1s, spans, t_inf, depth
 
 
 class AnalyticSimulator:
@@ -356,11 +382,12 @@ class AnalyticSimulator:
         # memory-bound steady state); T1/N then reads "all bytes at
         # aggregate DRAM bandwidth".
         body_nom = tw.body + tw.mem_shared * w
-        t1_seg, span_seg, t_inf_graph, depth = _segment_spans(
-            compiled, body_nom, with_depth=True
-        )
-        t1_lo_seg, span_lo_seg, _, _ = _segment_spans(compiled, tw.body_lo)
-        t1_hi_seg, span_hi_seg, _, _ = _segment_spans(compiled, tw.body_hi)
+        (
+            (t1_seg, t1_lo_seg, t1_hi_seg),
+            (span_seg, span_lo_seg, span_hi_seg),
+            t_inf_graph,
+            depth,
+        ) = _segment_spans(compiled, body_nom, tw.body_lo, tw.body_hi)
 
         t1 = float(t1_seg.sum()) * rounds
         t_inf = max(t_inf_graph, float(span_seg.sum())) * rounds

@@ -23,6 +23,7 @@ from repro.campaign.spec import ExperimentSpec, dump_specs, load_specs
 from repro.core.compiled import CompiledGraphCache
 from repro.memory.machine import tiny_test_machine
 from repro.runtime import presets
+from repro.util.serde import canonical_json
 
 CFG = presets.mpc_omp(tiny_test_machine(4), n_threads=4)
 PARAMS = {"s": 8, "iterations": 2, "tpl": 4, "flops_per_item": 25.0}
@@ -126,6 +127,28 @@ class TestRunnerDispatch:
         # The analytic tier resolves through the same alias.
         ana = run_experiment(spec(fidelity="analytic"), compiled_cache=cache)
         assert ana.extra["compiled_tdg"]["cache_hit"] is True
+
+    def test_corrupt_artifact_behind_alias_is_recompiled(self, tmp_path):
+        cache = CompiledGraphCache(tmp_path)
+        cold = run_experiment(spec(fidelity="replay"), compiled_cache=cache)
+        key = cold.extra["compiled_tdg"]["key"]
+        path = cache.path_for(key)
+        good = path.read_bytes()
+        bad = bytearray(good)
+        bad[-1] ^= 0x01  # one payload byte
+        path.write_bytes(bytes(bad))
+        assert cache.get(key) is None
+
+        ana = run_experiment(spec(fidelity="analytic"), compiled_cache=cache)
+        assert ana.extra["compiled_tdg"]["cache_hit"] is False
+        uncached = run_experiment(spec(fidelity="analytic"))
+        assert canonical_json(ana.to_dict()) == canonical_json(uncached.to_dict())
+        # The miss rewrote a valid artifact in place.
+        assert path.read_bytes() == good
+        assert cache.get(key) is not None
+        warm = run_experiment(spec(fidelity="analytic"), compiled_cache=cache)
+        assert warm.extra["compiled_tdg"]["cache_hit"] is True
+        assert warm.makespan == ana.makespan
 
     def test_deterministic_across_calls(self):
         a = run_experiment(spec(fidelity="replay"))

@@ -1,6 +1,8 @@
 """Tests for the compiled TDG artifact, its signature, and its cache."""
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -15,9 +17,12 @@ from repro.core import (
     structural_signature,
 )
 from repro.core.compiled import COMPILED_FORMAT
+from repro.core.program import TaskSpec
+from repro.core.task import DepMode
 from repro.memory import tiny_test_machine
 from repro.runtime import RuntimeConfig, TaskRuntime
 from repro.runtime.costs import DiscoveryCosts
+from repro.util.serde import canonical_json, content_key
 
 
 def chain_program(n=4, iterations=3, *, persistent=True, name="chain"):
@@ -44,7 +49,71 @@ def redirect_program(iterations=2):
     return b.build()
 
 
+def empty_program():
+    return Program([IterationSpec(index=0, tasks=[])], name="empty")
+
+
+def lulesh_rank_program():
+    """Rank 1 of an 8-rank LULESH: the comm columns are populated."""
+    from repro.campaign.runner import build_programs
+    from repro.campaign.spec import ExperimentSpec
+    from repro.runtime import presets
+
+    spec = ExperimentSpec(
+        app="lulesh",
+        config=presets.mpc_omp(tiny_test_machine(4), n_threads=4),
+        params={"s": 8, "iterations": 2, "tpl": 4},
+        ranks=8,
+    )
+    return build_programs(spec)[1]
+
+
 ABCP = OptimizationSet.parse("abcp")
+
+
+def reference_signature(program, opts):
+    """The signature as one canonical-JSON document: what the streamed
+    :func:`structural_signature` must hash equal to."""
+    return content_key(
+        {
+            "format": 1,
+            "persistent_candidate": bool(program.persistent_candidate),
+            "opts": opts.to_dict(),
+            "iterations": [
+                [
+                    [
+                        s.name,
+                        s.loop_id,
+                        [[a, int(m)] for a, m in s.depends],
+                        bool(s.barrier),
+                        s.fp_bytes,
+                        s.flops,
+                    ]
+                    for s in it.tasks
+                ]
+                for it in program.iterations
+            ],
+        }
+    )
+
+
+def split_artifact(buf):
+    """(header dict, header end offset) of an artifact file."""
+    n = int.from_bytes(buf[:4], "little")
+    return json.loads(buf[4:4 + n]), 4 + n
+
+
+def resign(buf, **changes):
+    """Rewrite header fields and sign the result like the writer does,
+    so only the field check under test can reject it."""
+    header, start = split_artifact(buf)
+    header.pop("sha256")
+    header.update(changes)
+    h = hashlib.sha256(canonical_json(header).encode())
+    h.update(buf[start:])
+    header["sha256"] = h.hexdigest()
+    head = canonical_json(header).encode()
+    return len(head).to_bytes(4, "little") + head + buf[start:]
 
 
 class TestStructuralSignature:
@@ -79,6 +148,40 @@ class TestStructuralSignature:
         )
         assert structural_signature(shared, ABCP) == structural_signature(
             unshared, ABCP
+        )
+
+    @pytest.mark.parametrize(
+        "opts, key",
+        [
+            ("abc", "4d66f63d46ad709ff0bf51210fa02626d8e4ff256c3395356860ccefbb150bb7"),
+            ("abcp", "e2a6d184ff9fc1a9dc6923dc079c098bd713be93ef4eafbc653a0fec8da6ca55"),
+        ],
+    )
+    def test_lulesh_keys_are_pinned(self, opts, key):
+        from repro.apps.lulesh import LuleshConfig, build_task_program
+
+        prog = build_task_program(LuleshConfig(s=8, iterations=3, tpl=16))
+        assert structural_signature(prog, OptimizationSet.parse(opts)) == key
+
+    @pytest.mark.parametrize("persistent", [True, False])
+    @pytest.mark.parametrize("opts", ["none", "abc", "abcp"])
+    def test_streamed_signature_equals_document_key(self, persistent, opts):
+        """Shared fragments, distinct fragments and empty iterations (first
+        and inside) hash exactly as the whole document does."""
+        shared = [
+            TaskSpec("a", depends=((0, DepMode.OUT),), flops=1.5, loop_id=0),
+            TaskSpec("b", depends=((0, DepMode.IN), (1, DepMode.INOUTSET))),
+            TaskSpec("w", barrier=True),
+        ]
+        other = [TaskSpec("c", depends=((1, DepMode.INOUT),), fp_bytes=8)]
+        lists = [[], shared, shared, [], other, list(shared), shared]
+        prog = Program(
+            [IterationSpec(index=i, tasks=t) for i, t in enumerate(lists)],
+            persistent_candidate=persistent,
+        )
+        opt_set = OptimizationSet.parse(opts)
+        assert structural_signature(prog, opt_set) == reference_signature(
+            prog, opt_set
         )
 
 
@@ -144,7 +247,7 @@ class TestCompileProgram:
 
     def test_round_trip_dict(self):
         c = compile_program(redirect_program(), ABCP, costs=DiscoveryCosts())
-        back = CompiledTDG.from_dict(c.to_dict())
+        back = CompiledTDG.from_bytes(c.to_bytes(), c.key)
         assert back.to_dict() == c.to_dict()
 
     def test_topo_order_is_derived_once_and_never_serialized(self):
@@ -156,7 +259,9 @@ class TestCompileProgram:
         assert c.topo_order is c.topo_order
         assert c.to_dict() == doc
         assert "topo_order" not in doc
-        assert CompiledTDG.from_dict(doc).topo_order == c.topo_order
+        assert b"topo_order" not in c.to_bytes()
+        back = CompiledTDG.from_bytes(c.to_bytes(), c.key)
+        assert back.topo_order == c.topo_order
 
     @pytest.mark.parametrize("opts", ["none", "abc", "abcp"])
     def test_shared_and_copied_specs_compile_equal(self, opts):
@@ -278,9 +383,144 @@ class TestCompiledGraphCache:
         cache = CompiledGraphCache(tmp_path)
         c = compile_program(chain_program(), ABCP)
         path = cache.put(c)
-        doc = path.read_text().replace(f'"format":{COMPILED_FORMAT}', '"format":0', 1)
-        path.write_text(doc)
+        buf = path.read_bytes()
+        old = b'"format":%d' % COMPILED_FORMAT
+        assert old in buf
+        path.write_bytes(buf.replace(old, b'"format":0', 1))
         assert cache.get(c.key) is None
+
+    def test_file_under_another_key_misses(self, tmp_path):
+        cache = CompiledGraphCache(tmp_path)
+        a = compile_program(chain_program(3), ABCP)
+        b = compile_program(chain_program(5), ABCP)
+        cache.put(a)
+        path = cache.path_for(b.key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(cache.path_for(a.key).read_bytes())
+        assert cache.contains(b.key)
+        assert cache.get(b.key) is None
+        assert cache.get(a.key).to_dict() == a.to_dict()
+
+    def test_format3_json_artifact_is_ignored(self, tmp_path):
+        cache = CompiledGraphCache(tmp_path)
+        c = compile_program(chain_program(), ABCP)
+        old = tmp_path / c.key[:2] / f"{c.key}.json"
+        old.parent.mkdir(parents=True)
+        old.write_text(
+            canonical_json({"format": 3, "key": c.key, "compiled": c.to_dict()})
+        )
+        assert cache.get(c.key) is None
+        assert not cache.contains(c.key)
+        assert len(cache) == 0
+        assert cache.keys() == []
+        cache.put(c)
+        assert cache.keys() == [c.key]
+
+
+class TestBinaryArtifact:
+    """``to_bytes``/``from_bytes``: exact round trips, deterministic bytes,
+    and every damaged, stale or misfiled buffer decodes to None."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [chain_program, redirect_program, empty_program, lulesh_rank_program],
+    )
+    def test_round_trip(self, make):
+        c = compile_program(make(), ABCP, costs=DiscoveryCosts(), owner=1)
+        if make is lulesh_rank_program:
+            assert c.comm_tids
+        back = CompiledTDG.from_bytes(c.to_bytes(), c.key)
+        assert back is not None
+        assert back.to_dict() == c.to_dict()
+        # Same Python types column by column (bools stay bools, floats
+        # stay floats), so consumers see what the compiler produced.
+        for col, values in c.to_dict().items():
+            if isinstance(values, list):
+                got = back.to_dict()[col]
+                assert [type(v) for v in got] == [type(v) for v in values], col
+
+    def test_two_compiles_give_equal_bytes(self):
+        from repro.apps.lulesh import LuleshConfig, build_task_program
+
+        def build():
+            prog = build_task_program(LuleshConfig(s=8, iterations=3, tpl=16))
+            return compile_program(prog, ABCP, costs=DiscoveryCosts()).to_bytes()
+
+        assert build() == build()
+
+    def test_integer_columns_take_the_narrowest_type(self):
+        c = compile_program(chain_program(), ABCP)
+        header, _ = split_artifact(c.to_bytes())
+        types = {col: dtype for col, dtype, _ in header["columns"]}
+        assert types["succ_offsets"] == "<i1"
+        assert types["fp_bytes"] == "<i1"
+        assert types["flops"] == "<f8"
+        assert types["is_stub"] == "|b1"
+        assert types["name"] == "<i4"
+        big = dataclasses.replace(c, fp_bytes=[1 << 40] * c.n_tasks)
+        header, _ = split_artifact(big.to_bytes())
+        assert {col: t for col, t, _ in header["columns"]}["fp_bytes"] == "<i8"
+        assert CompiledTDG.from_bytes(big.to_bytes(), c.key).fp_bytes == big.fp_bytes
+
+    def _artifact(self):
+        c = compile_program(redirect_program(), ABCP, costs=DiscoveryCosts())
+        return c, c.to_bytes()
+
+    def test_every_flipped_payload_byte_misses(self):
+        c, buf = self._artifact()
+        _, start = split_artifact(buf)
+        assert len(buf) > start
+        for i in range(start, len(buf)):
+            bad = bytearray(buf)
+            bad[i] ^= 0x01
+            assert CompiledTDG.from_bytes(bytes(bad), c.key) is None, i
+
+    def test_every_flipped_header_byte_misses(self):
+        c, buf = self._artifact()
+        _, start = split_artifact(buf)
+        for i in range(start):
+            bad = bytearray(buf)
+            bad[i] ^= 0x01
+            assert CompiledTDG.from_bytes(bytes(bad), c.key) is None, i
+
+    def test_truncated_or_padded_buffer_misses(self):
+        c, buf = self._artifact()
+        for n in range(len(buf)):
+            assert CompiledTDG.from_bytes(buf[:n], c.key) is None, n
+        assert CompiledTDG.from_bytes(buf + b"\0", c.key) is None
+
+    def test_foreign_headers_miss(self):
+        c, _ = self._artifact()
+        for head in (b"[1, 2]", b"\xff\xfe", b"[" * 100_000, b'{"format": 4}'):
+            buf = len(head).to_bytes(4, "little") + head
+            assert CompiledTDG.from_bytes(buf, c.key) is None, head[:8]
+
+    def test_header_format_3_misses(self):
+        c, buf = self._artifact()
+        assert CompiledTDG.from_bytes(resign(buf), c.key) is not None
+        assert CompiledTDG.from_bytes(resign(buf, format=3), c.key) is None
+
+    def test_unexpected_layout_misses(self):
+        c, buf = self._artifact()
+        header, _ = split_artifact(buf)
+        cols = header["columns"]
+        floats = [[n, "<f4" if n == "flops" else t, k] for n, t, k in cols]
+        assert CompiledTDG.from_bytes(resign(buf, columns=floats), c.key) is None
+        assert CompiledTDG.from_bytes(resign(buf, columns=cols[:-1]), c.key) is None
+        swapped = [cols[1], cols[0]] + cols[2:]
+        assert CompiledTDG.from_bytes(resign(buf, columns=swapped), c.key) is None
+
+    def test_misaligned_counts_miss(self):
+        c, buf = self._artifact()
+        header, _ = split_artifact(buf)
+        cols = header["columns"]
+        # Move one entry from the targets to the offsets column: the
+        # payload size still matches, the CSR no longer aligns.
+        width = {"<i1": 1, "<i2": 2, "<i4": 4, "<i8": 8}
+        (o_name, o_type, o_n), (t_name, t_type, t_n) = cols[0], cols[1]
+        assert width[o_type] == width[t_type]
+        moved = [[o_name, o_type, o_n + 1], [t_name, t_type, t_n - 1]] + cols[2:]
+        assert CompiledTDG.from_bytes(resign(buf, columns=moved), c.key) is None
 
 
 class TestRuntimeCachePublication:

@@ -24,6 +24,7 @@ from repro.core.task import DepMode
 from repro.memory import tiny_test_machine
 from repro.runtime import RuntimeConfig
 from repro.sim.tiers import ReplaySimulator, simulate
+from tests.sim.test_tiers import assert_single_walk_matches_reference
 
 N_ADDRS = 4
 #: Replay-vs-DES agreement on adversarial random graphs.  The campaign
@@ -93,6 +94,21 @@ class TestLadderOrdering:
             assert x <= hi * (1 + EPS)
         # All tiers agree on the task count.
         assert replay.n_tasks == des.n_tasks == len(shape)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=program_shape,
+        opts=st.sampled_from(["", "a", "abc"]),
+        threads=st.integers(1, 4),
+    )
+    def test_single_walk_matches_per_vector_walks(self, shape, opts, threads):
+        cfg = RuntimeConfig(
+            machine=tiny_test_machine(4),
+            n_threads=threads,
+            opts=OptimizationSet.parse(opts),
+        )
+        art = compile_program(build_program(shape), cfg.opts, costs=cfg.discovery)
+        assert_single_walk_matches_reference(art, cfg)
 
     @settings(max_examples=25, deadline=None)
     @given(shape=program_shape, threads=st.integers(1, 4))

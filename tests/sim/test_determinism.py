@@ -22,8 +22,25 @@ from repro.runtime.parallel_for import (
     LoopSpec,
     ParallelForRuntime,
 )
-from repro.sim import EventCounter, InstrumentationBus, SimContext
+from repro.sim import InstrumentationBus, SimContext
+from repro.sim.bus import HOOKS
 from repro.util.serde import canonical_json
+
+
+class HookCounter:
+    """Count every bus emission and do nothing else: one ``on_<hook>``
+    per hook of the bus catalogue."""
+
+    def __init__(self):
+        self.counts = dict.fromkeys(HOOKS, 0)
+        for name in HOOKS:
+            setattr(self, f"on_{name}", self._counter(name))
+
+    def _counter(self, name):
+        def on_hook(*args):
+            self.counts[name] += 1
+
+        return on_hook
 
 
 def cfg(**kw):
@@ -117,7 +134,7 @@ class TestReproducibility:
 class TestObserverNeutrality:
     def test_task_runtime_subscribers_do_not_perturb(self):
         bus = InstrumentationBus()
-        counter = bus.attach(EventCounter())
+        counter = bus.attach(HookCounter())
         observed = run_task(bus=bus)
         assert observed == run_task()
         assert counter.counts["task_end"] > 0
@@ -126,20 +143,20 @@ class TestObserverNeutrality:
 
     def test_parallel_for_subscribers_do_not_perturb(self):
         bus = InstrumentationBus()
-        counter = bus.attach(EventCounter())
+        counter = bus.attach(HookCounter())
         assert run_for(bus=bus) == run_for()
         assert counter.counts["barrier"] > 0
 
     def test_cluster_shared_bus_does_not_perturb(self):
         bus = InstrumentationBus()
-        counter = bus.attach(EventCounter())
+        counter = bus.attach(HookCounter())
         assert run_cluster(bus=bus) == run_cluster()
         assert counter.counts["msg_post"] > 0
         assert counter.counts["msg_complete"] > 0
 
     def test_detached_subscriber_costs_nothing(self):
         bus = InstrumentationBus()
-        counter = bus.attach(EventCounter())
+        counter = bus.attach(HookCounter())
         bus.detach(counter)
         assert bus.quiet
         run_task(bus=bus)

@@ -8,6 +8,7 @@ artifacts).
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.accel import AcceleratorSpec
@@ -24,6 +25,7 @@ from repro.sim.tiers import (
     DesSimulator,
     ReplaySimulator,
     Simulator,
+    _segment_spans,
     get_simulator,
     simulate,
     tier_weights,
@@ -104,6 +106,83 @@ def persistent_program(iters: int = 3) -> Program:
         for i in range(9)
     ]
     return Program.from_template(specs, iters)
+
+
+def taskwait_program() -> Program:
+    """Three barrier segments with edges crossing each taskwait."""
+    tw = TaskSpec(name="tw", barrier=True)
+    specs = (
+        list(diamond_program().iterations[0].tasks)
+        + [tw]
+        + list(chain_program(5).iterations[0].tasks)
+        + [tw]
+        + list(stub_chain_program(3).iterations[0].tasks)
+        + list(wide_program(4).iterations[0].tasks)
+    )
+    return Program([IterationSpec(index=0, tasks=specs)])
+
+
+def reference_segment_spans(
+    compiled, weights: np.ndarray, *, with_depth: bool = False
+) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """Per-segment (T₁, T∞), whole-graph T∞ and depth of *one* weight
+    vector: the walk-per-vector form that the fused ``_segment_spans``
+    replaced, kept as its reference."""
+    seg = compiled.segment
+    n_seg = (max(seg) + 1) if seg else 1
+    t1 = np.zeros(n_seg)
+    np.add.at(t1, seg, weights)
+    offsets, targets = compiled.succ_offsets, compiled.succ_targets
+    n = compiled.n_tasks
+    dist = [0.0] * n
+    dist_g = [0.0] * n
+    level = [1] * n if with_depth else None
+    span = [0.0] * n_seg
+    t_inf = 0.0
+    wl = weights.tolist()
+    for t in compiled.topo_order:
+        st = seg[t]
+        ft = dist[t] + wl[t]
+        fg = dist_g[t] + wl[t]
+        if ft > span[st]:
+            span[st] = ft
+        if fg > t_inf:
+            t_inf = fg
+        succ = targets[offsets[t]:offsets[t + 1]]
+        for s in succ:
+            if seg[s] == st and ft > dist[s]:
+                dist[s] = ft
+            if fg > dist_g[s]:
+                dist_g[s] = fg
+        if level is not None:
+            nl = level[t] + 1
+            for s in succ:
+                if nl > level[s]:
+                    level[s] = nl
+    depth = max(level) if level else 0
+    return t1, np.asarray(span), t_inf, depth
+
+
+def assert_single_walk_matches_reference(compiled, cfg: RuntimeConfig) -> None:
+    """The fused walk equals three reference walks, bit for bit: on the
+    tier's own weight vectors, and on three unrelated random ones (small
+    programs often give the nominal and low vectors equal weights)."""
+    tw = tier_weights(compiled, cfg)
+    rng = np.random.default_rng(compiled.n_tasks)
+    for vectors in (
+        (tw.body + tw.mem_shared * cfg.threads, tw.body_lo, tw.body_hi),
+        tuple(rng.random(compiled.n_tasks) for _ in range(3)),
+    ):
+        t1s, spans, t_inf, depth = _segment_spans(compiled, *vectors)
+        for i, weights in enumerate(vectors):
+            ref_t1, ref_span, ref_inf, ref_depth = reference_segment_spans(
+                compiled, weights, with_depth=True
+            )
+            assert t1s[i].tobytes() == ref_t1.tobytes()
+            assert spans[i].tobytes() == ref_span.tobytes()
+            if i == 0:
+                assert t_inf.hex() == ref_inf.hex()
+                assert depth == ref_depth
 
 
 def config(threads: int = 4, **kw) -> RuntimeConfig:
@@ -227,6 +306,18 @@ class TestAnalytic:
         # r0 -> s0 -> ... -> r15 -> s15 -> z: 17 user tasks, 16 stubs.
         assert stub["depth"] == 33
         assert stub["t_inf"] == pytest.approx(ref["t_inf"])
+
+    @pytest.mark.parametrize(
+        "make",
+        [stub_chain_program, taskwait_program, diamond_program, persistent_program],
+    )
+    @pytest.mark.parametrize("opts", ["ab", "abc", "abcp"])
+    def test_single_walk_matches_per_vector_walks(self, make, opts):
+        cfg = config(opts=OptimizationSet.parse(opts))
+        art = compiled_for(make(), cfg)
+        if make is taskwait_program:
+            assert max(art.segment) == 2
+        assert_single_walk_matches_reference(art, cfg)
 
     def test_persistent_rounds(self):
         prog = persistent_program(3)

@@ -171,7 +171,7 @@ class TestSweepJobs:
         # One stored result per point, plus one compiled-graph artifact
         # per distinct program structure (3 TPLs) under compiled/.
         assert len(open_store(cache)) == 3
-        compiled = [p for p in cache.rglob("*.json") if "compiled" in p.parts]
+        compiled = list((cache / "compiled").rglob("*.tdg"))
         assert len(compiled) == 3
 
 
