@@ -1,7 +1,7 @@
 """Campaign engine smoke check (CI): store, determinism, fan-out.
 
-Runs a tiny Fig-1-style LULESH TPL campaign three ways and asserts the
-engine's core contracts:
+Runs a tiny Fig-1-style LULESH TPL campaign, plus one persistent-TDG
+(opt p) spec, three ways and asserts the engine's core contracts:
 
 1. a 2-worker parallel campaign produces bitwise-identical serialized
    results to the serial run (the DES is seed-deterministic, so worker
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import sys
 import tempfile
+from dataclasses import replace
 
 from repro.campaign import ExperimentSpec, run_campaign
 from repro.db import open_store
@@ -38,7 +39,8 @@ def build_specs() -> list[ExperimentSpec]:
         config=presets.mpc_omp(n_threads=4),
         params={"s": 12, "iterations": 2, "tpl": TPLS[0]},
     )
-    return [base.with_params(tpl=t) for t in TPLS]
+    persistent = replace(base, config=presets.mpc_omp(n_threads=4, opts="abcp"))
+    return [base.with_params(tpl=t) for t in TPLS] + [persistent]
 
 
 def main(cache_dir: str | None = None) -> int:

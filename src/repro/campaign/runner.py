@@ -155,9 +155,9 @@ def run_experiment_cluster(
 def _artifact_alias(spec: ExperimentSpec, cfg: RuntimeConfig) -> str:
     """Cache-alias key for the spec's compiled TDG.
 
-    Hashes exactly the spec fields that determine the artifact — the
-    workload, the discovery optimization set and the (scaled) discovery
-    cost model — so the cheap tiers can map a spec straight to a stored
+    Hashes the workload and the discovery optimization set, which
+    determine the artifact, plus the seed and the (scaled) discovery
+    cost model, so the cheap tiers can map a spec straight to a stored
     artifact without building the program at all.
     """
     from repro.util.serde import content_key
@@ -184,9 +184,8 @@ def _compiled_artifact(
 
     A warm cache hit resolves through the alias index and skips the
     program build entirely — the fast path the replay/analytic tiers
-    exist for.  Artifacts are stored with their discovery costs stamped
-    (``iteration_costs``), which persistent replay needs for its round
-    count.
+    exist for.  A miss compiles the program and stores the artifact and
+    its alias: this is the only writer of compiled artifacts.
     """
     from repro.core.compiled import compile_program
 
@@ -196,9 +195,7 @@ def _compiled_artifact(
         key = compiled_cache.get_alias(alias)
         if key is not None:
             art = compiled_cache.get(key)
-            if art is not None and (
-                not art.persistent or art.iteration_costs
-            ):
+            if art is not None:
                 return art, True
     program = build_programs(spec)[0]
     art = compile_program(program, cfg.opts, costs=cfg.discovery, bus=bus)
@@ -236,12 +233,13 @@ def run_experiment(
 
     Deterministic: equal specs produce bitwise-equal serialized results,
     in any process — the contract the campaign cache and the parallel
-    fan-out engine are built on.  ``compiled_cache`` attaches a
-    :class:`~repro.core.compiled.CompiledGraphCache` to single-rank task
-    runs: persistent runs publish their frozen TDG artifact there (and
-    report hit/stored under ``extra["compiled_tdg"]``); runs without a
-    cache skip signature hashing entirely, so their serialized results
-    are unchanged.  ``bus`` is handed to the runtime(s) as their
+    fan-out engine are built on.  ``compiled_cache`` (a
+    :class:`~repro.core.compiled.CompiledGraphCache`) serves the
+    ``analytic`` and ``replay`` tiers only: they load the spec's compiled
+    graph from it, or compile and store it, and report whether it was a
+    hit under ``extra["compiled_tdg"]["cache_hit"]``.  DES runs never
+    touch it, so their results are the same with or without a cache.
+    ``bus`` is handed to the runtime(s) as their
     :class:`~repro.sim.InstrumentationBus`; attach observers before
     calling (the bus carries no state, so a quiet bus keeps the
     determinism contract).
@@ -262,7 +260,7 @@ def run_experiment(
                 [program], [cfg]
             ).results[0]
         else:
-            rt = TaskRuntime(program, cfg, compiled_cache=compiled_cache, bus=bus)
+            rt = TaskRuntime(program, cfg, bus=bus)
             res = rt.run()
             if rt.accelerator is not None:
                 st = rt.accelerator.stats

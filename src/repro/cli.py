@@ -545,63 +545,22 @@ def cmd_query(args) -> int:
 
 def cmd_metrics(args) -> int:
     from repro.db.store import CampaignDB, read_metrics
-    from repro.metrics.prometheus import CONTENT_TYPE, render_prometheus
+    from repro.metrics.prometheus import render_prometheus
 
     db = CampaignDB(args.db)
-    if args.action == "export":
-        try:
-            rows = read_metrics(db, args.campaign, args.snapshot)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        text = render_prometheus(rows)
-        if args.out is None or args.out == "-":
-            sys.stdout.write(text)
-        else:
-            from pathlib import Path
-
-            Path(args.out).write_text(text)
-            print(f"wrote {args.out} ({len(rows)} samples)", file=sys.stderr)
-        return 0
-
-    # serve: a stdlib scrape endpoint re-reading the store per request,
-    # so a campaign writing snapshots concurrently is scraped live.
-    import http.server
-
-    class Handler(http.server.BaseHTTPRequestHandler):
-        def do_GET(self):  # noqa: N802 - http.server API
-            if self.path.rstrip("/") not in ("", "/metrics"):
-                self.send_error(404)
-                return
-            try:
-                body = render_prometheus(
-                    read_metrics(db, args.campaign, args.snapshot)
-                ).encode()
-            except ValueError as exc:
-                self.send_error(503, str(exc))
-                return
-            self.send_response(200)
-            self.send_header("Content-Type", CONTENT_TYPE)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, fmt, *log_args):  # quiet by default
-            pass
-
-    server = http.server.HTTPServer((args.host, args.port), Handler)
-    print(
-        f"serving metrics from {args.db} on "
-        f"http://{args.host}:{server.server_address[1]}/metrics "
-        "(Ctrl-C to stop)",
-        file=sys.stderr,
-    )
     try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
+        rows = read_metrics(db, args.campaign, args.snapshot)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    text = render_prometheus(rows)
+    if args.out is None or args.out == "-":
+        sys.stdout.write(text)
+    else:
+        from pathlib import Path
+
+        Path(args.out).write_text(text)
+        print(f"wrote {args.out} ({len(rows)} samples)", file=sys.stderr)
     return 0
 
 
@@ -903,12 +862,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "metrics",
-        help="export or serve campaign telemetry snapshots "
+        help="export campaign telemetry snapshots "
              "(Prometheus text format)",
     )
-    p.add_argument("action", choices=("export", "serve"),
-                   help="export: write the exposition document; "
-                        "serve: stdlib HTTP scrape endpoint (/metrics)")
+    p.add_argument("action", choices=("export",),
+                   help="export: write the exposition document")
     p.add_argument("db", metavar="STORE.sqlite", help="campaign store file")
     p.add_argument("-o", "--out", default=None, metavar="FILE",
                    help="export output file (default: stdout)")
@@ -916,9 +874,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="campaign id (default: the store's only one)")
     p.add_argument("--snapshot", type=int, default=None, metavar="N",
                    help="snapshot id (default: the latest)")
-    p.add_argument("--host", default="127.0.0.1", help="serve bind host")
-    p.add_argument("--port", type=int, default=9464,
-                   help="serve port (default 9464; 0 picks a free one)")
     p.set_defaults(fn=cmd_metrics)
 
     p = sub.add_parser(

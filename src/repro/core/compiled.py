@@ -6,8 +6,8 @@ module gives the reproduction a single frozen representation of a
 discovered TDG that every consumer reads:
 
 - :class:`~repro.runtime.runtime.TaskRuntime` snapshots one after the
-  first persistent iteration (:meth:`CompiledTDG.from_table`) and replays
-  against the same CSR arrays;
+  first persistent iteration (:meth:`CompiledTDG.from_table`), the
+  oracle that checks DES discovery against the static compile;
 - :mod:`repro.verify` compiles one statically (:func:`compile_program`)
   instead of maintaining its own shadow graph — static-vs-DES edge
   equality becomes equality by construction;
@@ -21,7 +21,8 @@ everything that determines the discovered graph — as the sha256 of one
 canonical-JSON document.  Two structurally identical programs compile to
 the same key in any process, which is what lets
 :class:`CompiledGraphCache` (atomic files next to the campaign store)
-share compiled graphs across runs and across consumers.  On disk an
+share compiled graphs across runs.  An artifact holds structure only,
+no cost model, so one key always names the same bytes.  On disk an
 artifact is a digest-checked file of typed little-endian column arrays
 (:meth:`CompiledTDG.to_bytes`); a damaged, stale or misfiled one decodes
 to None (:meth:`CompiledTDG.from_bytes`), so it misses and is recompiled,
@@ -35,7 +36,7 @@ import json
 import os
 import struct
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence, Union
@@ -53,9 +54,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.table import TaskTable
 
 #: On-disk format of cached compiled graphs; bump on schema change so
-#: stale entries miss instead of deserializing wrongly.  Format 4 is the
-#: binary column layout of :meth:`CompiledTDG.to_bytes`.
-COMPILED_FORMAT = 4
+#: stale entries miss instead of deserializing wrongly.  Format 5 is the
+#: binary column layout of :meth:`CompiledTDG.to_bytes`, structure only,
+#: with the iteration count in the header.
+COMPILED_FORMAT = 5
 
 #: Signature schema version (bump when the signature covers new fields —
 #: old cache entries then miss, never alias).
@@ -144,7 +146,6 @@ _COLUMNS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("fp_bytes", _INT_DTYPES),
     ("flops", ("<f8",)),
     ("owner", _INT_DTYPES),
-    ("iteration_costs", ("<f8",)),
     ("comm_kind", _INT_DTYPES),
     ("comm_peer", _INT_DTYPES),
     ("comm_tag", _INT_DTYPES),
@@ -156,11 +157,9 @@ _COLUMNS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("foot_bytes", _INT_DTYPES),
 )
 
-#: Columns with one entry per task (the CSR and the per-iteration costs
-#: are sized otherwise).
+#: Columns with one entry per task (the CSR is sized otherwise).
 _PER_TASK = tuple(
-    c for c, _ in _COLUMNS
-    if c not in ("succ_offsets", "succ_targets", "iteration_costs")
+    c for c, _ in _COLUMNS if c not in ("succ_offsets", "succ_targets")
 )
 
 
@@ -222,19 +221,18 @@ class CompiledTDG:
     owner: list[int]
     # ---- accounting ---------------------------------------------------
     stats: EdgeStats
-    #: Predicted producer busy seconds per iteration (empty when compiled
-    #: without a cost model; advisory — recompute from a
-    #: :class:`~repro.runtime.costs.DiscoveryCosts` when costs differ).
-    iteration_costs: list[float] = field(default_factory=list)
+    #: The source program's iteration count: how many times a persistent
+    #: graph executes (once per iteration, the template included).
+    n_iterations: int
     # ---- comm-edge metadata (aligned columns) ------------------------
     #: :class:`~repro.core.program.CommKind` int per task, -1 when the
     #: task posts no MPI request.  Together with peer/tag/nbytes this is
     #: what the cross-rank verifier matches endpoints on — the static
     #: comm manifest is readable straight off cached artifacts.
-    comm_kind: list[int] = field(default_factory=list)
-    comm_peer: list[int] = field(default_factory=list)
-    comm_tag: list[int] = field(default_factory=list)
-    comm_nbytes: list[int] = field(default_factory=list)
+    comm_kind: list[int]
+    comm_peer: list[int]
+    comm_tag: list[int]
+    comm_nbytes: list[int]
     # ---- per-task discovery accounting (aligned columns) -------------
     #: Resolution counts per task — addresses scanned, edges created,
     #: edge-creations skipped, redirect stubs created.  Stubs carry
@@ -243,38 +241,18 @@ class CompiledTDG:
     #: reconstruct the exact per-task producer cost
     #: (:meth:`creation_costs`), which is what lets the replay tier
     #: stamp submission times without re-resolving anything.
-    disc_addrs: list[int] = field(default_factory=list)
-    disc_edges: list[int] = field(default_factory=list)
-    disc_skips: list[int] = field(default_factory=list)
-    disc_redirects: list[int] = field(default_factory=list)
+    disc_addrs: list[int]
+    disc_edges: list[int]
+    disc_skips: list[int]
+    disc_redirects: list[int]
     # ---- memory-model columns ----------------------------------------
     #: Total footprint bytes each task touches (sum over its chunks) —
     #: what the DES memory hierarchy charges body time for.
-    foot_bytes: list[int] = field(default_factory=list)
+    foot_bytes: list[int]
     #: Distinct footprint bytes over the whole graph (each chunk counted
     #: once at its largest extent): the working-set size the cheap tiers
     #: compare against cache capacities.
-    distinct_foot_bytes: int = 0
-
-    def __post_init__(self) -> None:
-        # Artifacts built before the comm columns existed (or tests that
-        # construct the dataclass directly) normalize to "no comm".
-        if not self.comm_kind:
-            n = len(self.indegree)
-            self.comm_kind = [-1] * n
-            self.comm_peer = [-1] * n
-            self.comm_tag = [0] * n
-            self.comm_nbytes = [0] * n
-        # Same for the discovery columns: direct construction gets zero
-        # counts (creation costs degrade to c_task per task).
-        if not self.disc_addrs:
-            n = len(self.indegree)
-            self.disc_addrs = [0] * n
-            self.disc_edges = [0] * n
-            self.disc_skips = [0] * n
-            self.disc_redirects = [0] * n
-        if not self.foot_bytes:
-            self.foot_bytes = [0] * len(self.indegree)
+    distinct_foot_bytes: int
 
     # ------------------------------------------------------------------
     @property
@@ -348,9 +326,7 @@ class CompiledTDG:
 
         Exactly :meth:`DiscoveryCosts.creation_cost` replayed from the
         stored resolution counts; stubs cost nothing (their c_redirect is
-        charged to the creating task's ``disc_redirects``).  Artifacts
-        built without discovery columns (direct construction) degrade to
-        ``c_task`` per user task.
+        charged to the creating task's ``disc_redirects``).
         """
         return [
             0.0
@@ -380,28 +356,22 @@ class CompiledTDG:
         key: str,
         segment: Sequence[int],
         spec_pos: Sequence[int],
+        disc: Sequence[tuple[int, int, int, int]],
+        n_iterations: int,
         owner: int = 0,
-        iteration_costs: Sequence[float] = (),
-        disc: Optional[Sequence[tuple[int, int, int, int]]] = None,
     ) -> "CompiledTDG":
         """Freeze a discovered :class:`~repro.sim.table.TaskTable`.
 
-        Cheap by design (one CSR flatten plus column copies): the runtime
-        calls this at the first persistent barrier, on the hot path of an
-        uncached run.  ``segment`` and ``spec_pos`` are supplied by the
-        caller — the table does not track them.  ``disc`` rows are
-        ``(n_addrs, n_edges, n_skipped, n_redirects)`` per tid (zeros for
-        stubs), filling the discovery columns.
+        One CSR flatten plus column copies.  ``segment`` and ``spec_pos``
+        are supplied by the caller — the table does not track them.
+        ``disc`` rows are ``(n_addrs, n_edges, n_skipped, n_redirects)``
+        per tid (zeros for stubs), filling the discovery columns.
         """
         n = len(table)
-        if len(segment) != n or len(spec_pos) != n:
+        if len(segment) != n or len(spec_pos) != n or len(disc) != n:
             raise ValueError(
-                f"segment/spec_pos must align with the table "
-                f"({len(segment)}/{len(spec_pos)} vs {n} tasks)"
-            )
-        if disc is not None and len(disc) != n:
-            raise ValueError(
-                f"disc must align with the table ({len(disc)} vs {n} tasks)"
+                f"segment/spec_pos/disc must align with the table "
+                f"({len(segment)}/{len(spec_pos)}/{len(disc)} vs {n} tasks)"
             )
         offsets, targets = table.build_csr()
         stats = EdgeStats()
@@ -441,15 +411,15 @@ class CompiledTDG:
             flops=list(table.flops),
             owner=[owner] * n,
             stats=stats,
-            iteration_costs=list(iteration_costs),
+            n_iterations=n_iterations,
             comm_kind=comm_kind,
             comm_peer=comm_peer,
             comm_tag=comm_tag,
             comm_nbytes=comm_nbytes,
-            disc_addrs=[row[0] for row in disc] if disc is not None else [],
-            disc_edges=[row[1] for row in disc] if disc is not None else [],
-            disc_skips=[row[2] for row in disc] if disc is not None else [],
-            disc_redirects=[row[3] for row in disc] if disc is not None else [],
+            disc_addrs=[row[0] for row in disc],
+            disc_edges=[row[1] for row in disc],
+            disc_skips=[row[2] for row in disc],
+            disc_redirects=[row[3] for row in disc],
             foot_bytes=foot_bytes,
             distinct_foot_bytes=sum(chunk_extent.values()),
         )
@@ -473,7 +443,7 @@ class CompiledTDG:
             "flops": self.flops,
             "owner": self.owner,
             "stats": self.stats.to_dict(),
-            "iteration_costs": self.iteration_costs,
+            "n_iterations": self.n_iterations,
             "comm_kind": self.comm_kind,
             "comm_peer": self.comm_peer,
             "comm_tag": self.comm_tag,
@@ -516,6 +486,7 @@ class CompiledTDG:
             "key": self.key,
             "persistent": self.persistent,
             "stats": self.stats.to_dict(),
+            "n_iterations": self.n_iterations,
             "distinct_foot_bytes": self.distinct_foot_bytes,
             "names": names,
             "columns": layout,
@@ -532,7 +503,8 @@ class CompiledTDG:
         not parse, another format or key, an unexpected column set or
         dtype, counts that do not align (``n + 1`` offsets,
         ``offsets[-1]`` targets, ``n`` per task), missing or extra
-        payload bytes and a digest mismatch all return None: a damaged,
+        payload bytes, a digest mismatch and a missing, non-integer or
+        negative ``n_iterations`` all return None: a damaged,
         stale or misfiled artifact misses rather than misparses.
         """
         if len(buf) < _HEADER_LEN.size:
@@ -588,10 +560,13 @@ class CompiledTDG:
         names = header.get("names")
         codes = arrays.pop("name")
         persistent = header.get("persistent")
+        n_iterations = header.get("n_iterations")
         distinct = header.get("distinct_foot_bytes")
         if (
             not isinstance(names, list)
             or not isinstance(persistent, bool)
+            or type(n_iterations) is not int
+            or n_iterations < 0
             or type(distinct) is not int
             or (n and not (0 <= codes.min() and codes.max() < len(names)))
         ):
@@ -600,6 +575,7 @@ class CompiledTDG:
             key=key,
             persistent=persistent,
             stats=stats,
+            n_iterations=n_iterations,
             distinct_foot_bytes=distinct,
             name=np.asarray(names, dtype=object)[codes].tolist(),
             **{col: arr.tolist() for col, arr in arrays.items()},
@@ -635,14 +611,14 @@ def compile_program(
 
     Because no task completes during static discovery no edge is ever
     pruned: edge counts match a persistent-mode or non-overlapped DES run
-    exactly.  ``costs`` fills :attr:`CompiledTDG.iteration_costs`;
-    ``keep_graph`` additionally returns the builder
+    exactly.  ``keep_graph`` additionally returns the builder
     :class:`~repro.core.graph.TaskGraph` (live :class:`Task` views for
     the verify layer).  ``bus`` (an
     :class:`~repro.sim.InstrumentationBus`) receives the same
     ``task_create`` events a DES producer would emit, with time 0.0
-    (static compilation has no clock) — discovery counters work
-    identically on compiled and simulated discovery.
+    (static compilation has no clock) and each task priced by ``costs``
+    (0.0 without) — discovery counters work identically on compiled and
+    simulated discovery.  The artifact itself never depends on ``costs``.
     """
     from repro.core.dependences import DependenceResolver
     from repro.core.graph import TaskGraph
@@ -659,20 +635,11 @@ def compile_program(
     segment: list[int] = []
     spec_pos: list[int] = []
     disc: list[tuple[int, int, int, int]] = []
-    iteration_costs: list[float] = []
     seg = 0
 
     for it in program.iterations:
-        it_cost = 0.0
         if persistent and it.index > 0:
             # Replay: no resolution, only firstprivate copies.
-            if costs is not None:
-                it_cost = sum(
-                    costs.replay_cost(spec)
-                    for spec in it.tasks
-                    if not spec.barrier
-                )
-            iteration_costs.append(it_cost)
             seg += 1  # the implicit end-of-iteration barrier
             continue
         for pos, spec in enumerate(it.tasks):
@@ -699,12 +666,10 @@ def compile_program(
                 segment.append(seg)
                 spec_pos.append(-1)
                 disc.append((0, 0, 0, 0))
-            cost = costs.creation_cost(spec, res) if costs is not None else 0.0
-            it_cost += cost
             if create_cbs:
+                cost = costs.creation_cost(spec, res) if costs is not None else 0.0
                 for cb in create_cbs:
                     cb(table, tid, res, cost, 0.0)
-        iteration_costs.append(it_cost)
         if persistent:
             resolver.reset()
             seg += 1
@@ -714,9 +679,9 @@ def compile_program(
         key=structural_signature(program, opts),
         segment=segment,
         spec_pos=spec_pos,
-        owner=owner,
-        iteration_costs=iteration_costs if costs is not None else (),
         disc=disc,
+        n_iterations=program.n_iterations,
+        owner=owner,
     )
     if keep_graph:
         return compiled, graph
@@ -754,12 +719,14 @@ class CompiledGraphCache:
 
     ``<root>/<key[:2]>/<key>.tdg`` entries (:meth:`CompiledTDG.to_bytes`)
     written atomically (temp file + ``os.replace``), safe under
-    concurrent writers, resumable.  A hit means "this exact program
-    structure was already compiled" — by this process, a campaign
-    worker, or a previous run entirely.  An entry that does not decode
-    for its key (damaged, truncated, another format, copied under another
-    name) is a miss; artifacts of older formats (``<key>.json``) are
-    never read.
+    concurrent writers, resumable.  The cheap-tier runner
+    (:func:`repro.campaign.runner.run_experiment` at ``analytic`` or
+    ``replay``) is its one writer and its one reader.  A hit means "this
+    exact program structure was already compiled" — by this process, a
+    campaign worker, or a previous run entirely.  An entry that does not
+    decode for its key (damaged, truncated, another format, copied under
+    another name) is a miss; format-3 ``<key>.json`` artifacts are never
+    read.  The directory is created by the first write.
     """
 
     #: Subdirectory name campaign caches use for their compiled graphs.
@@ -767,7 +734,6 @@ class CompiledGraphCache:
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
 
     @classmethod
     def for_campaign(cls, cache_root: Union[str, Path]) -> "CompiledGraphCache":
@@ -777,9 +743,6 @@ class CompiledGraphCache:
     # ------------------------------------------------------------------
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.tdg"
-
-    def contains(self, key: str) -> bool:
-        return self.path_for(key).is_file()
 
     def get(self, key: str) -> Optional[CompiledTDG]:
         """The stored artifact for ``key``, or None when it is missing or
@@ -822,16 +785,6 @@ class CompiledGraphCache:
         return _write_atomic(
             self.alias_path(alias), (canonical_json(doc) + "\n").encode()
         )
-
-    def invalidate(self, key: str) -> bool:
-        """Drop a stale artifact (e.g. after a
-        :class:`~repro.core.persistent.PersistentStructureError`);
-        returns whether an entry existed."""
-        try:
-            os.unlink(self.path_for(key))
-            return True
-        except OSError:
-            return False
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

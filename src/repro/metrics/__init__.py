@@ -9,7 +9,7 @@ read it:
 - the in-place live terminal renderer behind ``repro campaign --live``
   (:mod:`repro.metrics.live`);
 - Prometheus text-format exposition (:mod:`repro.metrics.prometheus`;
-  ``repro metrics export`` / ``repro metrics serve``);
+  ``repro metrics export``);
 - the single-file static HTML campaign report
   (:mod:`repro.metrics.report`; ``repro report``).
 

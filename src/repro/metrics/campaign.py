@@ -18,8 +18,8 @@ a :class:`~repro.metrics.registry.MetricsRegistry` of campaign health:
 ``repro_campaign_eta_seconds`` (volatile)             remaining / rate
 ====================================================  =================
 
-Wall-clock series are ``volatile`` — the live renderer and a scrape
-endpoint see them, but snapshots persisted into the campaign store and
+Wall-clock series are ``volatile`` — the live renderer and other
+in-process readers see them, but snapshots persisted into the store and
 ``repro metrics export`` never do, keeping stored telemetry
 deterministic.  Snapshots are *event-paced* (every ``snapshot_every``
 settled runs, plus a final one at ``campaign_done``), never timer-paced,

@@ -19,10 +19,6 @@ from typing import Iterable, Union
 
 from repro.metrics.registry import MetricsRegistry
 
-#: Content type a scrape endpoint should declare.
-CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
-
-
 def _fmt(value: float) -> str:
     """Canonical number formatting: integers bare, floats via ``repr``."""
     if math.isnan(value) or math.isinf(value):

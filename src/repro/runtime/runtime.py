@@ -33,11 +33,11 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.core.compiled import CompiledGraphCache, CompiledTDG, structural_signature
+from repro.core.compiled import CompiledTDG, structural_signature
 from repro.core.dependences import DependenceResolver
 from repro.core.graph import TaskGraph
 from repro.core.optimizations import OptimizationSet
-from repro.core.persistent import PersistentRegion, PersistentStructureError
+from repro.core.persistent import PersistentRegion
 from repro.core.program import CommKind, CommSpec, Program, TaskSpec
 from repro.core.task import split_footprint
 from repro.core.throttling import ThrottleConfig
@@ -198,7 +198,6 @@ class TaskRuntime:
         comm: Optional["Communicator"] = None,
         rank: int = 0,
         bus: Optional[InstrumentationBus] = None,
-        compiled_cache: Optional["CompiledGraphCache"] = None,
     ) -> None:
         self.program = program
         self.config = config
@@ -264,9 +263,6 @@ class TaskRuntime:
         # point — the per-task arm events the bulk walk elides.
         self._arm_time: list[float] = []
         self._replay_iter_index = 0
-        self._compiled_cache = compiled_cache
-        self._compiled_info: Optional[dict] = None
-        self._compiled_key: Optional[str] = None
         #: Per-spec normalized footprint cache.  Programs built by
         #: ``Program.from_template`` share spec tuples across iterations,
         #: so each spec's footprint is normalized exactly once per run.
@@ -371,7 +367,7 @@ class TaskRuntime:
                 "circular dependences or an unmatched MPI operation"
             )
         span = lambda a, b: (0.0, 0.0) if np.isnan(a) or np.isnan(b) else (a, b)
-        res = RunResult(
+        return RunResult(
             name=self.config.name,
             n_threads=self.n_threads,
             makespan=self._last_activity,
@@ -395,9 +391,6 @@ class TaskRuntime:
                 "rank": self.rank,
             },
         )
-        if self._compiled_info is not None:
-            res.extra["compiled_tdg"] = dict(self._compiled_info)
-        return res
 
     # ==================================================================
     # producer
@@ -718,13 +711,7 @@ class TaskRuntime:
         # by construction — nothing to validate.
         next_it = self.program.iterations[self._iter_idx]
         if next_it.tasks is not self._template_src:
-            try:
-                self._region.validate_iteration(next_it)
-            except PersistentStructureError:
-                # The frozen graph no longer describes this program: any
-                # cached compiled artifact for it is stale.
-                self._invalidate_compiled()
-                raise
+            self._region.validate_iteration(next_it)
         self._region.rearm()
         self._region_cursor = 0
         # Stubs are re-armed wholesale; user tasks get walked by the producer.
@@ -741,8 +728,7 @@ class TaskRuntime:
 
         One pass over the template: per-position tids (taskwait markers
         get -1), per-position firstprivate-copy costs and bodies, and the
-        stub tid list the barrier re-arms wholesale.  Also resolves the
-        compiled-graph cache when one is attached.
+        stub tid list the barrier re-arms wholesale.
         """
         self._template_src = self.program.iterations[0].tasks
         tids = self._template_tids
@@ -772,8 +758,6 @@ class TaskRuntime:
         self._stub_tids = [
             tid for tid, s in enumerate(self.table.is_stub) if s
         ]
-        if self._compiled_cache is not None:
-            self._publish_compiled(self._compiled_cache)
 
     # ------------------------------------------------------------------
     # compiled-TDG artifact
@@ -791,19 +775,15 @@ class TaskRuntime:
             raise RuntimeError("compiled(): persistent region not frozen yet")
         if not self._persistent_mode and not self._discovery_done:
             raise RuntimeError("compiled(): discovery has not finished")
-        if self._compiled_key is None:
-            self._compiled_key = structural_signature(
-                self.program, self.config.opts
-            )
         segment, spec_pos = self._segment_columns()
-        disc = self._disc_rows
         art = CompiledTDG.from_table(
             self.table,
-            key=self._compiled_key,
+            key=structural_signature(self.program, self.config.opts),
             segment=segment,
             spec_pos=spec_pos,
+            disc=self._disc_rows,
+            n_iterations=self.program.n_iterations,
             owner=self.rank,
-            disc=disc if len(disc) == len(self.table) else None,
         )
         if self._persistent_mode:
             # Replay re-stamps the table's iteration column for tracing;
@@ -842,35 +822,6 @@ class TaskRuntime:
             segment.append(seg)
             spec_pos.append(pos)
         return segment, spec_pos
-
-    def _publish_compiled(self, cache: CompiledGraphCache) -> None:
-        """Record the frozen graph in the compiled cache (hit or store).
-
-        A hit never alters the simulation — discovery already ran with
-        identical timing (the artifact is structural, not temporal); the
-        cache exists so *other* consumers (verify, analysis, partitioning,
-        later runs) skip recompiling, and the run reports hit/stored for
-        observability.
-        """
-        self._compiled_key = structural_signature(self.program, self.config.opts)
-        key = self._compiled_key
-        if cache.contains(key):
-            status = "hit"
-        else:
-            cache.put(self.compiled())
-            status = "stored"
-        self._compiled_info = {
-            "key": key,
-            "cache": status,
-            "n_tasks": len(self.table),
-            "n_edges": self.table.stats.created,
-        }
-
-    def _invalidate_compiled(self) -> None:
-        if self._compiled_cache is not None and self._compiled_key is not None:
-            self._compiled_cache.invalidate(self._compiled_key)
-            if self._compiled_info is not None:
-                self._compiled_info["cache"] = "invalidated"
 
     def _finish_discovery(self) -> None:
         if self._discovery_done:

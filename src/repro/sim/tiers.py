@@ -213,16 +213,7 @@ def tier_weights(compiled: "CompiledTDG", config: "RuntimeConfig") -> TierWeight
 
 def _rounds(compiled: "CompiledTDG") -> int:
     """How many times the graph executes (persistent = once per iteration)."""
-    if not compiled.persistent:
-        return 1
-    r = len(compiled.iteration_costs)
-    if r == 0:
-        raise ValueError(
-            "persistent artifact carries no iteration_costs; recompile with "
-            "a cost model (compile_program(..., costs=...)) so the cheap "
-            "tiers know the iteration count"
-        )
-    return r
+    return compiled.n_iterations if compiled.persistent else 1
 
 
 def _check_supported(config: "RuntimeConfig", fidelity: str) -> None:

@@ -124,6 +124,32 @@ class StaticTDG:
         return self.happens_before(a, b) or self.happens_before(b, a)
 
 
+def _iteration_costs(
+    program: Program, compiled: CompiledTDG, costs: DiscoveryCosts
+) -> list[float]:
+    """Producer busy seconds per iteration under ``costs``.
+
+    A resolved iteration costs its tasks' creation costs, summed in tid
+    order; a replayed persistent iteration only its firstprivate copies.
+    Stubs cost nothing, so they are skipped.
+    """
+    creation = compiled.creation_costs(costs)
+    user = iter(compiled.user_tids)
+    out: list[float] = []
+    for it in program.iterations:
+        if compiled.persistent and it.index > 0:
+            out.append(
+                sum(costs.replay_cost(s) for s in it.tasks if not s.barrier)
+            )
+            continue
+        it_cost = 0.0
+        for spec in it.tasks:
+            if not spec.barrier:
+                it_cost += creation[next(user)]
+        out.append(it_cost)
+    return out
+
+
 def discover_static(
     program: Program,
     opts: OptimizationSet,
@@ -135,9 +161,7 @@ def discover_static(
     ``costs`` enables the per-iteration discovery-time prediction (the same
     :class:`~repro.runtime.costs.DiscoveryCosts` the runtime charges).
     """
-    compiled, graph = compile_program(
-        program, opts, costs=costs, keep_graph=True
-    )
+    compiled, graph = compile_program(program, opts, keep_graph=True)
     table = graph.table
     iterations = program.iterations
     nodes: list[StaticNode] = []
@@ -169,6 +193,8 @@ def discover_static(
         compiled=compiled,
         graph=graph,
         nodes=nodes,
-        iteration_costs=list(compiled.iteration_costs),
+        iteration_costs=(
+            _iteration_costs(program, compiled, costs) if costs is not None else []
+        ),
         _by_tid=by_tid,
     )

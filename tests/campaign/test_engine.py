@@ -33,6 +33,14 @@ def fingerprints(result) -> list[str]:
 
 SPECS = [spec().with_params(tpl=t) for t in (2, 3, 4, 6, 8, 12, 16, 24)]
 
+#: Persistent-TDG DES specs (opt p): their results must not depend on the
+#: campaign either.
+CFG_P = presets.mpc_omp(tiny_test_machine(4), n_threads=4, opts="abcp")
+PERSISTENT_SPECS = [
+    spec(config=CFG_P, params={"s": 6, "iterations": 2, "tpl": t})
+    for t in (2, 3, 4, 6)
+]
+
 
 class TestSerial:
     def test_runs_in_order(self):
@@ -68,11 +76,25 @@ class TestSerial:
 
 class TestParallelDeterminism:
     def test_eight_workers_bitwise_identical_to_serial(self, tmp_path):
-        serial = run_campaign(SPECS)
+        specs = SPECS + PERSISTENT_SPECS
+        serial = run_campaign(specs)
         assert serial.ok
-        parallel = run_campaign(SPECS, jobs=8, cache=tmp_path)
+        parallel = run_campaign(specs, jobs=8, cache=tmp_path)
         assert parallel.ok
         assert fingerprints(parallel) == fingerprints(serial)
+
+    def test_persistent_result_independent_of_campaign_order(self, tmp_path):
+        """Two persistent specs sharing one structure (seeds 0 and 1), run
+        into two fresh stores in opposite orders: seed 1's result is the
+        same document in both."""
+        params = {"s": 8, "iterations": 3, "tpl": 8}
+        s0, s1 = (spec(config=CFG_P, params=params, seed=k) for k in (0, 1))
+        forward = run_campaign([s0, s1], cache=tmp_path / "forward")
+        backward = run_campaign([s1, s0], cache=tmp_path / "backward")
+        assert forward.ok and backward.ok
+        assert canonical_json(forward.results[1].to_dict()) == canonical_json(
+            backward.results[0].to_dict()
+        )
 
     def test_second_parallel_pass_all_cache_hits(self, tmp_path):
         cache = tmp_path

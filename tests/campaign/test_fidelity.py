@@ -24,6 +24,7 @@ from repro.core.compiled import CompiledGraphCache
 from repro.memory.machine import tiny_test_machine
 from repro.runtime import presets
 from repro.util.serde import canonical_json
+from tests.core.test_compiled import resign
 
 CFG = presets.mpc_omp(tiny_test_machine(4), n_threads=4)
 PARAMS = {"s": 8, "iterations": 2, "tpl": 4, "flops_per_item": 25.0}
@@ -149,6 +150,41 @@ class TestRunnerDispatch:
         warm = run_experiment(spec(fidelity="analytic"), compiled_cache=cache)
         assert warm.extra["compiled_tdg"]["cache_hit"] is True
         assert warm.makespan == ana.makespan
+
+    def test_format_4_artifact_and_alias_are_recompiled(self, tmp_path):
+        """Artifacts and aliases of the previous format miss once and are
+        rewritten in the current one."""
+        cache = CompiledGraphCache(tmp_path)
+        cold = run_experiment(spec(fidelity="replay"), compiled_cache=cache)
+        key = cold.extra["compiled_tdg"]["key"]
+        (alias_path,) = (tmp_path / "alias").rglob("*.json")
+        good_alias = alias_path.read_text()
+        alias_path.write_text(good_alias.replace('"format":5', '"format":4'))
+        assert alias_path.read_text() != good_alias
+        path = cache.path_for(key)
+        good = path.read_bytes()
+        path.write_bytes(resign(good, format=4))
+        assert cache.get(key) is None
+
+        again = run_experiment(spec(fidelity="replay"), compiled_cache=cache)
+        assert again.extra["compiled_tdg"]["cache_hit"] is False
+        assert canonical_json(again.to_dict()) == canonical_json(cold.to_dict())
+        assert path.read_bytes() == good
+        assert alias_path.read_text() == good_alias
+
+    def test_des_run_leaves_the_compiled_cache_alone(self, tmp_path):
+        """A persistent DES run with a cache attached writes nothing and
+        reports no compiled graph: its result is the cacheless one."""
+        cache = CompiledGraphCache(tmp_path / "compiled")
+        des = spec(config=presets.mpc_omp(
+            tiny_test_machine(4), n_threads=4, opts="abcp"
+        ))
+        res = run_experiment(des, compiled_cache=cache)
+        assert not cache.root.exists()
+        assert "compiled_tdg" not in res.extra
+        assert canonical_json(res.to_dict()) == canonical_json(
+            run_experiment(des).to_dict()
+        )
 
     def test_deterministic_across_calls(self):
         a = run_experiment(spec(fidelity="replay"))

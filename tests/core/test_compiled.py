@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from repro.campaign.runner import run_experiment
+from repro.campaign.spec import ExperimentSpec
 from repro.core import (
     CompiledGraphCache,
     CompiledTDG,
@@ -20,7 +22,7 @@ from repro.core.compiled import COMPILED_FORMAT
 from repro.core.program import TaskSpec
 from repro.core.task import DepMode
 from repro.memory import tiny_test_machine
-from repro.runtime import RuntimeConfig, TaskRuntime
+from repro.runtime import RuntimeConfig, TaskRuntime, presets
 from repro.runtime.costs import DiscoveryCosts
 from repro.util.serde import canonical_json, content_key
 
@@ -103,12 +105,14 @@ def split_artifact(buf):
     return json.loads(buf[4:4 + n]), 4 + n
 
 
-def resign(buf, **changes):
-    """Rewrite header fields and sign the result like the writer does,
-    so only the field check under test can reject it."""
+def resign(buf, *, drop=(), **changes):
+    """Rewrite (or ``drop``) header fields and sign the result like the
+    writer does, so only the field check under test can reject it."""
     header, start = split_artifact(buf)
     header.pop("sha256")
     header.update(changes)
+    for name in drop:
+        del header[name]
     h = hashlib.sha256(canonical_json(header).encode())
     h.update(buf[start:])
     header["sha256"] = h.hexdigest()
@@ -218,13 +222,28 @@ class TestCompileProgram:
         assert c.spec_pos[stub] == -1
         assert c.stats.redirect_nodes == 1
 
-    def test_iteration_costs_filled_with_cost_model(self):
-        costs = DiscoveryCosts()
-        c = compile_program(chain_program(3, iterations=3), ABCP, costs=costs)
-        assert len(c.iteration_costs) == 3
-        # Replay iterations only pay firstprivate copies.
-        assert c.iteration_costs[1] == c.iteration_costs[2]
-        assert 0 < c.iteration_costs[1] < c.iteration_costs[0]
+    @pytest.mark.parametrize("persistent", [True, False])
+    def test_n_iterations_is_the_program_iteration_count(self, persistent):
+        prog = chain_program(3, iterations=3, persistent=persistent)
+        c = compile_program(prog, ABCP)
+        assert c.persistent is persistent
+        assert c.n_iterations == 3
+        back = CompiledTDG.from_bytes(c.to_bytes(), c.key)
+        assert back.n_iterations == 3
+
+    @pytest.mark.parametrize("opts", ["abc", "abcp"])
+    def test_bytes_do_not_depend_on_the_cost_model(self, opts):
+        from repro.apps.lulesh import LuleshConfig, build_task_program
+
+        prog = build_task_program(LuleshConfig(s=8, iterations=3, tpl=16))
+        opt_set = OptimizationSet.parse(opts)
+        default = compile_program(prog, opt_set, costs=DiscoveryCosts())
+        scaled = compile_program(
+            prog, opt_set, costs=DiscoveryCosts().scaled(0.5)
+        )
+        bare = compile_program(prog, opt_set)
+        assert default.key == scaled.key == bare.key
+        assert default.to_bytes() == scaled.to_bytes() == bare.to_bytes()
 
     def test_replay_costs_column(self):
         costs = DiscoveryCosts()
@@ -295,8 +314,9 @@ class TestCompileProgram:
 
 
 class TestRuntimeSnapshotEquality:
-    """The runtime's frozen artifact equals the static compile, field by
-    field — the equality-by-construction contract."""
+    """The runtime's frozen artifact equals the static compile byte for
+    byte, whatever cost model priced the compile — the
+    equality-by-construction contract."""
 
     def _run(self, prog, opts):
         rt = TaskRuntime(
@@ -311,8 +331,8 @@ class TestRuntimeSnapshotEquality:
     @pytest.mark.parametrize("make_prog", [chain_program, redirect_program])
     def test_persistent_snapshot_equals_static_compile(self, make_prog):
         rt = self._run(make_prog(), "abcp")
-        static = compile_program(make_prog(), ABCP)
-        assert rt.compiled().to_dict() == static.to_dict()
+        static = compile_program(make_prog(), ABCP, costs=DiscoveryCosts())
+        assert rt.compiled().to_bytes() == static.to_bytes()
 
     def test_non_persistent_snapshot_equals_static_compile(self):
         # Non-overlapped mode: no task completes during discovery, so no
@@ -330,16 +350,19 @@ class TestRuntimeSnapshotEquality:
         static = compile_program(
             chain_program(4, iterations=2, persistent=False),
             OptimizationSet.parse("ab"),
+            costs=DiscoveryCosts(),
         )
-        assert rt.compiled().to_dict() == static.to_dict()
+        assert rt.compiled().to_bytes() == static.to_bytes()
 
     def test_lulesh_snapshot_equality(self):
         from repro.apps.lulesh import LuleshConfig, build_task_program
 
         cfg = LuleshConfig(s=8, iterations=3, tpl=16)
         rt = self._run(build_task_program(cfg), "abcp")
-        static = compile_program(build_task_program(cfg), ABCP)
-        assert rt.compiled().to_dict() == static.to_dict()
+        static = compile_program(
+            build_task_program(cfg), ABCP, costs=DiscoveryCosts().scaled(0.5)
+        )
+        assert rt.compiled().to_bytes() == static.to_bytes()
 
 
 class TestCompiledGraphCache:
@@ -347,24 +370,19 @@ class TestCompiledGraphCache:
         cache = CompiledGraphCache(tmp_path)
         c = compile_program(chain_program(), ABCP)
         path = cache.put(c)
+        assert path == cache.path_for(c.key)
         assert path.is_file()
-        assert cache.contains(c.key)
         got = cache.get(c.key)
         assert got is not None
         assert got.to_dict() == c.to_dict()
 
     def test_miss_returns_none(self, tmp_path):
-        cache = CompiledGraphCache(tmp_path)
+        cache = CompiledGraphCache(tmp_path / "compiled")
         assert cache.get("0" * 64) is None
-        assert not cache.contains("0" * 64)
-
-    def test_invalidate(self, tmp_path):
-        cache = CompiledGraphCache(tmp_path)
-        c = compile_program(chain_program(), ABCP)
-        cache.put(c)
-        assert cache.invalidate(c.key)
-        assert not cache.contains(c.key)
-        assert not cache.invalidate(c.key)
+        assert cache.get_alias("0" * 64) is None
+        assert len(cache) == 0 and cache.keys() == []
+        # Reads never create the directory; the first write does.
+        assert not cache.root.exists()
 
     def test_len_and_keys(self, tmp_path):
         cache = CompiledGraphCache(tmp_path)
@@ -397,7 +415,6 @@ class TestCompiledGraphCache:
         path = cache.path_for(b.key)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(cache.path_for(a.key).read_bytes())
-        assert cache.contains(b.key)
         assert cache.get(b.key) is None
         assert cache.get(a.key).to_dict() == a.to_dict()
 
@@ -410,7 +427,7 @@ class TestCompiledGraphCache:
             canonical_json({"format": 3, "key": c.key, "compiled": c.to_dict()})
         )
         assert cache.get(c.key) is None
-        assert not cache.contains(c.key)
+        assert not cache.path_for(c.key).exists()
         assert len(cache) == 0
         assert cache.keys() == []
         cache.put(c)
@@ -500,6 +517,21 @@ class TestBinaryArtifact:
         assert CompiledTDG.from_bytes(resign(buf), c.key) is not None
         assert CompiledTDG.from_bytes(resign(buf, format=3), c.key) is None
 
+    def test_header_format_4_misses(self):
+        c, buf = self._artifact()
+        assert CompiledTDG.from_bytes(resign(buf, format=4), c.key) is None
+
+    @pytest.mark.parametrize("bad", [None, -1, 2.0, "2", True])
+    def test_invalid_iteration_count_misses(self, bad):
+        """A missing (None), negative or non-integer count misses."""
+        c, buf = self._artifact()
+        assert split_artifact(buf)[0]["n_iterations"] == 2
+        if bad is None:
+            buf = resign(buf, drop=("n_iterations",))
+        else:
+            buf = resign(buf, n_iterations=bad)
+        assert CompiledTDG.from_bytes(buf, c.key) is None
+
     def test_unexpected_layout_misses(self):
         c, buf = self._artifact()
         header, _ = split_artifact(buf)
@@ -524,44 +556,24 @@ class TestBinaryArtifact:
 
 
 class TestRuntimeCachePublication:
-    def _config(self, opts="abcp"):
-        return RuntimeConfig(
-            machine=tiny_test_machine(4), opts=OptimizationSet.parse(opts)
-        )
-
-    def test_first_run_stores_second_hits(self, tmp_path):
-        cache = CompiledGraphCache(tmp_path)
-        rt1 = TaskRuntime(chain_program(), self._config(), compiled_cache=cache)
-        res1 = rt1.run()
-        assert res1.extra["compiled_tdg"]["cache"] == "stored"
-        assert len(cache) == 1
-
-        rt2 = TaskRuntime(chain_program(), self._config(), compiled_cache=cache)
-        res2 = rt2.run()
-        assert res2.extra["compiled_tdg"]["cache"] == "hit"
-        assert res2.extra["compiled_tdg"]["key"] == res1.extra["compiled_tdg"]["key"]
-        assert len(cache) == 1
-
-    def test_cached_artifact_equals_static_compile(self, tmp_path):
-        cache = CompiledGraphCache(tmp_path)
-        rt = TaskRuntime(chain_program(), self._config(), compiled_cache=cache)
-        rt.run()
-        key = structural_signature(chain_program(), ABCP)
-        assert cache.get(key).to_dict() == compile_program(
-            chain_program(), ABCP
-        ).to_dict()
+    """The DES neither reads nor writes compiled artifacts: only the cheap
+    tiers of ``run_experiment`` do."""
 
     def test_no_cache_no_extra_key(self):
-        rt = TaskRuntime(chain_program(), self._config())
-        res = rt.run()
+        config = RuntimeConfig(
+            machine=tiny_test_machine(4), opts=OptimizationSet.parse("abcp")
+        )
+        res = TaskRuntime(chain_program(), config).run()
         assert "compiled_tdg" not in res.extra
 
     def test_non_persistent_run_does_not_publish(self, tmp_path):
-        cache = CompiledGraphCache(tmp_path)
-        rt = TaskRuntime(
-            chain_program(persistent=False), self._config("abc"),
-            compiled_cache=cache,
+        cache = CompiledGraphCache(tmp_path / "compiled")
+        spec = ExperimentSpec(
+            app="lulesh",
+            config=presets.mpc_omp(tiny_test_machine(4), n_threads=4, opts="abc"),
+            params={"s": 8, "iterations": 2, "tpl": 4, "flops_per_item": 25.0},
         )
-        res = rt.run()
+        res = run_experiment(spec, compiled_cache=cache)
+        assert not cache.root.exists()
         assert len(cache) == 0
         assert "compiled_tdg" not in res.extra

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.metrics.prometheus import (
-    CONTENT_TYPE,
     parse_exposition,
     render_prometheus,
     validate_exposition,
@@ -85,9 +84,6 @@ class TestRender:
         assert "demo_eta_seconds 9.5" in render_prometheus(
             r, include_volatile=True
         )
-
-    def test_content_type_names_the_format_version(self):
-        assert "version=0.0.4" in CONTENT_TYPE
 
 
 class TestParseValidate:

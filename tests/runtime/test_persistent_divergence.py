@@ -3,17 +3,15 @@
 Every app builds its iterations from one shared template list
 (``Program.from_template``), so a real run can never diverge; these tests
 rebuild the programs with a mutated second iteration — the mesh-refinement
-scenario of §3.2 "Applicability" — and check the runtime (a) raises
-:class:`PersistentStructureError` at the barrier and (b) drops the
-now-stale compiled-graph artifact from an attached cache, so a corrected
-program rediscovers and republishes.
+scenario of §3.2 "Applicability" — and check the runtime raises
+:class:`PersistentStructureError` at the barrier.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.core import CompiledGraphCache, OptimizationSet
+from repro.core import OptimizationSet
 from repro.core.persistent import PersistentStructureError
 from repro.core.program import IterationSpec, Program
 from repro.core.task import DepMode
@@ -100,29 +98,3 @@ class TestDivergenceDetected:
     def test_content_equal_copy_validates_and_completes(self, app):
         res = TaskRuntime(corrected(APP_BUILDERS[app]()), cfg()).run()
         assert res.makespan > 0.0
-
-
-class TestCompiledCacheInvalidation:
-    @pytest.mark.parametrize("app", sorted(APP_BUILDERS))
-    def test_divergence_invalidates_then_rediscovery_republishes(
-        self, app, tmp_path
-    ):
-        cache = CompiledGraphCache(tmp_path)
-        builder = APP_BUILDERS[app]
-
-        # The diverged run publishes its artifact at the first barrier,
-        # then detects the divergence and withdraws it.
-        rt = TaskRuntime(diverge(builder()), cfg(), compiled_cache=cache)
-        rt.start()
-        with pytest.raises(PersistentStructureError):
-            rt.engine.run()
-        assert len(cache) == 0
-
-        # A corrected program rediscovers and stores under its own key.
-        res = TaskRuntime(
-            corrected(builder()), cfg(), compiled_cache=cache
-        ).run()
-        assert res.extra["compiled_tdg"]["cache"] == "stored"
-        assert len(cache) == 1
-        (key,) = cache.keys()
-        assert cache.get(key).persistent

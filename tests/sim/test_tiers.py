@@ -2,8 +2,7 @@
 
 Covers the Simulator protocol, the analytic bounds structure, replay
 scheduling policies, the unified RunResult shape, and the rejection
-paths (bodies, accelerators, missing program, costless persistent
-artifacts).
+paths (bodies, accelerators, missing program).
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from repro.sim.tiers import (
     simulate,
     tier_weights,
 )
+from repro.util.serde import canonical_json
 
 FLOPS = 4000.0
 
@@ -249,6 +249,20 @@ class TestUnifiedResult:
         assert meta["key"] == art.key
         assert meta["n_tasks"] == art.n_tasks
 
+    @pytest.mark.parametrize("fidelity", ["analytic", "replay"])
+    def test_persistent_artifact_compiled_without_costs(self, fidelity):
+        """The artifact carries no cost model: one compiled without costs
+        simulates bitwise like one compiled with them."""
+        prog = persistent_program(3)
+        cfg = config(opts=OptimizationSet.parse("abcp"))
+        bare = compile_program(prog, cfg.opts)
+        priced = compile_program(prog, cfg.opts, costs=cfg.discovery)
+        assert bare.n_iterations == 3
+        a = simulate(bare, cfg, fidelity=fidelity)
+        b = simulate(priced, cfg, fidelity=fidelity)
+        assert canonical_json(a.to_dict()) == canonical_json(b.to_dict())
+        assert a.n_tasks == 3 * bare.n_user_tasks
+
     def test_work_split_sums_to_total(self):
         prog = wide_program()
         cfg = config()
@@ -433,13 +447,6 @@ class TestRejections:
         art = compiled_for(prog, cfg)
         with pytest.raises(ValueError, match="pass program="):
             simulate(art, cfg, fidelity="des")
-
-    def test_persistent_artifact_needs_costs(self):
-        prog = persistent_program(3)
-        cfg = config(opts=OptimizationSet.parse("abcp"))
-        art = compile_program(prog, cfg.opts)  # no costs stamped
-        with pytest.raises(ValueError, match="no iteration_costs"):
-            simulate(art, cfg, fidelity="replay")
 
 
 class TestTierWeights:

@@ -168,11 +168,10 @@ class TestSweepJobs:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "best TPL=" in out
-        # One stored result per point, plus one compiled-graph artifact
-        # per distinct program structure (3 TPLs) under compiled/.
+        # One stored result per point; a DES sweep writes no compiled
+        # graphs, so no compiled/ directory appears.
         assert len(open_store(cache)) == 3
-        compiled = list((cache / "compiled").rglob("*.tdg"))
-        assert len(compiled) == 3
+        assert not (cache / "compiled").exists()
 
 
 class TestLintJsonDeterminism:
@@ -367,37 +366,6 @@ class TestMetricsCommand:
         rc = main(["metrics", "export", str(store)])
         assert rc == 2
         assert "error" in capsys.readouterr().err
-
-    def test_serve_scrape_round_trip(self, tmp_path, capsys):
-        import socket
-        import threading
-        import time as _time
-        import urllib.request
-
-        _, store = self._build(tmp_path)
-        with socket.socket() as s:
-            s.bind(("127.0.0.1", 0))
-            port = s.getsockname()[1]
-        t = threading.Thread(
-            target=main,
-            args=(["metrics", "serve", str(store), "--port", str(port)],),
-            daemon=True,
-        )
-        t.start()
-        body = None
-        for _ in range(50):
-            try:
-                with urllib.request.urlopen(
-                    f"http://127.0.0.1:{port}/metrics", timeout=1
-                ) as resp:
-                    assert resp.headers["Content-Type"].startswith(
-                        "text/plain; version=0.0.4"
-                    )
-                    body = resp.read().decode()
-                break
-            except OSError:
-                _time.sleep(0.05)
-        assert body is not None and "repro_campaign_specs 2" in body
 
     def test_campaign_live_writes_status_to_stderr(self, tmp_path, capsys):
         specfile = TestCampaignCommand.specfile(tmp_path)

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.core.compiled import compile_program
 from repro.core.optimizations import OptimizationSet
 from repro.core.program import ProgramBuilder
+from repro.runtime.costs import DiscoveryCosts
+from repro.sim import InstrumentationBus
 from repro.verify.static_graph import discover_static
 
 
@@ -114,8 +117,6 @@ class TestIterationCosts:
         assert tdg.iteration_costs == []
 
     def test_persistent_replay_cheaper(self):
-        from repro.runtime.costs import DiscoveryCosts
-
         prog = chain_program(4, persistent=True, iterations=3)
         tdg = discover_static(
             prog, OptimizationSet.parse("abcp"), costs=DiscoveryCosts()
@@ -124,3 +125,70 @@ class TestIterationCosts:
         assert len(rest) == 2
         assert all(c < first for c in rest)
         assert rest[0] == pytest.approx(rest[1])
+
+
+def accumulated_iteration_costs(program, opts, costs):
+    """The reference: per-iteration producer costs accumulated as the
+    static walk prices each task when it is created.
+
+    A resolved iteration sums ``costs.creation_cost(spec, res)`` in
+    resolution order, starting from 0.0; a replayed persistent iteration
+    sums its tasks' ``replay_cost``.  Taken from the ``task_create``
+    events a bus-attached compile emits.
+    """
+    created: dict[int, float] = {}
+
+    class Accumulate:
+        def on_task_create(self, table, tid, res, cost, now):
+            it = table.iteration[tid]
+            created[it] = created.get(it, 0.0) + cost
+
+    bus = InstrumentationBus()
+    bus.attach(Accumulate())
+    compile_program(program, opts, costs=costs, bus=bus)
+    persistent = opts.p and program.persistent_candidate
+    out = []
+    for it in program.iterations:
+        if persistent and it.index > 0:
+            out.append(sum(costs.replay_cost(s) for s in it.tasks if not s.barrier))
+        else:
+            out.append(created.get(it.index, 0.0))
+    return out
+
+
+def app_programs():
+    from repro.apps.cholesky import CholeskyConfig, build_task_programs
+    from repro.apps.hpcg import HpcgConfig
+    from repro.apps.hpcg import build_task_program as build_hpcg
+    from repro.apps.lulesh import LuleshConfig
+    from repro.apps.lulesh import build_task_program as build_lulesh
+
+    return {
+        "lulesh": lambda opts: build_lulesh(
+            LuleshConfig(s=12, iterations=4, tpl=32), opt_a=opts.a
+        ),
+        "hpcg": lambda opts: build_hpcg(
+            HpcgConfig(n_rows=8192, iterations=3, tpl=16)
+        ),
+        "cholesky": lambda opts: build_task_programs(
+            CholeskyConfig(n=2048, b=256, iterations=3)
+        )[0],
+    }
+
+
+class TestIterationCostsMatchReference:
+    """``discover_static`` prices iterations from the cost-free artifact's
+    discovery columns, bit for bit as the creation-time accumulation."""
+
+    @pytest.mark.parametrize("app", ["lulesh", "hpcg", "cholesky"])
+    @pytest.mark.parametrize("opts", ["none", "ab", "abc", "abcp"])
+    def test_equal_float_hex(self, app, opts):
+        opt_set = OptimizationSet.parse(opts)
+        prog = app_programs()[app](opt_set)
+        for costs in (DiscoveryCosts(), DiscoveryCosts().scaled(0.5)):
+            got = discover_static(prog, opt_set, costs=costs).iteration_costs
+            ref = accumulated_iteration_costs(prog, opt_set, costs)
+            assert len(got) == prog.n_iterations
+            assert [float(c).hex() for c in got] == [
+                float(c).hex() for c in ref
+            ]
