@@ -14,7 +14,7 @@ The public experiment API:
   bounds bracket replay and DES, replay within tolerance of DES.
 """
 
-from repro.campaign.bus import CampaignBus, ProgressPrinter
+from repro.campaign.bus import CampaignBus
 from repro.campaign.crosscheck import (
     REPLAY_TOLERANCE,
     CrossCheckReport,
@@ -47,7 +47,6 @@ __all__ = [
     "ENGINES",
     "ExperimentSpec",
     "FIDELITIES",
-    "ProgressPrinter",
     "REPLAY_TOLERANCE",
     "RunRecord",
     "build_programs",

@@ -1,4 +1,4 @@
-"""Campaign instrumentation: live progress over the bus idiom.
+"""Campaign instrumentation: progress observers over the bus idiom.
 
 Same pattern as the simulation kernel's
 :class:`~repro.sim.bus.InstrumentationBus` — the engine *emits*, observers
@@ -18,10 +18,6 @@ Same pattern as the simulation kernel's
 """
 
 from __future__ import annotations
-
-import sys
-import time
-from typing import TextIO
 
 from repro.sim.bus import HookBus
 
@@ -55,75 +51,3 @@ class CampaignBus(HookBus):
 
     __slots__ = HOOKS
     HOOKS = HOOKS
-
-
-class ProgressPrinter:
-    """Default observer: one line per event, campaign summary at the end.
-
-    Each line carries the elapsed wall clock and a crude ETA (mean
-    settle pace extrapolated over the remaining runs); the final summary
-    recaps every failed spec label so a scrolled-away failure is never
-    lost.
-    """
-
-    def __init__(
-        self,
-        n_total: int,
-        *,
-        stream: TextIO = sys.stderr,
-        clock=time.monotonic,
-    ) -> None:
-        self.n_total = n_total
-        self.stream = stream
-        self._done = 0
-        self._clock = clock
-        self._t0 = clock()
-        self._failures: list[str] = []
-
-    def _pace(self) -> str:
-        elapsed = self._clock() - self._t0
-        text = f"[{elapsed:7.1f}s"
-        if 0 < self._done < self.n_total and elapsed > 0:
-            remaining = (self.n_total - self._done) * (elapsed / self._done)
-            text += f" eta {remaining:6.1f}s"
-        return text + "]"
-
-    def _line(self, tag: str, spec, detail: str = "") -> None:
-        self._done += 1
-        print(
-            f"[{self._done}/{self.n_total}]{self._pace()} {tag:>6} {spec.label}"
-            + (f" {detail}" if detail else ""),
-            file=self.stream,
-            flush=True,
-        )
-
-    # ------------------------------------------------------------------
-    def on_run_done(self, index, spec, result, wall) -> None:
-        self._line("run", spec, f"makespan={result.makespan:.6f}s wall={wall:.2f}s")
-
-    def on_run_cached(self, index, spec, result) -> None:
-        self._line("cached", spec)
-
-    def on_run_retry(self, index, spec, attempt, reason) -> None:
-        # Retries do not advance the done counter.
-        print(
-            f"[{self._done}/{self.n_total}]{self._pace()} retry  {spec.label} "
-            f"(attempt {attempt}: {reason})",
-            file=self.stream,
-            flush=True,
-        )
-
-    def on_run_failed(self, index, spec, error) -> None:
-        first = error.strip().splitlines()[-1] if error.strip() else "unknown error"
-        self._failures.append(spec.label)
-        self._line("FAILED", spec, first)
-
-    def on_campaign_done(self, result) -> None:
-        for label in self._failures:
-            print(f"FAILED {label}", file=self.stream, flush=True)
-        elapsed = self._clock() - self._t0
-        print(
-            f"{result.summary()} [wall {elapsed:.1f}s]",
-            file=self.stream,
-            flush=True,
-        )

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from repro.campaign.bus import CampaignBus, ProgressPrinter
+from repro.campaign.bus import CampaignBus
 from repro.campaign.runner import run_experiment
 from repro.campaign.spec import ExperimentSpec
 from repro.core.compiled import CompiledGraphCache
@@ -224,11 +224,17 @@ def run_campaign(
     retries:
         Extra attempts after a worker death or timeout (default 1: the
         retry-once robustness contract).
+    progress:
+        Print one ``[k/n][elapsed eta]`` line per run, cached, retry or
+        failed event to stderr (a :class:`~repro.metrics.live.LiveRenderer`
+        off ``live``), then a failure recap and the summary.
     live:
-        Replace the line-per-event progress printer with the in-place
-        :class:`~repro.metrics.live.LiveRenderer` (progress bar, ETA,
-        busy workers, hit rate) fed by a
-        :class:`~repro.metrics.campaign.CampaignMetrics` observer.
+        Render progress as the renderer's in-place status line (progress
+        bar, ETA, busy workers, hit rate) instead.  Both modes read a
+        :class:`~repro.metrics.campaign.CampaignMetrics` observer; when
+        neither ``live``, ``metrics`` nor ``snapshot_every`` asks for
+        one, progress uses a private one that writes nothing to the
+        store.
     metrics:
         An existing :class:`~repro.metrics.campaign.CampaignMetrics` to
         attach (``live=True`` creates one when omitted).  If it has no
@@ -271,12 +277,15 @@ def run_campaign(
         if getattr(metrics, "db", None) is None and cache is not None:
             metrics.bind_store(cache)
         bus.attach(metrics)
-    if live:
+    if live or progress:
+        from repro.metrics.campaign import CampaignMetrics
         from repro.metrics.live import LiveRenderer
 
-        bus.attach(LiveRenderer(metrics))
-    if progress and not live:
-        bus.attach(ProgressPrinter(len(specs)))
+        if metrics is None:
+            # Progress lines only: a private tally, never bound to the
+            # store, so progress leaves the store's contents unchanged.
+            metrics = bus.attach(CampaignMetrics(len(specs)))
+        bus.attach(LiveRenderer(metrics, live=live))
 
     t0 = time.monotonic()
     records = [RunRecord(spec=s) for s in specs]

@@ -152,13 +152,14 @@ def run_experiment_cluster(
     return out
 
 
-def _artifact_alias(spec: ExperimentSpec, cfg: RuntimeConfig) -> str:
+def _artifact_alias(spec: ExperimentSpec) -> str:
     """Cache-alias key for the spec's compiled TDG.
 
-    Hashes the workload and the discovery optimization set, which
-    determine the artifact, plus the seed and the (scaled) discovery
-    cost model, so the cheap tiers can map a spec straight to a stored
-    artifact without building the program at all.
+    Hashes exactly what determines the artifact — the workload and the
+    discovery optimization set — so the cheap tiers can map a spec
+    straight to a stored artifact without building the program at all.
+    The seed and the (scaled) cost model are left out: an artifact holds
+    no cost model, and the seed only drives the DES scheduler.
     """
     from repro.util.serde import content_key
 
@@ -166,9 +167,7 @@ def _artifact_alias(spec: ExperimentSpec, cfg: RuntimeConfig) -> str:
         {
             "app": spec.app,
             "params": spec.params_dict,
-            "seed": spec.seed,
-            "opts": cfg.opts.to_dict(),
-            "discovery": cfg.discovery.to_dict(),
+            "opts": spec.opts.to_dict(),
         }
     )
 
@@ -191,7 +190,7 @@ def _compiled_artifact(
 
     alias = None
     if compiled_cache is not None:
-        alias = _artifact_alias(spec, cfg)
+        alias = _artifact_alias(spec)
         key = compiled_cache.get_alias(alias)
         if key is not None:
             art = compiled_cache.get(key)

@@ -638,7 +638,7 @@ def cmd_info(args) -> int:
         print(f"  {name:>13}{sig}: {desc}")
 
     print("\ncampaign bus hooks (repro.campaign.bus; observers: "
-          "ProgressPrinter, CampaignMetrics, LiveRenderer):")
+          "CampaignMetrics, LiveRenderer):")
     for name, (sig, desc) in CAMPAIGN_HOOK_DOCS.items():
         print(f"  {name:>13}{sig}: {desc}")
 

@@ -2,7 +2,7 @@
 
 This is the distributed substrate of §4: every simulated MPI process runs
 its own OpenMP runtime (task-based or parallel-for) on one shared
-:class:`~repro.sim.SimContext`, and the shared
+:class:`~repro.sim.EventQueue`, and the shared
 :class:`~repro.mpi.comm.Communicator` couples them — collective skew, eager
 vs rendezvous matching and overlap all emerge from the common timeline.
 Each rank's runtime carries its own instrumentation bus; pass a shared
@@ -26,7 +26,7 @@ from repro.runtime.parallel_for import (
 )
 from repro.runtime.result import RunResult
 from repro.runtime.runtime import RuntimeConfig, TaskRuntime
-from repro.sim import SimContext
+from repro.sim import EventQueue
 
 AnyProgram = Union[Program, ForProgram]
 
@@ -56,15 +56,13 @@ class Cluster:
         n_ranks: int,
         *,
         network: Optional[NetworkSpec] = None,
-        ctx: Optional[SimContext] = None,
         bus=None,
     ) -> None:
         if n_ranks < 1:
             raise ValueError(f"n_ranks must be >= 1, got {n_ranks}")
         self.n_ranks = n_ranks
         self.network = network if network is not None else bxi_like()
-        self.ctx = ctx if ctx is not None else SimContext()
-        self.engine = self.ctx.engine
+        self.engine = EventQueue()
         #: Optional shared bus handed to every rank's runtime.
         self.bus = bus
         self.comm = Communicator(self.engine, self.network, n_ranks)
@@ -93,11 +91,13 @@ class Cluster:
         for r, (prog, cfg) in enumerate(zip(programs, configs)):
             if isinstance(prog, ForProgram):
                 rt = ParallelForRuntime(
-                    prog, cfg, ctx=self.ctx, comm=self.comm, rank=r, bus=self.bus
+                    prog, cfg, engine=self.engine, comm=self.comm, rank=r,
+                    bus=self.bus,
                 )
             else:
                 rt = TaskRuntime(
-                    prog, cfg, ctx=self.ctx, comm=self.comm, rank=r, bus=self.bus
+                    prog, cfg, engine=self.engine, comm=self.comm, rank=r,
+                    bus=self.bus,
                 )
             runtimes.append(rt)
         for rt in runtimes:

@@ -127,7 +127,10 @@ class Program:
     Parameters
     ----------
     iterations:
-        The per-iteration task lists, in submission order.
+        The per-iteration task lists, in submission order; the k-th
+        must carry ``index == k`` (every layer — the DES, the static
+        compile, the verifier — reads an iteration's index as its
+        position).
     persistent_candidate:
         Whether the outer loop is annotated ``#pragma omp ptsg`` (Fig. 5):
         all iterations submit the same tasks with the same dependences, so
@@ -147,9 +150,14 @@ class Program:
         self.iterations = list(iterations)
         self.persistent_candidate = persistent_candidate
         self.name = name
-        for it in self.iterations:
+        for k, it in enumerate(self.iterations):
             if not isinstance(it, IterationSpec):
                 raise TypeError(f"expected IterationSpec, got {type(it)!r}")
+            if it.index != k:
+                raise ValueError(
+                    f"iteration at position {k} has index {it.index}; "
+                    "iterations must be numbered 0..n-1 in order"
+                )
 
     # ------------------------------------------------------------------
     @classmethod

@@ -1,15 +1,19 @@
-"""In-place terminal rendering for ``repro campaign --live``.
+"""Campaign progress rendering for ``repro campaign`` (``--live`` or not).
 
 :class:`LiveRenderer` attaches to the same :class:`CampaignBus` as the
-:class:`~repro.metrics.campaign.CampaignMetrics` it reads, redrawing one
-status line per event (throttled)::
+:class:`~repro.metrics.campaign.CampaignMetrics` it reads.  With ``live``
+it redraws one status line per event (throttled)::
 
     [=========>------------------]  12/40  30%  eta 0:41  busy 4  hit 25%  fail 1
 
 On a TTY the line redraws in place (``\\r`` + clear-to-EOL); on a pipe it
-degrades to occasional plain lines so CI logs stay readable.  At
-``campaign_done`` it prints the final state, a recap line for every
-failed spec, and the campaign summary.
+degrades to occasional plain lines so CI logs stay readable.  Without
+``live`` it prints one line per run, cached, retry or failed event::
+
+    [12/40][   31.5s eta   73.2s]    run lulesh/task(s=8, ...)[mpc] makespan=...
+
+At ``campaign_done`` both modes print a recap line for every failed spec
+and the campaign summary (the live mode first redraws its final state).
 """
 
 from __future__ import annotations
@@ -30,18 +34,25 @@ def _fmt_duration(seconds: float) -> str:
 
 
 class LiveRenderer:
-    """Redraws campaign progress from a :class:`CampaignMetrics`."""
+    """Renders campaign progress from a :class:`CampaignMetrics`.
+
+    ``live`` picks the status line (True) or one line per settled or
+    retried run (False); the metrics observer must be attached to the bus
+    before the renderer, so each line reads the counts after its event.
+    """
 
     def __init__(
         self,
         metrics: CampaignMetrics,
         *,
+        live: bool = True,
         stream=None,
         width: int = 30,
         interval: float = 0.1,
         clock=time.monotonic,
     ) -> None:
         self.metrics = metrics
+        self.live = live
         self.stream = stream if stream is not None else sys.stderr
         self.width = width
         self.interval = interval
@@ -89,26 +100,49 @@ class LiveRenderer:
             self.stream.write(line + "\n")
         self.stream.flush()
 
+    def _event(self, tag: str, spec, detail: str = "") -> None:
+        """Redraw the status line, or print one ``[k/n][elapsed eta]`` line."""
+        if self.live:
+            self._draw()
+            return
+        m = self.metrics
+        pace = f"[{m.elapsed():7.1f}s"
+        eta = m.eta()
+        if 0 < m.settled < m.n_total and eta is not None:
+            pace += f" eta {eta:6.1f}s"
+        self.stream.write(
+            f"[{m.settled}/{m.n_total}]{pace}] {tag:>6} {spec.label}"
+            + (f" {detail}" if detail else "")
+            + "\n"
+        )
+        self.stream.flush()
+
     # -- bus hooks ------------------------------------------------------
     def on_run_start(self, index, spec, attempt) -> None:
-        self._draw()
+        if self.live:
+            self._draw()
 
     def on_run_done(self, index, spec, result, wall) -> None:
-        self._draw()
+        self._event(
+            "run", spec, f"makespan={result.makespan:.6f}s wall={wall:.2f}s"
+        )
 
     def on_run_cached(self, index, spec, result) -> None:
-        self._draw()
+        self._event("cached", spec)
 
     def on_run_retry(self, index, spec, attempt, reason) -> None:
-        self._draw()
+        self._event("retry", spec, f"(attempt {attempt}: {reason})")
 
     def on_run_failed(self, index, spec, error) -> None:
-        self._draw()
+        text = str(error).strip()
+        last = text.splitlines()[-1] if text else "unknown error"
+        self._event("FAILED", spec, last)
 
     def on_campaign_done(self, result) -> None:
-        self._draw(force=True)
-        if self._tty:
-            self.stream.write("\n")
+        if self.live:
+            self._draw(force=True)
+            if self._tty:
+                self.stream.write("\n")
         m = self.metrics
         for label in m.failures:
             self.stream.write(f"FAILED {label}\n")

@@ -12,7 +12,8 @@ with ``#pragma omp parallel for`` and keep MPI outside OpenMP constructs
 - the time-step collective is blocking at the iteration boundary.
 
 Like the tasking runtime, this engine runs on the :mod:`repro.sim` kernel:
-it shares a :class:`~repro.sim.SimContext` in cluster mode and emits
+in cluster mode it runs on the cluster's shared
+:class:`~repro.sim.EventQueue` (its ``engine``) and emits
 ``barrier`` (kind ``"loop"``), ``msg_post`` and ``msg_complete`` events on
 its :class:`~repro.sim.InstrumentationBus`.
 """
@@ -34,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - circular at runtime
 from repro.obs.recorder import CommRecord
 from repro.runtime.result import RunResult
 from repro.runtime.runtime import RuntimeConfig
-from repro.sim import EventQueue, InstrumentationBus, SimContext
+from repro.sim import EventQueue, InstrumentationBus
 from repro.util.units import us
 
 
@@ -122,18 +123,12 @@ class ParallelForRuntime:
         config: RuntimeConfig,
         *,
         engine: Optional[EventQueue] = None,
-        ctx: Optional[SimContext] = None,
         comm: Optional[Communicator] = None,
         rank: int = 0,
         bus: Optional[InstrumentationBus] = None,
     ) -> None:
         self.program = program
         self.config = config
-        if ctx is not None:
-            if engine is not None and engine is not ctx.engine:
-                raise ValueError("pass either engine or ctx, not conflicting both")
-            engine = ctx.engine
-        self.ctx = ctx
         self.engine = engine if engine is not None else EventQueue()
         self._own_engine = engine is None
         self.bus = bus if bus is not None else InstrumentationBus()

@@ -52,7 +52,7 @@ from repro.obs.recorder import CommRecord, TraceRecorder
 from repro.runtime.costs import DiscoveryCosts, SchedulerCosts
 from repro.runtime.result import RunResult
 from repro.runtime.scheduler import make_scheduler
-from repro.sim import EventQueue, InstrumentationBus, SimContext
+from repro.sim import EventQueue, InstrumentationBus
 
 # TaskState values as plain ints (the hot path compares ints, see
 # repro.sim.table).
@@ -175,11 +175,11 @@ class TaskRuntime:
 
         result = TaskRuntime(program, config).run()
 
-    Cluster use (all ranks share one :class:`~repro.sim.SimContext`)::
+    Cluster use (all ranks share one :class:`~repro.sim.EventQueue`)::
 
-        rt = TaskRuntime(program, config, ctx=ctx, comm=comm, rank=r)
+        rt = TaskRuntime(program, config, engine=q, comm=comm, rank=r)
         rt.start()           # for each rank
-        ctx.run()            # once
+        q.run()              # once
         result = rt.result() # for each rank
 
     Observers attach to :attr:`bus` (see :mod:`repro.sim.bus` for the hook
@@ -194,18 +194,12 @@ class TaskRuntime:
         config: RuntimeConfig,
         *,
         engine: Optional[EventQueue] = None,
-        ctx: Optional[SimContext] = None,
         comm: Optional["Communicator"] = None,
         rank: int = 0,
         bus: Optional[InstrumentationBus] = None,
     ) -> None:
         self.program = program
         self.config = config
-        if ctx is not None:
-            if engine is not None and engine is not ctx.engine:
-                raise ValueError("pass either engine or ctx, not conflicting both")
-            engine = ctx.engine
-        self.ctx = ctx
         self.engine = engine if engine is not None else EventQueue()
         self._own_engine = engine is None
         self.bus = bus if bus is not None else InstrumentationBus()

@@ -1,4 +1,4 @@
-"""The fidelity ladder: three simulators over one :class:`CompiledTDG`.
+"""The fidelity ladder: three fidelities over one :class:`CompiledTDG`.
 
 The paper's headline phenomena — discovery-bound makespan vs TPL, the
 persistent-graph replay win, METG — are graph-shape effects, and the
@@ -6,14 +6,14 @@ compiled CSR artifact freezes that shape.  This module runs experiments
 *directly on the artifact* at three fidelities, all emitting the same
 :class:`~repro.runtime.result.RunResult`:
 
-``analytic``
+``analytic`` (:func:`analytic`)
     Work/span bounds from one walk over the CSR: T₁, T∞, the Brent
     bounds ``max(T₁/N, T∞) ≤ TN ≤ T₁/N + T∞`` per barrier segment, plus
     the serial-producer discovery limit.  No events at all; the reported
     makespan is the nominal lower Brent bound and ``extra["bounds"]``
     carries certified lower/upper brackets.
 
-``replay``
+``replay`` (:func:`replay`)
     A list-scheduling simulator (LIFO depth-first or FIFO, matching
     :attr:`RuntimeConfig.scheduler`) that replays the frozen graph with
     per-task costs stamped from the cost model — no program walk, no
@@ -23,7 +23,10 @@ compiled CSR artifact freezes that shape.  This module runs experiments
     taskwait/barrier waits just like the DES producer.
 
 ``des``
-    The existing reference engines (requires the source ``Program``).
+    The reference :class:`~repro.runtime.runtime.TaskRuntime` run on
+    the source ``Program``.
+
+:func:`simulate` picks a rung by name.
 
 Deliberate model reductions at the cheap tiers (all absorbed by the
 cross-check tolerance, see :mod:`repro.campaign.crosscheck`): task body
@@ -39,7 +42,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -54,42 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: The fidelity ladder, cheapest first.  ``des`` is the reference.
 FIDELITIES = ("analytic", "replay", "des")
-
-#: Fidelity used when a spec does not name one.
-DEFAULT_FIDELITY = "des"
-
-
-def check_fidelity(fidelity: str) -> str:
-    """Validate a fidelity name; returns it for chaining."""
-    if fidelity not in FIDELITIES:
-        raise ValueError(
-            f"unknown fidelity {fidelity!r}; expected one of {FIDELITIES}"
-        )
-    return fidelity
-
-
-# ======================================================================
-# the protocol
-# ======================================================================
-@runtime_checkable
-class Simulator(Protocol):
-    """One rung of the fidelity ladder.
-
-    Implementations consume a compiled graph plus a runtime config and
-    emit a :class:`RunResult` whose makespan/utilization/counters read
-    identically across tiers.  Only the ``des`` tier needs ``program``
-    (the event engine walks the source program, not the artifact).
-    """
-
-    fidelity: str
-
-    def simulate(
-        self,
-        compiled: "CompiledTDG",
-        config: "RuntimeConfig",
-        *,
-        program: "Optional[Program]" = None,
-    ) -> RunResult: ...  # pragma: no cover - protocol
 
 
 # ======================================================================
@@ -194,10 +161,10 @@ def tier_weights(compiled: "CompiledTDG", config: "RuntimeConfig") -> TierWeight
         + disc.c_edge_skip * skips
         + disc.c_redirect * redirects
     )
-    replay = disc.c_replay + disc.c_fp_byte * np.asarray(
+    replay_cost = disc.c_replay + disc.c_fp_byte * np.asarray(
         compiled.fp_bytes, dtype=float
     )
-    for arr in (creation, creation_lo, replay):
+    for arr in (creation, creation_lo, replay_cost):
         arr[stub] = 0.0
     return TierWeights(
         body=body,
@@ -207,7 +174,7 @@ def tier_weights(compiled: "CompiledTDG", config: "RuntimeConfig") -> TierWeight
         overhead=overhead,
         creation=creation,
         creation_lo=creation_lo,
-        replay=replay,
+        replay=replay_cost,
     )
 
 
@@ -352,96 +319,91 @@ def _segment_spans(
     return t1s, spans, t_inf, depth
 
 
-class AnalyticSimulator:
+def analytic(compiled: "CompiledTDG", config: "RuntimeConfig") -> RunResult:
     """Work/span bounds over the CSR — no events, microseconds to run."""
+    _check_supported(config, "analytic")
+    w = config.threads
+    tw = tier_weights(compiled, config)
+    rounds = _rounds(compiled)
 
-    fidelity = "analytic"
+    # Nominal weights: shared DRAM at full thread contention (the
+    # memory-bound steady state); T1/N then reads "all bytes at
+    # aggregate DRAM bandwidth".
+    body_nom = tw.body + tw.mem_shared * w
+    (
+        (t1_seg, t1_lo_seg, t1_hi_seg),
+        (span_seg, span_lo_seg, span_hi_seg),
+        t_inf_graph,
+        depth,
+    ) = _segment_spans(compiled, body_nom, tw.body_lo, tw.body_hi)
 
-    def simulate(
-        self,
-        compiled: "CompiledTDG",
-        config: "RuntimeConfig",
-        *,
-        program: "Optional[Program]" = None,
-    ) -> RunResult:
-        _check_supported(config, self.fidelity)
-        w = config.threads
-        tw = tier_weights(compiled, config)
-        rounds = _rounds(compiled)
+    t1 = float(t1_seg.sum()) * rounds
+    t_inf = max(t_inf_graph, float(span_seg.sum())) * rounds
+    t1_lo = float(t1_lo_seg.sum()) * rounds
+    t_inf_lo = float(span_lo_seg.sum()) * rounds
 
-        # Nominal weights: shared DRAM at full thread contention (the
-        # memory-bound steady state); T1/N then reads "all bytes at
-        # aggregate DRAM bandwidth".
-        body_nom = tw.body + tw.mem_shared * w
-        (
-            (t1_seg, t1_lo_seg, t1_hi_seg),
-            (span_seg, span_lo_seg, span_hi_seg),
-            t_inf_graph,
-            depth,
-        ) = _segment_spans(compiled, body_nom, tw.body_lo, tw.body_hi)
+    creation_total = float(tw.creation.sum())
+    replay_total = float(tw.replay.sum())
+    disc_total = creation_total + replay_total * (rounds - 1)
+    # Overlapped non-persistent discovery may prune edges the static
+    # compile materialized; the certified lower bound charges each
+    # materialized/skipped edge at the cheapest outcome.
+    if compiled.persistent or config.non_overlapped or rounds > 1:
+        disc_lo = disc_total
+    else:
+        disc_lo = float(tw.creation_lo.sum())
 
-        t1 = float(t1_seg.sum()) * rounds
-        t_inf = max(t_inf_graph, float(span_seg.sum())) * rounds
-        t1_lo = float(t1_lo_seg.sum()) * rounds
-        t_inf_lo = float(span_lo_seg.sum()) * rounds
+    tn_lower = max(t1 / w, t_inf)
+    tn_upper = t1 / w + t_inf
+    lower = max(t1_lo / w, t_inf_lo, disc_lo)
+    # Greedy (Brent) bound per segment with the producer occupying a
+    # thread until its walk ends, discovery fully serialized before
+    # execution — loose but certified-above for every engine mode.
+    w_exec = max(1, w - 1)
+    upper = disc_total + (
+        float(t1_hi_seg.sum()) / w_exec + float(span_hi_seg.sum())
+    ) * rounds
+    makespan = disc_total + tn_lower if config.non_overlapped else max(
+        tn_lower, disc_total
+    )
 
-        creation_total = float(tw.creation.sum())
-        replay_total = float(tw.replay.sum())
-        disc_total = creation_total + replay_total * (rounds - 1)
-        # Overlapped non-persistent discovery may prune edges the static
-        # compile materialized; the certified lower bound charges each
-        # materialized/skipped edge at the cheapest outcome.
-        if compiled.persistent or config.non_overlapped or rounds > 1:
-            disc_lo = disc_total
-        else:
-            disc_lo = float(tw.creation_lo.sum())
-
-        tn_lower = max(t1 / w, t_inf)
-        tn_upper = t1 / w + t_inf
-        lower = max(t1_lo / w, t_inf_lo, disc_lo)
-        # Greedy (Brent) bound per segment with the producer occupying a
-        # thread until its walk ends, discovery fully serialized before
-        # execution — loose but certified-above for every engine mode.
-        w_exec = max(1, w - 1)
-        upper = disc_total + (
-            float(t1_hi_seg.sum()) / w_exec + float(span_hi_seg.sum())
-        ) * rounds
-        makespan = disc_total + tn_lower if config.non_overlapped else max(
-            tn_lower, disc_total
-        )
-
-        bounds = {
-            "t1": t1,
-            "t_inf": t_inf,
-            "tn_lower": tn_lower,
-            "tn_upper": tn_upper,
-            "discovery_total": disc_total,
-            "discovery_lower": disc_lo,
-            "makespan_lower": lower,
-            "makespan_upper": upper,
-            "depth": depth,
-            "avg_parallelism": (t1 / t_inf) if t_inf > 0 else 1.0,
-            "rounds": rounds,
-        }
-        return _result(
-            config=config,
-            compiled=compiled,
-            fidelity=self.fidelity,
-            makespan=makespan,
-            discovery_busy=disc_total,
-            discovery_span=(0.0, disc_total),
-            execution_span=(0.0, makespan),
-            work_total=t1,
-            overhead_total=float(tw.overhead.sum()) * rounds,
-            n_tasks=compiled.n_user_tasks * rounds,
-            bounds=bounds,
-        )
+    bounds = {
+        "t1": t1,
+        "t_inf": t_inf,
+        "tn_lower": tn_lower,
+        "tn_upper": tn_upper,
+        "discovery_total": disc_total,
+        "discovery_lower": disc_lo,
+        "makespan_lower": lower,
+        "makespan_upper": upper,
+        "depth": depth,
+        "avg_parallelism": (t1 / t_inf) if t_inf > 0 else 1.0,
+        "rounds": rounds,
+    }
+    return _result(
+        config=config,
+        compiled=compiled,
+        fidelity="analytic",
+        makespan=makespan,
+        discovery_busy=disc_total,
+        discovery_span=(0.0, disc_total),
+        execution_span=(0.0, makespan),
+        work_total=t1,
+        overhead_total=float(tw.overhead.sum()) * rounds,
+        n_tasks=compiled.n_user_tasks * rounds,
+        bounds=bounds,
+    )
 
 
 # ======================================================================
 # replay tier
 # ======================================================================
-class ReplaySimulator:
+def replay(
+    compiled: "CompiledTDG",
+    config: "RuntimeConfig",
+    *,
+    workers: Optional[int] = None,
+) -> RunResult:
     """List-scheduling replay of the frozen graph.
 
     The producer is a clock: submission times are the running sum of the
@@ -452,122 +414,109 @@ class ReplaySimulator:
     anonymous pool of ``N`` (or ``N-1`` while the producer is busy):
     durations are static, so worker identity carries no state.
 
-    ``workers_override`` replaces the config's thread count (used by the
-    property tests' ``replay(N=∞)`` ideal schedule).
+    ``workers`` replaces the config's thread count (the property tests'
+    ``replay(N=∞)`` ideal schedule uses it).
     """
+    _check_supported(config, "replay")
+    w = workers or config.threads
+    tw = tier_weights(compiled, config)
+    rounds = _rounds(compiled)
+    lifo = config.scheduler != "fifo-bf"
 
-    fidelity = "replay"
+    n = compiled.n_tasks
+    indeg0 = compiled.indegree
+    offsets, targets = compiled.succ_offsets, compiled.succ_targets
+    is_stub = compiled.is_stub
+    seg = compiled.segment
+    body = tw.body.tolist()
+    ovh = tw.overhead.tolist()
+    mem = tw.mem_shared.tolist() if tw.mem_shared.any() else None
+    creation = tw.creation.tolist()
+    replay_cost = tw.replay.tolist()
+    user = compiled.user_tids
+    stubs = compiled.stub_tids
 
-    def __init__(self, workers_override: Optional[int] = None) -> None:
-        self.workers_override = workers_override
+    makespan = 0.0
+    disc_busy = 0.0
+    disc_last = 0.0
+    exec_first = float("inf")
+    exec_last = 0.0
+    completed_user = 0
+    work_total = 0.0
 
-    def simulate(
-        self,
-        compiled: "CompiledTDG",
-        config: "RuntimeConfig",
-        *,
-        program: "Optional[Program]" = None,
-    ) -> RunResult:
-        _check_supported(config, self.fidelity)
-        w = self.workers_override or config.threads
-        tw = tier_weights(compiled, config)
-        rounds = _rounds(compiled)
-        lifo = config.scheduler != "fifo-bf"
+    # Overlapped non-persistent discovery prunes edges whose
+    # predecessor already completed: the DES resolver folds them
+    # into the skip count (charged c_edge_skip) and never
+    # materializes the edge.  At submission time ``indegree -
+    # npred`` is exactly that count, so the walk re-prices each
+    # task's creation on the fly.  Persistent and non-overlapped
+    # discovery never prune (nothing completes during the template
+    # walk / behind the gate), matching the artifact.
+    disc = config.discovery
+    prune_delta = (
+        0.0
+        if compiled.persistent or config.non_overlapped
+        else disc.c_edge - disc.c_edge_skip
+    )
 
-        n = compiled.n_tasks
-        indeg0 = compiled.indegree
-        offsets, targets = compiled.succ_offsets, compiled.succ_targets
-        is_stub = compiled.is_stub
-        seg = compiled.segment
-        body = tw.body.tolist()
-        ovh = tw.overhead.tolist()
-        mem = tw.mem_shared.tolist() if tw.mem_shared.any() else None
-        creation = tw.creation.tolist()
-        replay_cost = tw.replay.tolist()
-        user = compiled.user_tids
-        stubs = compiled.stub_tids
-
-        makespan = 0.0
-        disc_busy = 0.0
-        disc_last = 0.0
-        exec_first = float("inf")
-        exec_last = 0.0
-        completed_user = 0
-        work_total = 0.0
-
-        # Overlapped non-persistent discovery prunes edges whose
-        # predecessor already completed: the DES resolver folds them
-        # into the skip count (charged c_edge_skip) and never
-        # materializes the edge.  At submission time ``indegree -
-        # npred`` is exactly that count, so the walk re-prices each
-        # task's creation on the fly.  Persistent and non-overlapped
-        # discovery never prune (nothing completes during the template
-        # walk / behind the gate), matching the artifact.
-        disc = config.discovery
-        prune_delta = (
-            0.0
-            if compiled.persistent or config.non_overlapped
-            else disc.c_edge - disc.c_edge_skip
+    t = 0.0
+    for rnd in range(rounds):
+        if rnd == 0:
+            # First discovery: every tid (stubs armed by their
+            # creator at zero cost, in creation order).
+            walk = list(range(n))
+            cost = creation
+            prearm: list[int] = []
+        else:
+            # Persistent replay: stubs re-arm wholesale at the
+            # barrier, the producer re-instances user tasks only.
+            walk = user
+            cost = replay_cost
+            prearm = stubs
+        t, stats = _run_round(
+            t0=t,
+            walk=walk,
+            cost=cost,
+            prearm=prearm,
+            npred0=indeg0,
+            offsets=offsets,
+            targets=targets,
+            is_stub=is_stub,
+            seg=seg,
+            body=body,
+            ovh=ovh,
+            mem=mem,
+            mem_cap=config.machine.n_cores,
+            workers=w,
+            lifo=lifo,
+            non_overlapped=config.non_overlapped,
+            prune_delta=prune_delta if rnd == 0 else 0.0,
         )
+        disc_busy += stats["disc_busy"]
+        disc_last = stats["disc_last"]
+        exec_first = min(exec_first, stats["exec_first"])
+        exec_last = max(exec_last, stats["exec_last"])
+        completed_user += stats["completed_user"]
+        work_total += stats["work"]
+        makespan = t
 
-        t = 0.0
-        for rnd in range(rounds):
-            if rnd == 0:
-                # First discovery: every tid (stubs armed by their
-                # creator at zero cost, in creation order).
-                walk = list(range(n))
-                cost = creation
-                prearm: list[int] = []
-            else:
-                # Persistent replay: stubs re-arm wholesale at the
-                # barrier, the producer re-instances user tasks only.
-                walk = user
-                cost = replay_cost
-                prearm = stubs
-            t, stats = _run_round(
-                t0=t,
-                walk=walk,
-                cost=cost,
-                prearm=prearm,
-                npred0=indeg0,
-                offsets=offsets,
-                targets=targets,
-                is_stub=is_stub,
-                seg=seg,
-                body=body,
-                ovh=ovh,
-                mem=mem,
-                mem_cap=config.machine.n_cores,
-                workers=w,
-                lifo=lifo,
-                non_overlapped=config.non_overlapped,
-                prune_delta=prune_delta if rnd == 0 else 0.0,
-            )
-            disc_busy += stats["disc_busy"]
-            disc_last = stats["disc_last"]
-            exec_first = min(exec_first, stats["exec_first"])
-            exec_last = max(exec_last, stats["exec_last"])
-            completed_user += stats["completed_user"]
-            work_total += stats["work"]
-            makespan = t
-
-        ovh_round = float(tw.overhead.sum())
-        if exec_first == float("inf"):
-            exec_first = 0.0
-        return _result(
-            config=config,
-            compiled=compiled,
-            fidelity=self.fidelity,
-            makespan=makespan,
-            discovery_busy=disc_busy,
-            discovery_span=(0.0, disc_last),
-            execution_span=(exec_first, exec_last),
-            work_total=work_total,
-            overhead_total=ovh_round * rounds,
-            n_tasks=completed_user,
-            bounds=None,
-            extra={"replay_workers": w},
-        )
+    ovh_round = float(tw.overhead.sum())
+    if exec_first == float("inf"):
+        exec_first = 0.0
+    return _result(
+        config=config,
+        compiled=compiled,
+        fidelity="replay",
+        makespan=makespan,
+        discovery_busy=disc_busy,
+        discovery_span=(0.0, disc_last),
+        execution_span=(exec_first, exec_last),
+        work_total=work_total,
+        overhead_total=ovh_round * rounds,
+        n_tasks=completed_user,
+        bounds=None,
+        extra={"replay_workers": w},
+    )
 
 
 def _run_round(
@@ -735,49 +684,8 @@ def _run_round(
 
 
 # ======================================================================
-# des tier
+# entrypoint
 # ======================================================================
-class DesSimulator:
-    """The reference engine behind the common protocol."""
-
-    fidelity = "des"
-
-    def simulate(
-        self,
-        compiled: "CompiledTDG",
-        config: "RuntimeConfig",
-        *,
-        program: "Optional[Program]" = None,
-    ) -> RunResult:
-        if program is None:
-            raise ValueError(
-                "the des tier replays the source program through the event "
-                "engine; pass program= (or use run_experiment, which does)"
-            )
-        from repro.runtime.runtime import TaskRuntime
-
-        res = TaskRuntime(program, config).run()
-        res.extra.setdefault("fidelity", self.fidelity)
-        res.extra.setdefault("bounds", None)
-        return res
-
-
-# ======================================================================
-# registry + entrypoint
-# ======================================================================
-_SIMULATORS = {
-    "analytic": AnalyticSimulator,
-    "replay": ReplaySimulator,
-    "des": DesSimulator,
-}
-
-
-def get_simulator(fidelity: str) -> Simulator:
-    """Instantiate the simulator for one rung of the ladder."""
-    check_fidelity(fidelity)
-    return _SIMULATORS[fidelity]()
-
-
 def simulate(
     compiled: "CompiledTDG",
     config: "RuntimeConfig",
@@ -788,9 +696,28 @@ def simulate(
     """Run one compiled graph at the chosen fidelity.
 
     The artifact-first entrypoint of the ladder: ``analytic`` and
-    ``replay`` need only the artifact; ``des`` additionally needs the
-    source program.  For spec-driven runs (caching, campaign fan-out)
-    use :func:`repro.campaign.runner.run_experiment` with
+    ``replay`` need only the artifact; ``des`` runs the reference
+    engine on the source program instead, so it needs ``program``.  For
+    spec-driven runs (caching, campaign fan-out) use
+    :func:`repro.campaign.runner.run_experiment` with
     ``ExperimentSpec(fidelity=...)``.
     """
-    return get_simulator(fidelity).simulate(compiled, config, program=program)
+    if fidelity == "analytic":
+        return analytic(compiled, config)
+    if fidelity == "replay":
+        return replay(compiled, config)
+    if fidelity != "des":
+        raise ValueError(
+            f"unknown fidelity {fidelity!r}; expected one of {FIDELITIES}"
+        )
+    if program is None:
+        raise ValueError(
+            "the des tier replays the source program through the event "
+            "engine; pass program= (or use run_experiment, which does)"
+        )
+    from repro.runtime.runtime import TaskRuntime
+
+    res = TaskRuntime(program, config).run()
+    res.extra.setdefault("fidelity", "des")
+    res.extra.setdefault("bounds", None)
+    return res

@@ -200,6 +200,21 @@ class TestBusEvents:
         run_campaign([bad], retries=0, bus=bus)
         assert failed == [0]
 
+    def test_progress_lines_leave_the_store_unchanged(self, tmp_path, capsys):
+        """Progress renders from a private CampaignMetrics: the store gets
+        no metrics rows it would not get without progress."""
+        dumps = []
+        for progress in (False, True):
+            store = tmp_path / f"progress-{progress}" / STORE_FILENAME
+            out = run_campaign(SPECS[:2], cache=store, progress=progress)
+            assert out.ok
+            with CampaignDB(store) as db:
+                dumps.append(db.dump())
+        assert dumps[0] == dumps[1]
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("[1/2][") and lines[1].startswith("[2/2][")
+        assert lines[-1].startswith(out.summary())
+
 
 class TestSpecKeyInResult:
     def test_result_carries_spec_key(self):

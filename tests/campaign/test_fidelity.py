@@ -172,6 +172,24 @@ class TestRunnerDispatch:
         assert path.read_bytes() == good
         assert alias_path.read_text() == good_alias
 
+    def test_alias_ignores_seed_and_cost_scale(self, tmp_path):
+        """An artifact holds no cost model and the seed drives only the
+        DES scheduler, so specs that differ only in seed or scale share
+        one stored artifact."""
+        cache = CompiledGraphCache(tmp_path)
+        cfg = presets.mpc_omp(tiny_test_machine(4), n_threads=4, opts="abcp")
+        params = dict(PARAMS, iterations=3, tpl=8)
+        hits = []
+        for kw in ({}, {"seed": 1}, {"scale": 0.5}):
+            s = spec(config=cfg, params=params, fidelity="replay", **kw)
+            res = run_experiment(s, compiled_cache=cache)
+            hits.append(res.extra["compiled_tdg"].pop("cache_hit"))
+            cold = run_experiment(s)
+            assert cold.extra["compiled_tdg"].pop("cache_hit") is False
+            assert canonical_json(res.to_dict()) == canonical_json(cold.to_dict())
+        assert hits == [False, True, True]
+        assert len(cache) == 1
+
     def test_des_run_leaves_the_compiled_cache_alone(self, tmp_path):
         """A persistent DES run with a cache attached writes nothing and
         reports no compiled graph: its result is the cacheless one."""

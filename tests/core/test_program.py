@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.core.program import CommKind, CommSpec, Program, ProgramBuilder, TaskSpec
+from repro.core.program import (
+    CommKind,
+    CommSpec,
+    IterationSpec,
+    Program,
+    ProgramBuilder,
+    TaskSpec,
+)
 from repro.core.task import DepMode
 
 
@@ -145,6 +152,21 @@ class TestProgram:
     def test_type_checked_iterations(self):
         with pytest.raises(TypeError):
             Program([("not", "an", "iteration")])
+
+    def test_iteration_index_must_match_position(self):
+        """The DES, the static compile and the verifier all read an
+        iteration's index as its position, so any other numbering is
+        refused up front instead of each layer reading it differently."""
+        it = IterationSpec(index=1, tasks=[TaskSpec("a", depends=((0, DepMode.OUT),))])
+        with pytest.raises(ValueError, match="position 0 has index 1"):
+            Program([it], persistent_candidate=True)
+        assert Program.from_template([TaskSpec("a")], 3).n_iterations == 3
+        b = ProgramBuilder("p")
+        for _ in range(3):
+            with b.iteration():
+                b.task("a")
+        prog = b.build()
+        assert [it.index for it in prog.iterations] == [0, 1, 2]
 
 
 class TestDuplicateDependGuard:

@@ -23,7 +23,7 @@ from repro.core.program import IterationSpec, Program, TaskSpec
 from repro.core.task import DepMode
 from repro.memory import tiny_test_machine
 from repro.runtime import RuntimeConfig
-from repro.sim.tiers import ReplaySimulator, simulate
+from repro.sim.tiers import replay, simulate
 from tests.sim.test_tiers import assert_single_walk_matches_reference
 
 N_ADDRS = 4
@@ -73,8 +73,8 @@ class TestLadderOrdering:
         art = compile_program(prog, cfg.opts, costs=cfg.discovery)
 
         bounds = simulate(art, cfg, fidelity="analytic").extra["bounds"]
-        ideal = ReplaySimulator(workers_override=4096).simulate(art, cfg)
-        replay = simulate(art, cfg, fidelity="replay")
+        ideal = replay(art, cfg, workers=4096)
+        rep = simulate(art, cfg, fidelity="replay")
         des = simulate(art, cfg, fidelity="des", program=prog)
 
         # Depth in tasks against an independent reference: inoutset
@@ -84,16 +84,16 @@ class TestLadderOrdering:
         assert bounds["t_inf"] <= ideal.makespan + EPS
         # replay(N=inf) <= replay(N): workers never hurt a list schedule
         # of frozen durations fed by the same producer clock.
-        assert ideal.makespan <= replay.makespan + EPS
+        assert ideal.makespan <= rep.makespan + EPS
         # replay(N) ~= des(N): agreement within the guard band.
-        assert abs(replay.makespan - des.makespan) <= AGREEMENT * des.makespan
+        assert abs(rep.makespan - des.makespan) <= AGREEMENT * des.makespan
         # The certified bracket contains both event-accurate makespans.
         lo, hi = bounds["makespan_lower"], bounds["makespan_upper"]
-        for x in (replay.makespan, des.makespan):
+        for x in (rep.makespan, des.makespan):
             assert lo <= x * (1 + EPS)
             assert x <= hi * (1 + EPS)
         # All tiers agree on the task count.
-        assert replay.n_tasks == des.n_tasks == len(shape)
+        assert rep.n_tasks == des.n_tasks == len(shape)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -122,11 +122,11 @@ class TestLadderOrdering:
         )
         art = compile_program(prog, cfg.opts, costs=cfg.discovery)
         bounds = simulate(art, cfg, fidelity="analytic").extra["bounds"]
-        replay = simulate(art, cfg, fidelity="replay")
+        rep = simulate(art, cfg, fidelity="replay")
         des = simulate(art, cfg, fidelity="des", program=prog)
-        assert abs(replay.makespan - des.makespan) <= AGREEMENT * des.makespan
+        assert abs(rep.makespan - des.makespan) <= AGREEMENT * des.makespan
         lo, hi = bounds["makespan_lower"], bounds["makespan_upper"]
-        for x in (replay.makespan, des.makespan):
+        for x in (rep.makespan, des.makespan):
             assert lo <= x * (1 + EPS)
             assert x <= hi * (1 + EPS)
 
@@ -148,11 +148,11 @@ class TestLadderOrdering:
         art = compile_program(prog, cfg.opts, costs=cfg.discovery)
         bounds = simulate(art, cfg, fidelity="analytic").extra["bounds"]
         assert bounds["rounds"] == iters
-        replay = simulate(art, cfg, fidelity="replay")
+        rep = simulate(art, cfg, fidelity="replay")
         des = simulate(art, cfg, fidelity="des", program=prog)
-        assert replay.n_tasks == des.n_tasks == len(shape) * iters
-        assert abs(replay.makespan - des.makespan) <= AGREEMENT * des.makespan
+        assert rep.n_tasks == des.n_tasks == len(shape) * iters
+        assert abs(rep.makespan - des.makespan) <= AGREEMENT * des.makespan
         lo, hi = bounds["makespan_lower"], bounds["makespan_upper"]
-        for x in (replay.makespan, des.makespan):
+        for x in (rep.makespan, des.makespan):
             assert lo <= x * (1 + EPS)
             assert x <= hi * (1 + EPS)

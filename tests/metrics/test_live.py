@@ -1,11 +1,12 @@
-"""LiveRenderer and ProgressPrinter: status lines, pacing, failure recap."""
+"""LiveRenderer in both modes: status lines, per-event lines, pacing,
+failure recap."""
 
 from __future__ import annotations
 
 import io
 from types import SimpleNamespace
 
-from repro.campaign.bus import CampaignBus, ProgressPrinter
+from repro.campaign.bus import CampaignBus
 from repro.metrics.campaign import CampaignMetrics
 from repro.metrics.live import LiveRenderer, _fmt_duration
 
@@ -126,41 +127,58 @@ class TestRendering:
         assert "\r" not in stream.getvalue()
 
 
+def emit(bus, hook, *args):
+    for cb in getattr(bus, hook):
+        cb(*args)
+
+
 class TestProgressPrinter:
+    """``run_campaign(progress=True)``'s printer: the renderer off
+    ``live``, one ``[k/n][elapsed eta]`` line per event."""
+
     def _printer(self, n_total=3):
         clock = FakeClock()
         stream = io.StringIO()
-        return ProgressPrinter(n_total, stream=stream, clock=clock), clock, stream
+        m = CampaignMetrics(n_total, clock=clock)
+        bus = CampaignBus()
+        bus.attach(m)
+        bus.attach(LiveRenderer(m, live=False, stream=stream, clock=clock))
+        return bus, clock, stream
 
     def test_lines_carry_elapsed_and_eta(self):
-        p, clock, stream = self._printer()
+        bus, clock, stream = self._printer()
+        emit(bus, "run_start", 0, spec("a"), 1)
         clock.tick(2.0)
-        p.on_run_done(0, spec("a"), result(0.25), wall=2.0)
-        line = stream.getvalue().splitlines()[0]
-        assert line.startswith("[1/3][    2.0s eta    4.0s]")
-        assert "makespan=0.250000s" in line
+        emit(bus, "run_done", 0, spec("a"), result(0.25), 2.0)
+        lines = stream.getvalue().splitlines()
+        assert len(lines) == 1  # a start prints nothing
+        assert lines[0].startswith("[1/3][    2.0s eta    4.0s]")
+        assert "makespan=0.250000s" in lines[0]
 
     def test_final_line_omits_eta(self):
-        p, clock, stream = self._printer(n_total=1)
+        bus, clock, stream = self._printer(n_total=1)
         clock.tick(1.0)
-        p.on_run_done(0, spec("a"), result(), wall=1.0)
+        emit(bus, "run_done", 0, spec("a"), result(), 1.0)
         assert "eta" not in stream.getvalue()
 
     def test_retry_does_not_advance_counter(self):
-        p, _, stream = self._printer()
-        p.on_run_retry(0, spec("a"), 1, "timeout")
-        p.on_run_done(0, spec("a"), result(), wall=1.0)
+        bus, _, stream = self._printer()
+        emit(bus, "run_start", 0, spec("a"), 1)
+        emit(bus, "run_retry", 0, spec("a"), 1, "timeout")
+        emit(bus, "run_start", 0, spec("a"), 2)
+        emit(bus, "run_done", 0, spec("a"), result(), 1.0)
         lines = stream.getvalue().splitlines()
         assert lines[0].startswith("[0/3]") and "retry" in lines[0]
         assert lines[1].startswith("[1/3]")
 
     def test_summary_recaps_failures(self):
-        p, clock, stream = self._printer(n_total=2)
-        p.on_run_done(0, spec("good"), result(), wall=1.0)
-        p.on_run_failed(1, spec("bad-spec"), "Traceback...\nBoom: nope")
+        bus, clock, stream = self._printer(n_total=2)
+        emit(bus, "run_done", 0, spec("good"), result(), 1.0)
+        emit(bus, "run_failed", 1, spec("bad-spec"), "Traceback...\nBoom: nope")
         clock.tick(3.5)
-        p.on_campaign_done(campaign_result("campaign: 2 runs, 1 failed"))
+        emit(bus, "campaign_done", campaign_result("campaign: 2 runs, 1 failed"))
         out = stream.getvalue()
         assert "Boom: nope" in out
         assert "FAILED bad-spec\n" in out
-        assert "campaign: 2 runs, 1 failed [wall 3.5s]" in out
+        # The recap reads the same in both modes.
+        assert "campaign: 2 runs, 1 failed [wall 0:03]" in out

@@ -15,6 +15,8 @@ from repro.cluster.cluster import Cluster
 from repro.core import ProgramBuilder
 from repro.core.program import CommKind, CommSpec
 from repro.memory import tiny_test_machine
+from repro.mpi.comm import Communicator
+from repro.mpi.network import bxi_like
 from repro.runtime import RuntimeConfig, TaskRuntime
 from repro.runtime.parallel_for import (
     ForIteration,
@@ -22,7 +24,7 @@ from repro.runtime.parallel_for import (
     LoopSpec,
     ParallelForRuntime,
 )
-from repro.sim import InstrumentationBus, SimContext
+from repro.sim import EventQueue, InstrumentationBus
 from repro.sim.bus import HOOKS
 from repro.util.serde import canonical_json
 
@@ -107,7 +109,7 @@ def run_for(bus=None):
 
 
 def run_cluster(bus=None):
-    cluster = Cluster(2, ctx=SimContext(seed=7), bus=bus)
+    cluster = Cluster(2, bus=bus)
     res = cluster.run([pingpong(0), pingpong(1)],
                       [cfg(trace=True), cfg(trace=True)])
     traces = tuple(canonical_json(r.to_dict()["trace"]) for r in res.results)
@@ -129,6 +131,33 @@ class TestReproducibility:
         a = TaskRuntime(task_program(), cfg(seed=1)).run()
         b = TaskRuntime(task_program(), cfg(seed=2)).run()
         assert a.n_tasks == b.n_tasks
+
+
+class TestSharedQueue:
+    def test_hand_driven_ranks_equal_cluster(self):
+        """The shared-timeline pattern TaskRuntime documents: ranks built
+        on one EventQueue and one Communicator, started, then drained
+        once, are the coupled run Cluster performs."""
+        net = bxi_like()
+        q = EventQueue()
+        comm = Communicator(q, net, 2)
+        runtimes = [
+            TaskRuntime(pingpong(r), cfg(trace=True), engine=q, comm=comm, rank=r)
+            for r in range(2)
+        ]
+        for rt in runtimes:
+            rt.start()
+        q.run()
+        comm.assert_quiescent()
+        by_hand = [rt.result().to_dict() for rt in runtimes]
+
+        out = Cluster(2, network=net).run(
+            [pingpong(0), pingpong(1)], [cfg(trace=True), cfg(trace=True)]
+        )
+        assert canonical_json(by_hand) == canonical_json(
+            [r.to_dict() for r in out.results]
+        )
+        assert q.n_dispatched == out.n_events
 
 
 class TestObserverNeutrality:

@@ -1,8 +1,8 @@
 """Unit tests for the fidelity ladder (repro.sim.tiers).
 
-Covers the Simulator protocol, the analytic bounds structure, replay
+Covers the fidelity names, the analytic bounds structure, replay
 scheduling policies, the unified RunResult shape, and the rejection
-paths (bodies, accelerators, missing program).
+paths (bodies, accelerators, missing program, unknown fidelity).
 """
 
 from __future__ import annotations
@@ -18,14 +18,9 @@ from repro.core.task import DepMode
 from repro.memory import tiny_test_machine
 from repro.runtime import RuntimeConfig, TaskRuntime
 from repro.sim.tiers import (
-    DEFAULT_FIDELITY,
     FIDELITIES,
-    AnalyticSimulator,
-    DesSimulator,
-    ReplaySimulator,
-    Simulator,
     _segment_spans,
-    get_simulator,
+    replay,
     simulate,
     tier_weights,
 )
@@ -199,24 +194,15 @@ def compiled_for(program: Program, cfg: RuntimeConfig):
 class TestRegistry:
     def test_fidelities_ladder(self):
         assert FIDELITIES == ("analytic", "replay", "des")
-        assert DEFAULT_FIDELITY == "des"
-
-    def test_get_simulator_each_tier(self):
-        for f in FIDELITIES:
-            sim = get_simulator(f)
-            assert sim.fidelity == f
-            assert isinstance(sim, Simulator)
 
     def test_unknown_fidelity_rejected(self):
+        prog = diamond_program()
+        cfg = config()
+        art = compiled_for(prog, cfg)
         with pytest.raises(ValueError, match="unknown fidelity 'exact'"):
-            get_simulator("exact")
+            simulate(art, cfg, fidelity="exact", program=prog)
         with pytest.raises(ValueError, match="expected one of"):
             simulate(None, None, fidelity="")
-
-    def test_protocol_runtime_checkable(self):
-        assert isinstance(AnalyticSimulator(), Simulator)
-        assert isinstance(ReplaySimulator(), Simulator)
-        assert isinstance(DesSimulator(), Simulator)
 
 
 class TestUnifiedResult:
@@ -368,16 +354,14 @@ class TestReplay:
         prog = wide_program(32)
         cfg = config(1)
         art = compiled_for(prog, cfg)
-        m1 = ReplaySimulator(workers_override=1).simulate(art, cfg).makespan
-        m8 = ReplaySimulator(workers_override=8).simulate(art, cfg).makespan
+        m1 = replay(art, cfg, workers=1).makespan
+        m8 = replay(art, cfg, workers=8).makespan
         assert m8 <= m1 + 1e-12
 
     def test_workers_override_reported(self):
         prog = diamond_program()
         cfg = config()
-        res = ReplaySimulator(workers_override=64).simulate(
-            compiled_for(prog, cfg), cfg
-        )
+        res = replay(compiled_for(prog, cfg), cfg, workers=64)
         assert res.extra["replay_workers"] == 64
 
     def test_non_overlapped_serializes_discovery(self):
@@ -409,10 +393,10 @@ class TestOrdering:
         cfg = config()
         art = compiled_for(prog, cfg)
         bounds = simulate(art, cfg, fidelity="analytic").extra["bounds"]
-        replay = simulate(art, cfg, fidelity="replay").makespan
+        rep = simulate(art, cfg, fidelity="replay").makespan
         des = simulate(art, cfg, fidelity="des", program=prog).makespan
         lo, hi = bounds["makespan_lower"], bounds["makespan_upper"]
-        assert lo <= replay * (1 + 1e-9) and replay <= hi * (1 + 1e-9)
+        assert lo <= rep * (1 + 1e-9) and rep <= hi * (1 + 1e-9)
         assert lo <= des * (1 + 1e-9) and des <= hi * (1 + 1e-9)
 
     def test_infinite_workers_at_least_span(self):
@@ -420,7 +404,7 @@ class TestOrdering:
         cfg = config()
         art = compiled_for(prog, cfg)
         t_inf = simulate(art, cfg, fidelity="analytic").extra["bounds"]["t_inf"]
-        ideal = ReplaySimulator(workers_override=4096).simulate(art, cfg)
+        ideal = replay(art, cfg, workers=4096)
         assert ideal.makespan >= t_inf - 1e-12
 
 
@@ -484,6 +468,6 @@ class TestTierWeights:
         prog = chain_program(8)
         cfg = config(1)
         art = compiled_for(prog, cfg)
-        replay = simulate(art, cfg, fidelity="replay").makespan
+        rep = simulate(art, cfg, fidelity="replay").makespan
         des = TaskRuntime(prog, cfg).run().makespan
-        assert replay == pytest.approx(des, rel=0.02)
+        assert rep == pytest.approx(des, rel=0.02)
