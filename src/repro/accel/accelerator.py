@@ -21,9 +21,9 @@ the offload analogue of the paper's breadth-first cache degradation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
-from repro.core.task import Task
+from repro.core.task import FootprintChunk
 from repro.memory.cache import LRUCache
 from repro.sim.events import EventQueue
 from repro.util.units import MiB, us
@@ -98,13 +98,16 @@ class Accelerator:
         self.stats = AccelStats()
 
     # ------------------------------------------------------------------
-    def kernel_duration(self, task: Task) -> tuple[float, int]:
-        """(execution time once started, bytes needing H2D transfer)."""
-        flop_time = task.flops / self.spec.flops_per_stream
-        mem_bytes = sum(nbytes for _, nbytes in task.footprint)
+    def kernel_duration(
+        self, flops: float, footprint: Sequence[FootprintChunk]
+    ) -> tuple[float, int]:
+        """(execution time once started, bytes needing H2D transfer) of a
+        kernel doing ``flops`` over ``(chunk, bytes)`` ``footprint``."""
+        flop_time = flops / self.spec.flops_per_stream
+        mem_bytes = sum(nbytes for _, nbytes in footprint)
         mem_time = mem_bytes / self.spec.mem_bw
         h2d = 0
-        for chunk, nbytes in task.footprint:
+        for chunk, nbytes in footprint:
             if self._memory.touch(chunk):
                 self.stats.resident_hits += 1
                 self.stats.resident_bytes += nbytes
@@ -117,9 +120,15 @@ class Accelerator:
             + max(flop_time, mem_time)
         ), h2d
 
-    def submit(self, task: Task, now: float, on_complete: Callable[[float], None]) -> float:
-        """Queue ``task`` on the earliest-free stream; returns finish time."""
-        duration, h2d = self.kernel_duration(task)
+    def submit(
+        self,
+        flops: float,
+        footprint: Sequence[FootprintChunk],
+        now: float,
+        on_complete: Callable[[float], None],
+    ) -> float:
+        """Queue one kernel on the earliest-free stream; returns finish time."""
+        duration, h2d = self.kernel_duration(flops, footprint)
         stream = min(range(self.spec.n_streams), key=lambda i: self._stream_free[i])
         start = max(now, self._stream_free[stream])
         finish = start + duration

@@ -3,10 +3,11 @@
 The paper reasons about the *shape* of the discovered graph — its depth
 (the critical path the depth-first scheduler descends), its width (how much
 parallelism throttling may hide), and its average parallelism.  These
-helpers accept either a live :class:`~repro.core.graph.TaskGraph` (flattened
-through :meth:`~repro.sim.table.TaskTable.build_csr`) or a frozen
-:class:`~repro.core.compiled.CompiledTDG`, and compute every metric on the
-CSR ``(offsets, targets)`` pair directly
+helpers take a frozen :class:`~repro.core.compiled.CompiledTDG` (from
+:func:`~repro.core.compiled.compile_program`, or a DES run's
+:meth:`~repro.runtime.runtime.TaskRuntime.compiled`) and compute every
+metric on its CSR ``(offsets, targets)`` pair along its cached
+:attr:`~repro.core.compiled.CompiledTDG.topo_order`
 (:func:`repro.core.graph_stats.shape_from_csr`).  :mod:`networkx` is only
 materialized on demand (:func:`to_networkx`) for callers that want the
 ecosystem, never for the metrics themselves.
@@ -14,16 +15,14 @@ ecosystem, never for the metrics themselves.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.core.compiled import CompiledTDG
-from repro.core.graph import TaskGraph
 from repro.core.graph_stats import (
     GraphShape,
     shape_from_csr,
     width_profile_from_csr,
 )
-from repro.core.task import Task
 
 if TYPE_CHECKING:
     import networkx as nx
@@ -35,91 +34,48 @@ __all__ = [
     "width_profile",
 ]
 
-AnyGraph = Union[TaskGraph, CompiledTDG]
 
-
-def _csr_of(graph: AnyGraph) -> tuple[Sequence[int], Sequence[int]]:
-    """The ``(offsets, targets)`` pair of either graph representation."""
-    if isinstance(graph, CompiledTDG):
-        return graph.succ_offsets, graph.succ_targets
-    return graph.table.build_csr()
-
-
-def _weights_of(
-    graph: AnyGraph,
-    weight: Union[Callable[[Task], float], Sequence[float], None],
-) -> list[float]:
-    """Per-node weights aligned by tid.
-
-    ``weight`` may be a per-:class:`Task` callable (materializes views; only
-    supported for a :class:`TaskGraph`), a ready-made per-tid sequence, or
-    None for the default ``flops`` (stubs at zero).
-    """
-    if weight is None:
-        if isinstance(graph, CompiledTDG):
-            is_stub, flops = graph.is_stub, graph.flops
-        else:
-            is_stub, flops = graph.table.is_stub, graph.table.flops
-        return [0.0 if s else float(f) for s, f in zip(is_stub, flops)]
-    if callable(weight):
-        if isinstance(graph, CompiledTDG):
-            raise TypeError(
-                "per-Task weight callables need a TaskGraph; pass a "
-                "per-tid weight sequence for a CompiledTDG"
-            )
-        return [weight(t) for t in graph.tasks]
-    return [float(w) for w in weight]
-
-
-def to_networkx(graph: AnyGraph, *, include_stubs: bool = True) -> nx.DiGraph:
+def to_networkx(graph: CompiledTDG) -> nx.DiGraph:
     """Materialize the TDG as a ``networkx.DiGraph``.
 
     Nodes are task ids with attributes ``name``, ``loop``, ``flops`` and
-    ``stub``; parallel (duplicate) edges collapse — use the graph's own
-    :class:`~repro.core.graph.EdgeStats` for multiplicity accounting.
+    ``stub``; redirect stubs stay in, since they carry the ordering
+    between an ``inoutset`` group and its readers.  Parallel (duplicate)
+    edges collapse — use the graph's own
+    :class:`~repro.core.graph_stats.EdgeStats` for multiplicity accounting.
     """
     import networkx as nx
 
-    if isinstance(graph, CompiledTDG):
-        name, loop_id = graph.name, graph.loop_id
-        flops, is_stub = graph.flops, graph.is_stub
-    else:
-        tb = graph.table
-        name, loop_id, flops, is_stub = tb.name, tb.loop_id, tb.flops, tb.is_stub
-    offsets, targets = _csr_of(graph)
+    offsets, targets = graph.succ_offsets, graph.succ_targets
     g = nx.DiGraph()
-    for tid in range(len(offsets) - 1):
-        if is_stub[tid] and not include_stubs:
-            continue
+    for tid in range(graph.n_tasks):
         g.add_node(
-            tid, name=name[tid], loop=loop_id[tid],
-            flops=flops[tid], stub=is_stub[tid],
+            tid, name=graph.name[tid], loop=graph.loop_id[tid],
+            flops=graph.flops[tid], stub=graph.is_stub[tid],
         )
-    for pred in range(len(offsets) - 1):
-        if not include_stubs and is_stub[pred]:
-            continue
+    for pred in range(graph.n_tasks):
         for succ in targets[offsets[pred]:offsets[pred + 1]]:
-            if not include_stubs and is_stub[succ]:
-                continue
             g.add_edge(pred, succ)
     return g
 
 
 def analyze_shape(
-    graph: AnyGraph,
-    *,
-    weight: Union[Callable[[Task], float], Sequence[float], None] = None,
+    graph: CompiledTDG, *, weight: Optional[Sequence[float]] = None
 ) -> GraphShape:
     """Compute the shape metrics of a TDG.
 
-    ``weight`` maps a task to its cost (default: ``flops``, with stubs at
+    ``weight`` is the per-tid cost (default: ``flops``, with stubs at
     zero); ``T1/Tinf`` is the classic work/span ratio.
     """
-    offsets, targets = _csr_of(graph)
-    return shape_from_csr(offsets, targets, _weights_of(graph, weight))
+    if weight is None:
+        weights = [0.0 if s else float(f) for s, f in zip(graph.is_stub, graph.flops)]
+    else:
+        weights = [float(w) for w in weight]
+    return shape_from_csr(
+        graph.succ_offsets, graph.succ_targets, weights, graph.topo_order
+    )
 
 
-def width_profile(graph: AnyGraph) -> list[int]:
+def width_profile(graph: CompiledTDG) -> list[int]:
     """Tasks per depth level — the breadth the scheduler could exploit."""
-    offsets, targets = _csr_of(graph)
-    return width_profile_from_csr(offsets, targets)
+    return width_profile_from_csr(graph.succ_offsets, graph.succ_targets)

@@ -1,12 +1,14 @@
-"""Core task model: tasks, programs, TDG discovery and its optimizations.
+"""Core task model: programs, TDG discovery and its optimizations.
 
 This package is the paper's primary contribution area: the task dependency
 graph (TDG), its discovery by a single producer thread, the discovery
 optimizations (a)/(b)/(c), the persistent task sub-graph (p), and task
-throttling.
+throttling.  A discovered task is a row (``tid``) of a
+:class:`~repro.sim.table.TaskTable`; a frozen graph is a
+:class:`CompiledTDG`.
 """
 
-from repro.core.task import AccessMode, Task, TaskState, DepMode, Dep
+from repro.core.task import AccessMode, DepMode, Dep
 from repro.core.program import (
     CommKind,
     CommSpec,
@@ -15,7 +17,7 @@ from repro.core.program import (
     ProgramBuilder,
     TaskSpec,
 )
-from repro.core.graph import TaskGraph, EdgeStats
+from repro.core.graph_stats import EdgeStats
 from repro.core.compiled import (
     CompiledGraphCache,
     CompiledTDG,
@@ -24,13 +26,11 @@ from repro.core.compiled import (
 )
 from repro.core.dependences import DependenceResolver, ResolutionResult
 from repro.core.optimizations import OptimizationSet
-from repro.core.persistent import PersistentRegion, PersistentStructureError
+from repro.core.persistent import PersistentStructureError
 from repro.core.throttling import ThrottleConfig
 
 __all__ = [
     "AccessMode",
-    "Task",
-    "TaskState",
     "DepMode",
     "Dep",
     "CommKind",
@@ -39,7 +39,6 @@ __all__ = [
     "Program",
     "ProgramBuilder",
     "TaskSpec",
-    "TaskGraph",
     "EdgeStats",
     "CompiledGraphCache",
     "CompiledTDG",
@@ -48,7 +47,6 @@ __all__ = [
     "DependenceResolver",
     "ResolutionResult",
     "OptimizationSet",
-    "PersistentRegion",
     "PersistentStructureError",
     "ThrottleConfig",
 ]

@@ -47,7 +47,6 @@ from repro.core.graph_stats import EdgeStats, topological_order
 from repro.util.serde import canonical_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.graph import TaskGraph
     from repro.core.optimizations import OptimizationSet
     from repro.core.program import Program
     from repro.runtime.costs import DiscoveryCosts
@@ -591,9 +590,8 @@ def compile_program(
     *,
     costs: Optional["DiscoveryCosts"] = None,
     owner: int = 0,
-    keep_graph: bool = False,
     bus=None,
-) -> "CompiledTDG | tuple[CompiledTDG, TaskGraph]":
+) -> CompiledTDG:
     """Statically discover ``program``'s TDG and freeze it.
 
     Walks the program through the production
@@ -611,9 +609,9 @@ def compile_program(
 
     Because no task completes during static discovery no edge is ever
     pruned: edge counts match a persistent-mode or non-overlapped DES run
-    exactly.  ``keep_graph`` additionally returns the builder
-    :class:`~repro.core.graph.TaskGraph` (live :class:`Task` views for
-    the verify layer).  ``bus`` (an
+    exactly.  The walk fills a private
+    :class:`~repro.sim.table.TaskTable` and freezes it with
+    :meth:`CompiledTDG.from_table`.  ``bus`` (an
     :class:`~repro.sim.InstrumentationBus`) receives the same
     ``task_create`` events a DES producer would emit, with time 0.0
     (static compilation has no clock) and each task priced by ``costs``
@@ -621,12 +619,11 @@ def compile_program(
     simulated discovery.  The artifact itself never depends on ``costs``.
     """
     from repro.core.dependences import DependenceResolver
-    from repro.core.graph import TaskGraph
     from repro.core.task import split_footprint
+    from repro.sim.table import TaskTable
 
     persistent = opts.p and program.persistent_candidate
-    graph = TaskGraph(persistent=persistent)
-    table = graph.table
+    table = TaskTable(persistent=persistent)
     resolver = DependenceResolver(table, opts)
     create_cbs = bus.task_create if bus is not None else None
     # Normalized footprint per spec object: ``Program.from_template``
@@ -651,7 +648,7 @@ def compile_program(
                 prep = spec_prep[id(spec)] = split_footprint(spec.footprint)
             tid = table.new_fast(
                 spec.name, spec.loop_id, it.index, spec.flops,
-                prep[0], prep[1], spec.fp_bytes, spec.comm, None,
+                prep[0], spec.fp_bytes, spec.comm, None,
             )
             segment.append(seg)
             spec_pos.append(pos)
@@ -674,7 +671,7 @@ def compile_program(
             resolver.reset()
             seg += 1
 
-    compiled = CompiledTDG.from_table(
+    return CompiledTDG.from_table(
         table,
         key=structural_signature(program, opts),
         segment=segment,
@@ -683,9 +680,6 @@ def compile_program(
         n_iterations=program.n_iterations,
         owner=owner,
     )
-    if keep_graph:
-        return compiled, graph
-    return compiled
 
 
 # ======================================================================

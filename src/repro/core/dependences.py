@@ -32,9 +32,7 @@ INOUTSET    like OUT versus earlier accesses, but mutually
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
-from repro.core.graph import TaskGraph
 from repro.core.optimizations import OptimizationSet
 from repro.core.task import Dep, DepMode
 from repro.sim.table import COMPLETED as _COMPLETED
@@ -84,19 +82,16 @@ class ResolutionResult:
 
 
 class DependenceResolver:
-    """Resolves task ``depend`` clauses against a task table.
+    """Resolves task ``depend`` clauses against a :class:`TaskTable`.
 
-    Accepts either a :class:`TaskGraph` facade or its
-    :class:`~repro.sim.table.TaskTable` directly.  One resolver instance
-    corresponds to one data environment — the paper's persistent-TDG
-    implicit barrier resets it between iterations, dropping
-    inter-iteration edges (§3.3's explanation of why (p) *reduces* the
-    first iteration's edge count).
+    One resolver instance corresponds to one data environment — the
+    paper's persistent-TDG implicit barrier resets it between iterations,
+    dropping inter-iteration edges (§3.3's explanation of why (p)
+    *reduces* the first iteration's edge count).
     """
 
-    def __init__(self, graph: Union[TaskGraph, TaskTable], opts: OptimizationSet):
-        self.graph = graph
-        self.table: TaskTable = graph.table if isinstance(graph, TaskGraph) else graph
+    def __init__(self, table: TaskTable, opts: OptimizationSet):
+        self.table = table
         self.opts = opts
         self._dedup = opts.b
         self._addr_map: dict[int, AddrState] = {}

@@ -1,8 +1,8 @@
 """Edge accounting and shape metrics over frozen TDGs.
 
-Split out of :mod:`repro.core.graph` so the struct-of-arrays storage
-(:mod:`repro.sim.table`) can share the counters without importing the
-graph facade (which imports the table back).  The shape metrics
+:class:`EdgeStats` holds the counters every discovery reports — the
+struct-of-arrays storage (:mod:`repro.sim.table`) updates them and the
+compiled artifact carries a copy.  The shape metrics
 (:func:`shape_from_csr`, :func:`width_profile_from_csr`) operate on the
 compiled CSR ``(offsets, targets)`` pair directly — the representation
 every frozen graph (:class:`~repro.core.compiled.CompiledTDG`,

@@ -8,15 +8,21 @@ data (8–100 bytes in LULESH); dependence processing, descriptor allocation
 and ICV management are skipped entirely.  An implicit barrier at the end of
 each iteration guarantees all tasks completed before being re-armed, which
 also removes inter-iteration edges (the resolver is reset at the barrier).
+
+The cached graph is the runtime's :class:`~repro.sim.table.TaskTable`
+itself, re-armed by :meth:`~repro.sim.table.TaskTable.reset_for_replay`.
+Replaying it is sound only while every iteration keeps the template's
+structure; :func:`first_divergence` is the one check of that, shared by the
+runtime (which raises :class:`PersistentStructureError` at the barrier) and
+the static verifier (:mod:`repro.verify.persistence`, rule
+``V-PTSG-UNSAFE``), so both report the same divergence in the same words.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Optional
 
-from repro.core.graph import TaskGraph
 from repro.core.program import IterationSpec, TaskSpec
-from repro.core.task import Task
 
 
 class PersistentStructureError(RuntimeError):
@@ -37,71 +43,34 @@ def _signature(spec: TaskSpec) -> tuple:
     return (spec.name, spec.loop_id, spec.depends)
 
 
-@dataclass
-class PersistentRegion:
-    """The cached graph of one ``#pragma omp ptsg`` region.
+def first_divergence(
+    template: IterationSpec, iteration: IterationSpec
+) -> Optional[str]:
+    """Describe the first structural divergence from ``template``, if any.
 
-    Attributes
-    ----------
-    graph:
-        The TDG discovered on the first iteration (prune-free).
-    template:
-        The first iteration's specs, used to validate later iterations and
-        to re-derive per-task replay costs (firstprivate sizes).
-    user_tasks:
-        Tasks corresponding 1:1 to ``template`` (stubs excluded).
+    ``taskwait`` markers create no tasks, but their *positions* are part
+    of the structure.
     """
-
-    graph: TaskGraph
-    #: The raw first-iteration specs, *including* any taskwait markers.
-    template: list[TaskSpec]
-    user_tasks: list[Task]
-
-    def __post_init__(self) -> None:
-        n_real = sum(1 for s in self.template if not s.barrier)
-        if n_real != len(self.user_tasks):
-            raise ValueError(
-                "template/user_tasks mismatch: "
-                f"{n_real} task specs vs {len(self.user_tasks)} tasks"
-            )
-
-    # ------------------------------------------------------------------
-    def validate_iteration(self, iteration: IterationSpec) -> None:
-        """Check a later iteration is structurally identical to the template.
-
-        ``taskwait`` markers create no tasks, but their *positions* are part
-        of the structural signature.
-        """
-        got_barriers = [i for i, s in enumerate(iteration.tasks) if s.barrier]
-        ref_barriers = [i for i, s in enumerate(self.template) if s.barrier]
-        if got_barriers != ref_barriers:
-            raise PersistentStructureError(
-                f"iteration {iteration.index}: taskwait positions changed "
-                f"({got_barriers} vs {ref_barriers})"
-            )
-        got_tasks = [s for s in iteration.tasks if not s.barrier]
-        ref_tasks = [s for s in self.template if not s.barrier]
-        if len(got_tasks) != len(ref_tasks):
-            raise PersistentStructureError(
-                f"iteration {iteration.index} submits {len(got_tasks)} "
-                f"tasks but the persistent graph holds {len(ref_tasks)}"
-            )
-        for got, ref in zip(got_tasks, ref_tasks):
-            if _signature(got) != _signature(ref):
-                raise PersistentStructureError(
-                    f"iteration {iteration.index}: task {got.name!r} diverged "
-                    f"from cached task {ref.name!r} (dependences or loop changed)"
-                )
-
-    # ------------------------------------------------------------------
-    def rearm(self) -> None:
-        """Reset all tasks (user tasks and stubs) for the next iteration."""
-        self.graph.reset_for_replay()
-
-    @property
-    def n_tasks(self) -> int:
-        return self.graph.n_tasks
-
-    @property
-    def n_edges(self) -> int:
-        return self.graph.n_edges
+    ref_barriers = [i for i, s in enumerate(template.tasks) if s.barrier]
+    got_barriers = [i for i, s in enumerate(iteration.tasks) if s.barrier]
+    if ref_barriers != got_barriers:
+        return (
+            f"taskwait positions changed: {got_barriers} vs template "
+            f"{ref_barriers}"
+        )
+    ref = [s for s in template.tasks if not s.barrier]
+    got = [s for s in iteration.tasks if not s.barrier]
+    if len(got) != len(ref):
+        return (
+            f"submits {len(got)} tasks where the template submits {len(ref)}"
+        )
+    for pos, (g, r) in enumerate(zip(got, ref)):
+        if _signature(g) != _signature(r):
+            if g.name != r.name:
+                what = f"task name {g.name!r} vs {r.name!r}"
+            elif g.depends != r.depends:
+                what = f"task {g.name!r}: depend clauses changed"
+            else:
+                what = f"task {g.name!r}: loop id changed"
+            return f"position {pos}: {what}"
+    return None

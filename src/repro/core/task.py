@@ -1,30 +1,17 @@
-"""Task model: the runtime-side representation of an OpenMP dependent task.
+"""Task vocabulary: ``depend`` modes, access modes and footprint entries.
 
-A :class:`Task` is the mutable handle the public API manipulates: it carries
-the dependence bookkeeping (predecessor counter, successor list), the
-scheduling state, and the cost-model inputs (flops, memory footprint).  The
-immutable *description* of a task as emitted by user code lives in
+The immutable *description* of a task as emitted by user code is a
 :class:`repro.core.program.TaskSpec`; the producer thread turns specs into
-tasks during TDG discovery, paying the costs the paper studies.
-
-Storage-wise a ``Task`` is a thin *view*: the actual state lives in one row
-of a struct-of-arrays :class:`~repro.sim.table.TaskTable` (experiments
-instantiate hundreds of thousands of tasks per run, and the simulated
-runtime works on the columns directly).  Views are cached per row, so two
-handles to the same task are the same object and identity comparisons
-behave like they did when tasks were standalone objects.  Constructing a
-``Task`` directly (as tests and small tools do) allocates a private
-one-row table behind the scenes.
+rows of a struct-of-arrays :class:`~repro.sim.table.TaskTable` during TDG
+discovery, paying the costs the paper studies.  A task *is* its row index
+(``tid``): there is no per-task object.  This module holds the small value
+types both sides share.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.program import CommSpec
-    from repro.sim.table import TaskTable
+from typing import Sequence, Tuple
 
 
 class DepMode(enum.IntEnum):
@@ -57,23 +44,6 @@ class AccessMode(enum.IntEnum):
     @property
     def writes(self) -> bool:
         return self != AccessMode.READ
-
-
-class TaskState(enum.IntEnum):
-    """Lifecycle of a task inside the simulated runtime.
-
-    Values are stable and mirrored as plain ints inside
-    :mod:`repro.sim.table` (the hot path compares ints, not enum members).
-    """
-
-    #: Created by the producer, still has unsatisfied predecessors.
-    CREATED = 0
-    #: All predecessors satisfied; sitting in a scheduler queue.
-    READY = 1
-    #: Being executed by a worker (or waiting on a detached MPI request).
-    RUNNING = 2
-    #: Body finished and, for detached tasks, communication completed.
-    COMPLETED = 3
 
 
 #: A single ``depend`` item: (address, mode).  Addresses are opaque ints —
@@ -109,295 +79,3 @@ def split_footprint(
         chunks.append((cid, nbytes))
         modes.append(mode)
     return tuple(chunks), tuple(modes)
-
-
-class Task:
-    """A runtime task instance — a view over one :class:`TaskTable` row."""
-
-    __slots__ = ("_t", "_i", "tid")
-
-    def __init__(
-        self,
-        tid: int,
-        name: str = "",
-        *,
-        loop_id: int = -1,
-        iteration: int = 0,
-        flops: float = 0.0,
-        footprint: Sequence[FootprintChunk | FootprintAccess] = (),
-        fp_bytes: int = 0,
-        comm: Optional["CommSpec"] = None,
-        body: Optional[Callable[[], None]] = None,
-        is_stub: bool = False,
-    ) -> None:
-        from repro.sim.table import TaskTable
-
-        table = TaskTable()
-        row = table.new(
-            name,
-            loop_id=loop_id,
-            iteration=iteration,
-            flops=flops,
-            footprint=footprint,
-            fp_bytes=fp_bytes,
-            comm=comm,
-            body=body,
-            is_stub=is_stub,
-        )
-        table._views[row] = self
-        self._t = table
-        self._i = row
-        #: Task id.  Rows allocated through a graph/table use the row index;
-        #: standalone construction keeps whatever id the caller passed.
-        self.tid = tid
-
-    @classmethod
-    def _of(cls, table: "TaskTable", row: int) -> "Task":
-        """Internal: build the view for an existing table row."""
-        self = object.__new__(cls)
-        self._t = table
-        self._i = row
-        self.tid = row
-        return self
-
-    # ------------------------------------------------------------------
-    # Identity / cost-model fields.
-    @property
-    def table(self) -> "TaskTable":
-        """The backing struct-of-arrays storage."""
-        return self._t
-
-    @property
-    def name(self) -> str:
-        return self._t.name[self._i]
-
-    @name.setter
-    def name(self, v: str) -> None:
-        self._t.name[self._i] = v
-
-    @property
-    def loop_id(self) -> int:
-        return self._t.loop_id[self._i]
-
-    @loop_id.setter
-    def loop_id(self, v: int) -> None:
-        self._t.loop_id[self._i] = v
-
-    @property
-    def iteration(self) -> int:
-        return self._t.iteration[self._i]
-
-    @iteration.setter
-    def iteration(self, v: int) -> None:
-        self._t.iteration[self._i] = v
-
-    @property
-    def flops(self) -> float:
-        return self._t.flops[self._i]
-
-    @flops.setter
-    def flops(self, v: float) -> None:
-        self._t.flops[self._i] = v
-
-    @property
-    def footprint(self) -> Tuple[FootprintChunk, ...]:
-        return self._t.footprint[self._i]
-
-    @property
-    def fp_modes(self) -> Tuple[AccessMode, ...]:
-        return self._t.fp_modes[self._i]
-
-    @property
-    def fp_bytes(self) -> int:
-        return self._t.fp_bytes[self._i]
-
-    @fp_bytes.setter
-    def fp_bytes(self, v: int) -> None:
-        self._t.fp_bytes[self._i] = v
-
-    @property
-    def comm(self):
-        return self._t.comm[self._i]
-
-    @comm.setter
-    def comm(self, v) -> None:
-        self._t.comm[self._i] = v
-
-    @property
-    def body(self):
-        return self._t.body[self._i]
-
-    @body.setter
-    def body(self, v) -> None:
-        self._t.body[self._i] = v
-
-    # ------------------------------------------------------------------
-    # Dependence bookkeeping.
-    @property
-    def state(self) -> TaskState:
-        return TaskState(self._t.state[self._i])
-
-    @state.setter
-    def state(self, v) -> None:
-        self._t.state[self._i] = int(v)
-
-    @property
-    def npred(self) -> int:
-        """Unsatisfied predecessor count (edge multiplicity included: a
-        duplicate edge contributes one satisfy on predecessor completion,
-        so correctness holds with or without optimization (b))."""
-        return self._t.npred[self._i]
-
-    @npred.setter
-    def npred(self, v: int) -> None:
-        self._t.npred[self._i] = v
-
-    @property
-    def presat(self) -> int:
-        """In a persistent graph, edges created towards predecessors that
-        had *already completed* at discovery time: they are materialized
-        (future iterations need them) but pre-satisfied for the current
-        iteration, so they never contribute to ``npred``."""
-        return self._t.presat[self._i]
-
-    @presat.setter
-    def presat(self, v: int) -> None:
-        self._t.presat[self._i] = v
-
-    @property
-    def npred_initial(self) -> int:
-        """Predecessor count at end of discovery — needed to re-arm a
-        persistent task graph between iterations."""
-        return self._t.npred_initial[self._i]
-
-    @npred_initial.setter
-    def npred_initial(self, v: int) -> None:
-        self._t.npred_initial[self._i] = v
-
-    @property
-    def successors(self) -> list["Task"]:
-        """Successor tasks, as views (a fresh list — mutate the graph via
-        :meth:`TaskGraph.add_edge <repro.core.graph.TaskGraph.add_edge>`,
-        not by appending here)."""
-        t = self._t
-        view = t.view
-        return [view(s) for s in t.succs[self._i]]
-
-    @property
-    def last_successor(self) -> Optional["Task"]:
-        """Most recent successor an edge was created towards.  Sequential
-        task submission makes duplicate-edge detection O(1): a duplicate
-        can only be the immediately preceding edge (optimization (b))."""
-        last = self._t.last_succ[self._i]
-        return None if last < 0 else self._t.view(last)
-
-    @property
-    def persistent(self) -> bool:
-        return self._t.persistent
-
-    @persistent.setter
-    def persistent(self, v: bool) -> None:
-        self._t.persistent = v
-        if v:
-            self._t.prune_completed = False
-
-    # ------------------------------------------------------------------
-    # Scheduling state.
-    @property
-    def is_stub(self) -> bool:
-        return self._t.is_stub[self._i]
-
-    @property
-    def priority(self) -> bool:
-        """Scheduled ahead of ordinary ready tasks (communication path)."""
-        return self._t.priority[self._i]
-
-    @priority.setter
-    def priority(self, v: bool) -> None:
-        self._t.priority[self._i] = v
-
-    @property
-    def device(self) -> bool:
-        """Executes on the simulated accelerator (see repro.accel)."""
-        return self._t.device[self._i]
-
-    @device.setter
-    def device(self, v: bool) -> None:
-        self._t.device[self._i] = v
-
-    @property
-    def created_at(self) -> float:
-        return self._t.created_at[self._i]
-
-    @created_at.setter
-    def created_at(self, v: float) -> None:
-        self._t.created_at[self._i] = v
-
-    @property
-    def started_at(self) -> float:
-        return self._t.started_at[self._i]
-
-    @started_at.setter
-    def started_at(self, v: float) -> None:
-        self._t.started_at[self._i] = v
-
-    @property
-    def completed_at(self) -> float:
-        return self._t.completed_at[self._i]
-
-    @completed_at.setter
-    def completed_at(self, v: float) -> None:
-        self._t.completed_at[self._i] = v
-
-    @property
-    def worker(self) -> int:
-        return self._t.worker[self._i]
-
-    @worker.setter
-    def worker(self, v: int) -> None:
-        self._t.worker[self._i] = v
-
-    @property
-    def detach_pending(self) -> bool:
-        """True while a detached MPI request posted by this task is in
-        flight; the task only completes (releasing successors) when the
-        request does — the OpenMP ``detach(event)`` clause of Listing 1."""
-        return self._t.detach_pending[self._i]
-
-    @detach_pending.setter
-    def detach_pending(self, v: bool) -> None:
-        self._t.detach_pending[self._i] = v
-
-    @property
-    def armed(self) -> bool:
-        """A task becomes *armed* when its creation (or persistent replay
-        re-instancing) finishes on the producer thread.  Predecessors may
-        complete while the producer is still paying the creation cost;
-        readiness is only actioned once armed."""
-        return self._t.armed[self._i]
-
-    @armed.setter
-    def armed(self, v: bool) -> None:
-        self._t.armed[self._i] = v
-
-    # ------------------------------------------------------------------
-    def reset_for_replay(self) -> None:
-        """Re-arm a persistent task for the next iteration (§3.2).
-
-        Only the dynamic execution state is cleared; the successor lists —
-        the expensive part of discovery — are kept, which is exactly the
-        saving the persistent TDG extension provides.
-        """
-        self._t.reset_row_for_replay(self._i)
-
-    # ------------------------------------------------------------------
-    @property
-    def completed(self) -> bool:
-        """Whether the task has fully completed (body + detach event)."""
-        return self._t.state[self._i] == 3  # TaskState.COMPLETED
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Task(tid={self.tid}, name={self.name!r}, state={self.state.name},"
-            f" npred={self.npred}, nsucc={len(self._t.succs[self._i])})"
-        )

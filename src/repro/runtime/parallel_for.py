@@ -271,7 +271,7 @@ class ParallelForRuntime:
                 f"rank {self.rank}: parallel-for walk did not finish — "
                 "an MPI operation never matched"
             )
-        from repro.core.graph import EdgeStats
+        from repro.core.graph_stats import EdgeStats
 
         return RunResult(
             name=self.program.name,

@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.graph import EdgeStats
+from repro.core.graph_stats import EdgeStats
 from repro.memory.hierarchy import MemCounters
 from repro.obs.recorder import CommRecord, TraceRecorder
 

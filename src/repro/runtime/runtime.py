@@ -8,8 +8,8 @@ edge pruning, discovery-bound idleness and the breadth-first degradation the
 paper analyses.
 
 The runtime runs on the :mod:`repro.sim` kernel: the TDG lives in a
-struct-of-arrays :class:`~repro.sim.table.TaskTable` and the hot path works
-in ``tid`` space (no per-task objects are materialized while simulating);
+struct-of-arrays :class:`~repro.sim.table.TaskTable` and everything works
+in ``tid`` space (there are no per-task objects);
 observers — the task trace, discovery counters, communication metrics —
 attach to the :class:`~repro.sim.bus.InstrumentationBus` rather than being calls
 hard-wired into runtime logic.
@@ -35,9 +35,8 @@ import numpy as np
 
 from repro.core.compiled import CompiledTDG, structural_signature
 from repro.core.dependences import DependenceResolver
-from repro.core.graph import TaskGraph
 from repro.core.optimizations import OptimizationSet
-from repro.core.persistent import PersistentRegion
+from repro.core.persistent import PersistentStructureError, first_divergence
 from repro.core.program import CommKind, CommSpec, Program, TaskSpec
 from repro.core.task import split_footprint
 from repro.core.throttling import ThrottleConfig
@@ -52,10 +51,9 @@ from repro.obs.recorder import CommRecord, TraceRecorder
 from repro.runtime.costs import DiscoveryCosts, SchedulerCosts
 from repro.runtime.result import RunResult
 from repro.runtime.scheduler import make_scheduler
-from repro.sim import EventQueue, InstrumentationBus
+from repro.sim import EventQueue, InstrumentationBus, TaskTable
 
-# TaskState values as plain ints (the hot path compares ints, see
-# repro.sim.table).
+# Task states (see repro.sim.table).
 _CREATED, _READY, _RUNNING, _COMPLETED = 0, 1, 2, 3
 _NAN = float("nan")
 
@@ -225,8 +223,7 @@ class TaskRuntime:
         self.comm_records: list[CommRecord] = []
 
         self._persistent_mode = config.opts.p and program.persistent_candidate
-        self.graph = TaskGraph(persistent=self._persistent_mode)
-        self.table = self.graph.table
+        self.table = TaskTable(persistent=self._persistent_mode)
         self.resolver = DependenceResolver(self.table, config.opts)
         #: This rank's task spans (None unless ``config.trace``).  The
         #: rank filter keeps other ranks' spans on a shared bus out.
@@ -237,7 +234,9 @@ class TaskRuntime:
         if cbs:
             for cb in cbs:
                 cb(self.table, rank)
-        self._region: Optional[PersistentRegion] = None
+        #: Set at the first persistent barrier: the table holds the whole
+        #: template graph and later iterations replay it.
+        self._frozen = False
         #: Template-iteration tids, 1:1 with its specs (persistent mode).
         self._template_tids: list[int] = []
         # Compiled-TDG replay plan, built when the region freezes: arrays
@@ -371,7 +370,7 @@ class TaskRuntime:
             work=np.asarray(self.work, dtype=float),
             overhead=np.asarray(self.overhead, dtype=float),
             n_tasks=self._n_completed_user,
-            edges=self.graph.stats,
+            edges=self.table.stats,
             mem=self.memory.counters,
             trace=self.trace,
             comm=list(self.comm_records),
@@ -458,7 +457,7 @@ class TaskRuntime:
                 return  # completions will wake us
 
         spec = iteration.tasks[self._task_idx]
-        replaying = self._persistent_mode and self._region is not None
+        replaying = self._frozen
         if spec.barrier:
             # ``taskwait``: the producer blocks until everything submitted
             # so far has completed, then resumes after the marker.  In
@@ -519,7 +518,7 @@ class TaskRuntime:
                 prep = self._spec_prep[id(spec)] = split_footprint(spec.footprint)
             tid = tb.new_fast(
                 spec.name, spec.loop_id, iteration.index, spec.flops,
-                prep[0], prep[1], spec.fp_bytes, spec.comm, spec.body,
+                prep[0], spec.fp_bytes, spec.comm, spec.body,
             )
             if spec.priority:
                 tb.priority[tid] = True
@@ -588,7 +587,6 @@ class TaskRuntime:
         if now > self._last_activity:
             self._last_activity = now
         tb = self.table
-        tb.created_at[tid] = now
         tb.iteration[tid] = iteration
         # Bodies are part of the firstprivate payload: they may change per
         # iteration (persistent replay updates them, §3.2).
@@ -615,7 +613,7 @@ class TaskRuntime:
         iteration barrier).
         """
         tb = self.table
-        created_at, iter_col, bodies = tb.created_at, tb.iteration, tb.body
+        iter_col, bodies = tb.iteration, tb.body
         armed, npred = tb.armed, tb.npred
         plan_tids, plan_costs = self._plan_tids, self._plan_costs
         plan_bodies = self._plan_bodies
@@ -635,7 +633,6 @@ class TaskRuntime:
             cost = plan_costs[k]
             t = t + cost
             db += cost
-            created_at[tid] = t
             iter_col[tid] = it
             bodies[tid] = plan_bodies[k]
             armed[tid] = True
@@ -682,18 +679,12 @@ class TaskRuntime:
         if cbs:
             for cb in cbs:
                 cb("iteration", self.engine.now)
-        if self._region is None:
+        if not self._frozen:
             # First iteration just completed: freeze the region.  Note that
             # npred_initial was snapshotted at each task's resolution — at
             # this point every npred is back to 0.
-            template_specs = list(self.program.iterations[0].tasks)
-            view = self.table.view
-            self._region = PersistentRegion(
-                graph=self.graph,
-                template=template_specs,
-                user_tasks=[view(t) for t in self._template_tids],
-            )
-            self._freeze_replay_plan(template_specs)
+            self._frozen = True
+            self._freeze_replay_plan()
         # Dropping resolver state at the barrier is what removes
         # inter-iteration edges (§3.3).
         self.resolver.reset()
@@ -705,8 +696,12 @@ class TaskRuntime:
         # by construction — nothing to validate.
         next_it = self.program.iterations[self._iter_idx]
         if next_it.tasks is not self._template_src:
-            self._region.validate_iteration(next_it)
-        self._region.rearm()
+            why = first_divergence(self.program.iterations[0], next_it)
+            if why is not None:
+                raise PersistentStructureError(
+                    f"iteration {next_it.index}: {why}"
+                )
+        self.table.reset_for_replay()
         self._region_cursor = 0
         # Stubs are re-armed wholesale; user tasks get walked by the producer.
         armed = self.table.armed
@@ -717,14 +712,14 @@ class TaskRuntime:
         self._iter_live += len(stubs)
         self._producer_state = "idle"
 
-    def _freeze_replay_plan(self, template_specs: list[TaskSpec]) -> None:
+    def _freeze_replay_plan(self) -> None:
         """Build the frozen replay plan at the first persistent barrier.
 
         One pass over the template: per-position tids (taskwait markers
         get -1), per-position firstprivate-copy costs and bodies, and the
         stub tid list the barrier re-arms wholesale.
         """
-        self._template_src = self.program.iterations[0].tasks
+        template_specs = self._template_src = self.program.iterations[0].tasks
         tids = self._template_tids
         plan_tids: list[int] = []
         plan_costs: list[float] = []
@@ -765,7 +760,7 @@ class TaskRuntime:
         it equals what :func:`repro.core.compiled.compile_program` builds
         for the same program and opts — by construction.
         """
-        if self._persistent_mode and self._region is None:
+        if self._persistent_mode and not self._frozen:
             raise RuntimeError("compiled(): persistent region not frozen yet")
         if not self._persistent_mode and not self._discovery_done:
             raise RuntimeError("compiled(): discovery has not finished")
@@ -894,7 +889,6 @@ class TaskRuntime:
         self._busy_count += 1
         tb = self.table
         tb.state[tid] = _RUNNING
-        tb.worker[tid] = w
         tb.started_at[tid] = t_start
         if self._exec_first != self._exec_first:  # NaN: first execution
             self._exec_first = t_start
@@ -933,7 +927,6 @@ class TaskRuntime:
         if spec is not None:
             req = self._post_comm(tid, spec, now)
             if spec.detached:
-                tb.detach_pending[tid] = True
                 req.on_complete(self._request_detach_done(tid))
                 self._after_worker_task(w, now)
                 return
@@ -953,17 +946,15 @@ class TaskRuntime:
         self._busy[w] = False
         self._busy_count -= 1
         tb = self.table
-        tb.detach_pending[tid] = True
 
         def _kernel_done(finish: float, tid=tid, t_start=t_start) -> None:
-            tb.detach_pending[tid] = False
             cbs = self.bus.task_end
             if cbs:
                 for cb in cbs:
                     cb(tb, tid, -1, t_start, finish)
             self._complete_task(tid, -1, self.engine.now)
 
-        self.accelerator.submit(self.table.view(tid), now, _kernel_done)
+        self.accelerator.submit(tb.flops[tid], tb.footprint[tid], now, _kernel_done)
         self._after_worker_task(w, now)
 
     def _after_worker_task(self, w: int, now: float) -> None:
@@ -1024,7 +1015,6 @@ class TaskRuntime:
         return _cb
 
     def _detach_complete(self, tid: int) -> None:
-        self.table.detach_pending[tid] = False
         self._complete_task(tid, -1, self.engine.now)
 
     def _request_blocking_done(self, tid: int, w: int, wait_from: float):

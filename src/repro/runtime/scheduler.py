@@ -11,17 +11,16 @@ Two policies matter for the paper:
 - **FIFO breadth-first**: one global FIFO — what execution effectively
   degrades to when the TDG discovery is too slow to expose successors.
 
-Schedulers are generic over the queued item: the task-based runtime queues
-plain ``tid`` ints (the struct-of-arrays hot path), tests and tools queue
-:class:`~repro.core.task.Task` views.  Priority routing is decided by the
-explicit ``priority`` keyword; when omitted it falls back to the item's
-``priority`` attribute (absent on ints — ordinary routing).
+The queued items are task ids: the runtime pushes ``tid`` ints together
+with the task's ``priority`` column value, which the depth-first scheduler
+uses to route priority tasks ahead of ordinary ones (the breadth-first
+FIFO ignores it).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Optional
+from typing import Optional
 
 from repro.util.rng import make_rng
 
@@ -47,9 +46,9 @@ class LifoDepthFirstScheduler:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self.n_workers = n_workers
-        self._local: list[deque[Any]] = [deque() for _ in range(n_workers)]
-        self._spawn: deque[Any] = deque()
-        self._priority: deque[Any] = deque()
+        self._local: list[deque[int]] = [deque() for _ in range(n_workers)]
+        self._spawn: deque[int] = deque()
+        self._priority: deque[int] = deque()
         self._n_ready = 0
         self._rng = make_rng(seed)
         self.stats = SchedulerStats()
@@ -59,20 +58,16 @@ class LifoDepthFirstScheduler:
     def n_ready(self) -> int:
         return self._n_ready
 
-    def push_local(self, worker: int, item: Any, priority: bool | None = None) -> None:
+    def push_local(self, worker: int, item: int, priority: bool = False) -> None:
         """Push a successor readied by ``worker`` (depth-first placement)."""
-        if priority is None:
-            priority = getattr(item, "priority", False)
         if priority:
             self._priority.append(item)
         else:
             self._local[worker].append(item)
         self._n_ready += 1
 
-    def push_spawn(self, item: Any, priority: bool | None = None) -> None:
+    def push_spawn(self, item: int, priority: bool = False) -> None:
         """Push a task readied by discovery or by MPI completion."""
-        if priority is None:
-            priority = getattr(item, "priority", False)
         if priority:
             self._priority.append(item)
         else:
@@ -80,7 +75,7 @@ class LifoDepthFirstScheduler:
         self._n_ready += 1
 
     # ------------------------------------------------------------------
-    def pop(self, worker: int) -> tuple[Optional[Any], str]:
+    def pop(self, worker: int) -> tuple[Optional[int], str]:
         """Get work for ``worker``; returns ``(item, source)``.
 
         Source is ``"local"``, ``"spawn"``, ``"steal"`` or ``"none"`` —
@@ -125,20 +120,20 @@ class FifoBreadthFirstScheduler:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self.n_workers = n_workers
-        self._queue: deque[Any] = deque()
+        self._queue: deque[int] = deque()
         self.stats = SchedulerStats()
 
     @property
     def n_ready(self) -> int:
         return len(self._queue)
 
-    def push_local(self, worker: int, item: Any, priority: bool | None = None) -> None:
+    def push_local(self, worker: int, item: int, priority: bool = False) -> None:
         self._queue.append(item)
 
-    def push_spawn(self, item: Any, priority: bool | None = None) -> None:
+    def push_spawn(self, item: int, priority: bool = False) -> None:
         self._queue.append(item)
 
-    def pop(self, worker: int) -> tuple[Optional[Any], str]:
+    def pop(self, worker: int) -> tuple[Optional[int], str]:
         if self._queue:
             self.stats.pops_spawn += 1
             return self._queue.popleft(), "spawn"

@@ -16,11 +16,10 @@ All three execution engines (:class:`~repro.runtime.runtime.TaskRuntime`,
   (:class:`repro.obs.DiscoveryCounters`) subscribe to the bus instead
   of being calls interleaved into runtime logic; an empty hook costs one
   attribute load and a falsy check on the hot path;
-- :class:`TaskTable` — struct-of-arrays storage for the TDG hot path
-  (parallel columns for state, predecessor counts, cost fields; successor
-  lists flattenable to a CSR layout).  :class:`~repro.core.task.Task`
-  objects are thin views over table rows, kept for the public API and
-  :mod:`repro.verify`;
+- :class:`TaskTable` — struct-of-arrays storage for the TDG (parallel
+  columns for state, predecessor counts, cost fields; successor lists
+  flattenable to a CSR layout).  A task is a row index (``tid``); there
+  is no per-task object;
 - :mod:`repro.sim.tiers` — the fidelity ladder over a compiled TDG:
   :func:`~repro.sim.tiers.analytic` work/span bounds,
   :func:`~repro.sim.tiers.replay` list scheduling, and

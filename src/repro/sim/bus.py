@@ -11,9 +11,9 @@ callbacks, so the emit site in a hot loop is::
 
 One attribute load and a falsy check when nothing is attached — tracing
 costs nothing unless someone is listening.  Subscribers never influence the
-simulation: they receive read-only views of kernel state and the event
-queue is not exposed to them, which is what makes the bus behavior-neutral
-(the determinism suite locks this in).
+simulation: they receive the task table and a ``tid``, which they must not
+write to, and the event queue is not exposed to them, which is what makes
+the bus behavior-neutral (the determinism suite locks this in).
 
 Hook signatures (``table`` is the emitting runtime's
 :class:`~repro.sim.table.TaskTable`, times are simulated seconds):

@@ -1,15 +1,14 @@
-"""Struct-of-arrays task storage — the TDG hot path.
+"""Struct-of-arrays task storage — the TDG hot path and its only form.
 
 Production runtimes store the TDG intrusively on task descriptors; at
 simulation scale the analogous Python design (one object per task, 25
 attribute slots) dominates the profile.  :class:`TaskTable` stores the same
 state as parallel columns (plain Python lists indexed by ``tid``): creating
 a task is a handful of appends, dependence bookkeeping is integer list
-arithmetic, and the simulated runtime never materializes an object per
-task.  :class:`~repro.core.task.Task` objects still exist — as cached thin
-views over one row each — for the public API, tests and
-:mod:`repro.verify`, which is the struct-of-arrays/object-view split of
-array-based runtimes (Álvarez et al., arXiv:2105.07902).
+arithmetic, and a task *is* its row index — no object is ever
+materialized per task, by the runtime, the static compile, the verifier or
+the analysis layer.  This is the array-based layout of Álvarez et al.
+(arXiv:2105.07902).
 
 Successor lists are per-row Python lists of ``tid`` while the graph is
 being discovered (edges arrive against arbitrary earlier rows, so a flat
@@ -18,20 +17,19 @@ the classic ``(offsets, targets)`` compressed-sparse-row pair once a graph
 is frozen — the layout the persistent-replay loop and the analysis layer
 iterate.
 
-State values are stored as plain ints (``TaskState`` guarantees stable
-values); timestamps use NaN for "never".
+Task states are the plain ints :data:`CREATED`, :data:`READY`,
+:data:`RUNNING` and :data:`COMPLETED`; timestamps use NaN for "never".
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import Iterator
 
 from repro.core.graph_stats import EdgeStats
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.task import Task
-
-#: Plain-int mirrors of :class:`repro.core.task.TaskState` (stable values).
+#: Task lifecycle states: created with unsatisfied predecessors, ready in
+#: a scheduler queue, running on a worker (or waiting on a detached MPI
+#: request or device kernel), completed.
 CREATED, READY, RUNNING, COMPLETED = 0, 1, 2, 3
 
 _NAN = float("nan")
@@ -42,56 +40,60 @@ class TaskTable:
 
     All columns are aligned: row ``tid`` across every list is one task.
     The mutable scheduling state (``state``, ``npred``, ``armed``, ...)
-    and the immutable identity/cost fields live side by side, exactly as
-    they did on the per-task objects.
+    and the immutable identity/cost fields live side by side.
     """
 
     __slots__ = (
-        "name", "loop_id", "iteration", "flops", "footprint", "fp_modes",
+        "name", "loop_id", "iteration", "flops", "footprint",
         "fp_bytes", "comm", "body",
         "state", "npred", "presat", "npred_initial",
         "succs", "last_succ",
-        "priority", "device", "is_stub", "armed", "detach_pending",
-        "created_at", "started_at", "completed_at", "worker",
-        "persistent", "prune_completed", "stats", "_views",
+        "priority", "device", "is_stub", "armed",
+        "started_at", "completed_at",
+        "persistent", "prune_completed", "stats",
     )
 
-    def __init__(self, *, persistent: bool = False, prune_completed: bool = True):
+    def __init__(self, *, persistent: bool = False):
         self.name: list[str] = []
         self.loop_id: list[int] = []
         self.iteration: list[int] = []
         self.flops: list[float] = []
         #: Normalized ``(chunk, bytes)`` 2-tuples (memory-model input).
         self.footprint: list[tuple] = []
-        #: Aligned :class:`~repro.core.task.AccessMode` tuples.
-        self.fp_modes: list[tuple] = []
         self.fp_bytes: list[int] = []
         self.comm: list[object] = []
         self.body: list[object] = []
         self.state: list[int] = []
+        #: Unsatisfied predecessor count (edge multiplicity included: a
+        #: duplicate edge is released once per copy).
         self.npred: list[int] = []
+        #: Persistent graphs: edges towards predecessors already completed
+        #: at discovery time — materialized for later iterations but
+        #: satisfied for the current one, so never counted in ``npred``.
         self.presat: list[int] = []
+        #: Predecessor count at the end of discovery — what a persistent
+        #: re-arm restores ``npred`` to.
         self.npred_initial: list[int] = []
         #: Successor tids per row (flattened on demand by build_csr).
         self.succs: list[list[int]] = []
         #: Most recent successor an edge was created towards (-1: none).
         #: Sequential submission makes duplicate-edge detection O(1).
         self.last_succ: list[int] = []
+        #: Scheduled ahead of ordinary ready tasks (communication path).
         self.priority: list[bool] = []
+        #: Executes on the simulated accelerator (see repro.accel).
         self.device: list[bool] = []
         self.is_stub: list[bool] = []
+        #: Set once the producer finished creating (or re-instancing) the
+        #: task; readiness is only actioned for armed tasks.
         self.armed: list[bool] = []
-        self.detach_pending: list[bool] = []
-        self.created_at: list[float] = []
         self.started_at: list[float] = []
         self.completed_at: list[float] = []
-        self.worker: list[int] = []
+        self.persistent = persistent
         #: Persistent graphs must create every edge — pruning would lose
         #: constraints needed by later iterations (§3.2).
-        self.persistent = persistent
-        self.prune_completed = prune_completed and not persistent
+        self.prune_completed = not persistent
         self.stats = EdgeStats()
-        self._views: list[Optional["Task"]] = []
 
     # ------------------------------------------------------------------
     @property
@@ -123,9 +125,8 @@ class TaskTable:
         """
         from repro.core.task import split_footprint
 
-        chunks, modes = split_footprint(footprint)
         return self.new_fast(
-            name, loop_id, iteration, flops, chunks, modes,
+            name, loop_id, iteration, flops, split_footprint(footprint)[0],
             fp_bytes, comm, body, is_stub,
         )
 
@@ -136,7 +137,6 @@ class TaskTable:
         iteration: int,
         flops: float,
         chunks: tuple,
-        modes: tuple,
         fp_bytes: int,
         comm,
         body,
@@ -149,7 +149,6 @@ class TaskTable:
         self.iteration.append(iteration)
         self.flops.append(flops)
         self.footprint.append(chunks)
-        self.fp_modes.append(modes)
         self.fp_bytes.append(fp_bytes)
         self.comm.append(comm)
         self.body.append(body)
@@ -163,17 +162,13 @@ class TaskTable:
         self.device.append(False)
         self.is_stub.append(is_stub)
         self.armed.append(False)
-        self.detach_pending.append(False)
-        self.created_at.append(_NAN)
         self.started_at.append(_NAN)
         self.completed_at.append(_NAN)
-        self.worker.append(-1)
-        self._views.append(None)
         return tid
 
     def new_stub(self, name: str = "redirect") -> int:
         """Allocate an empty redirect node (optimization (c))."""
-        tid = self.new_fast(name, -1, 0, 0.0, (), (), 0, None, None, True)
+        tid = self.new_fast(name, -1, 0, 0.0, (), 0, None, None, True)
         self.stats.redirect_nodes += 1
         return tid
 
@@ -244,16 +239,6 @@ class TaskTable:
         return offsets, targets
 
     # ------------------------------------------------------------------
-    def reset_row_for_replay(self, tid: int) -> None:
-        """Re-arm one persistent task for the next iteration (§3.2)."""
-        self.state[tid] = CREATED
-        self.npred[tid] = self.npred_initial[tid]
-        self.started_at[tid] = _NAN
-        self.completed_at[tid] = _NAN
-        self.worker[tid] = -1
-        self.detach_pending[tid] = False
-        self.armed[tid] = False
-
     def reset_for_replay(self) -> None:
         """Re-arm every task for the next persistent iteration.
 
@@ -262,31 +247,11 @@ class TaskTable:
         saving the persistent TDG extension provides.  Columns are reset
         by whole-column slice assignment (in place, so references held by
         the runtime stay valid) — the bulk-array re-arm of the compiled
-        TDG layer, ~7n Python-level stores cheaper than a per-row loop.
+        TDG layer, ~5n Python-level stores cheaper than a per-row loop.
         """
         n = len(self.state)
         self.state[:] = [CREATED] * n
         self.npred[:] = self.npred_initial
         self.started_at[:] = [_NAN] * n
         self.completed_at[:] = [_NAN] * n
-        self.worker[:] = [-1] * n
-        self.detach_pending[:] = [False] * n
         self.armed[:] = [False] * n
-
-    # ------------------------------------------------------------------
-    def view(self, tid: int) -> "Task":
-        """The cached :class:`~repro.core.task.Task` view of row ``tid``.
-
-        Views are created lazily and cached, so two calls return the same
-        object — identity comparisons over the public API keep working.
-        """
-        v = self._views[tid]
-        if v is None:
-            from repro.core.task import Task
-
-            v = self._views[tid] = Task._of(self, tid)
-        return v
-
-    def views(self) -> list["Task"]:
-        """All rows as views, in creation (tid) order."""
-        return [self.view(tid) for tid in range(len(self.state))]

@@ -5,8 +5,9 @@ iteration, so it is sound exactly when every iteration submits the same
 tasks with the same dependences in the same order (and the same ``taskwait``
 positions).  The runtime checks this *during* the run and raises
 :class:`~repro.core.persistent.PersistentStructureError` mid-simulation;
-this pass proves or refutes it *before* any run, reporting the exact first
-structural divergence:
+this pass proves or refutes it *before* any run.  Both call
+:func:`~repro.core.persistent.first_divergence`, so the finding names the
+same first structural divergence, in the same words, as the runtime error:
 
 ``V-PTSG-UNSAFE``
     The program is marked ``persistent_candidate`` but an iteration
@@ -25,39 +26,10 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.optimizations import OptimizationSet
-from repro.core.persistent import _signature
-from repro.core.program import IterationSpec, Program
+from repro.core.persistent import first_divergence
+from repro.core.program import Program
 from repro.runtime.costs import DiscoveryCosts
 from repro.verify.findings import Finding, Severity
-
-
-def first_divergence(
-    template: IterationSpec, iteration: IterationSpec
-) -> Optional[str]:
-    """Describe the first structural divergence from ``template``, if any."""
-    ref_barriers = [i for i, s in enumerate(template.tasks) if s.barrier]
-    got_barriers = [i for i, s in enumerate(iteration.tasks) if s.barrier]
-    if ref_barriers != got_barriers:
-        return (
-            f"taskwait positions changed: {got_barriers} vs template "
-            f"{ref_barriers}"
-        )
-    ref = [s for s in template.tasks if not s.barrier]
-    got = [s for s in iteration.tasks if not s.barrier]
-    if len(got) != len(ref):
-        return (
-            f"submits {len(got)} tasks where the template submits {len(ref)}"
-        )
-    for pos, (g, r) in enumerate(zip(got, ref)):
-        if _signature(g) != _signature(r):
-            if g.name != r.name:
-                what = f"task name {g.name!r} vs {r.name!r}"
-            elif g.depends != r.depends:
-                what = f"task {g.name!r}: depend clauses changed"
-            else:
-                what = f"task {g.name!r}: loop id changed"
-            return f"position {pos}: {what}"
-    return None
 
 
 def check_persistence(

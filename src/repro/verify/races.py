@@ -85,7 +85,7 @@ def scan_conflicts(
             a, ma = accs[i]
             for j in range(i + 1, len(accs)):
                 b, mb = accs[j]
-                if a.task is b.task:
+                if a is b:
                     continue
                 if not (ma.writes or mb.writes):
                     continue

@@ -10,9 +10,9 @@ Static-vs-DES edge equality is therefore equality *by construction*: both
 layers read one compiled graph, neither maintains a shadow.
 
 This module keeps the verify-facing view: :class:`StaticNode` pairs each
-compiled row with its originating :class:`~repro.core.program.TaskSpec`
-and live :class:`~repro.core.task.Task` view, and :class:`StaticTDG` adds
-the happens-before relation the race detector queries — barrier *segments*
+compiled row (``tid``) with its name and originating
+:class:`~repro.core.program.TaskSpec`, and :class:`StaticTDG` adds the
+happens-before relation the race detector queries — barrier *segments*
 (``taskwait`` markers and persistent-iteration boundaries order whole
 submission prefixes) refined by graph reachability within a segment.
 """
@@ -23,10 +23,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.compiled import CompiledTDG, compile_program
-from repro.core.graph import TaskGraph
 from repro.core.optimizations import OptimizationSet
 from repro.core.program import Program, TaskSpec
-from repro.core.task import Task
 from repro.runtime.costs import DiscoveryCosts
 
 
@@ -37,25 +35,20 @@ class StaticNode:
     #: Dense index into :attr:`StaticTDG.nodes` — equals the compiled
     #: artifact's ``tid`` (bit position for closures).
     index: int
-    task: Task
+    name: str
     #: The originating spec; ``None`` for redirect stubs.
     spec: Optional[TaskSpec]
     iteration: int
     #: Barrier epoch (taskwait / persistent-iteration boundary counter).
     segment: int
 
-    @property
-    def name(self) -> str:
-        return self.task.name
-
 
 @dataclass
 class StaticTDG:
     """A statically discovered task dependency graph.
 
-    A thin verify-layer view over one :attr:`compiled` artifact; the
-    graph facade (live task views) rides along for the race detector's
-    footprint queries.
+    A thin verify-layer view over one :attr:`compiled` artifact:
+    ``nodes[tid]`` is the node of compiled row ``tid``.
     """
 
     program: Program
@@ -64,11 +57,9 @@ class StaticTDG:
     persistent: bool
     #: The frozen CSR artifact all layers share.
     compiled: CompiledTDG
-    graph: TaskGraph
     nodes: list[StaticNode]
     #: Predicted producer busy seconds per iteration (empty without costs).
     iteration_costs: list[float]
-    _by_tid: dict[int, StaticNode] = field(default_factory=dict, repr=False)
     _ancestors: Optional[list[int]] = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
@@ -83,9 +74,6 @@ class StaticTDG:
     @property
     def n_edges(self) -> int:
         return self.compiled.stats.created
-
-    def node_of(self, task: Task) -> StaticNode:
-        return self._by_tid[task.tid]
 
     def unique_edges(self) -> set[tuple[int, int]]:
         """Distinct ``(pred index, succ index)`` pairs (multiplicity folded)."""
@@ -161,11 +149,9 @@ def discover_static(
     ``costs`` enables the per-iteration discovery-time prediction (the same
     :class:`~repro.runtime.costs.DiscoveryCosts` the runtime charges).
     """
-    compiled, graph = compile_program(program, opts, keep_graph=True)
-    table = graph.table
+    compiled = compile_program(program, opts)
     iterations = program.iterations
     nodes: list[StaticNode] = []
-    by_tid: dict[int, StaticNode] = {}
     cur_iter = 0
     for tid in range(compiled.n_tasks):
         pos = compiled.spec_pos[tid]
@@ -176,25 +162,23 @@ def discover_static(
             # Redirect stub: created during the preceding user task's
             # resolution, so it shares that task's iteration.
             spec = None
-        node = StaticNode(
-            index=tid,
-            task=table.view(tid),
-            spec=spec,
-            iteration=cur_iter,
-            segment=compiled.segment[tid],
+        nodes.append(
+            StaticNode(
+                index=tid,
+                name=compiled.name[tid],
+                spec=spec,
+                iteration=cur_iter,
+                segment=compiled.segment[tid],
+            )
         )
-        nodes.append(node)
-        by_tid[tid] = node
 
     return StaticTDG(
         program=program,
         opts=opts,
         persistent=compiled.persistent,
         compiled=compiled,
-        graph=graph,
         nodes=nodes,
         iteration_costs=(
             _iteration_costs(program, compiled, costs) if costs is not None else []
         ),
-        _by_tid=by_tid,
     )

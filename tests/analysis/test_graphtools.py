@@ -21,7 +21,7 @@ def discover(builder_fn, opts=""):
         ),
     )
     rt.run()
-    return rt.graph
+    return rt.compiled()
 
 
 class TestToNetworkx:
@@ -36,16 +36,26 @@ class TestToNetworkx:
         assert nxg.nodes[0]["name"] == "a"
 
     def test_stub_filtering(self):
+        """Redirect stubs stay in the graph, flagged: they carry the
+        ordering between an inoutset group and its readers."""
+        import networkx as nx
+
         def build(b):
             for i in range(3):
                 b.task(f"x{i}", inoutset=["s"], flops=1.0)
             b.task("r1", inp=["s"], flops=1.0)
             b.task("r2", inp=["s"], flops=1.0)
-        g = discover(build, opts="c")
-        with_stubs = to_networkx(g, include_stubs=True)
-        without = to_networkx(g, include_stubs=False)
-        assert with_stubs.number_of_nodes() == 6
-        assert without.number_of_nodes() == 5
+        art = discover(build, opts="c")
+        g = to_networkx(art)
+        assert g.number_of_nodes() == 6
+        assert g.number_of_edges() == 5
+        assert [t for t, stub in g.nodes(data="stub") if stub] == art.stub_tids
+        writers = [t for t in g if g.nodes[t]["name"].startswith("x")]
+        readers = [t for t in g if g.nodes[t]["name"] in ("r1", "r2")]
+        assert len(writers) == 3 and len(readers) == 2
+        for w in writers:
+            for r in readers:
+                assert nx.has_path(g, w, r)
 
 
 class TestShape:
@@ -74,13 +84,13 @@ class TestShape:
         def build(b):
             b.task("a", out=["x"], flops=1.0)
             b.task("b", inp=["x"], flops=1.0)
-        shape = analyze_shape(discover(build), weight=lambda t: 7.0)
+        shape = analyze_shape(discover(build), weight=[7.0, 7.0])
         assert shape.total_weight == pytest.approx(14.0)
 
     def test_empty_graph(self):
-        from repro.core.graph import TaskGraph
+        from repro.core import Program, compile_program
 
-        shape = analyze_shape(TaskGraph())
+        shape = analyze_shape(compile_program(Program([]), OptimizationSet.none()))
         assert shape.n_tasks == 0
         assert shape.avg_parallelism == 0.0
 
@@ -118,5 +128,5 @@ class TestWidthProfile:
                 ),
             )
             rt.run()
-            shapes[tpl] = analyze_shape(rt.graph)
+            shapes[tpl] = analyze_shape(rt.compiled())
         assert shapes[16].avg_parallelism > shapes[4].avg_parallelism

@@ -257,13 +257,6 @@ class TestCompileProgram:
             costs.c_replay + costs.c_fp_byte * c.fp_bytes[user]
         )
 
-    def test_keep_graph_returns_live_views(self):
-        c, graph = compile_program(
-            chain_program(3, iterations=1), ABCP, keep_graph=True
-        )
-        assert graph.n_tasks == c.n_tasks
-        assert [t.name for t in graph.tasks] == c.name
-
     def test_round_trip_dict(self):
         c = compile_program(redirect_program(), ABCP, costs=DiscoveryCosts())
         back = CompiledTDG.from_bytes(c.to_bytes(), c.key)

@@ -1,116 +1,116 @@
-"""Unit tests for TaskGraph storage and edge accounting."""
+"""Unit tests for TDG edge accounting and acyclicity over the task table."""
 
 import pytest
 
-from repro.core.graph import EdgeStats, TaskGraph
-from repro.core.graph_stats import topological_order
-from repro.core.task import TaskState
+from repro.core.graph_stats import EdgeStats, topological_order
+from repro.sim.table import COMPLETED, CREATED, TaskTable
 
 
 class TestEdgeCreation:
     def test_simple_edge(self):
-        g = TaskGraph()
-        a, b = g.new_task(name="a"), g.new_task(name="b")
+        g = TaskTable()
+        a, b = g.new(name="a"), g.new(name="b")
         assert g.add_edge(a, b, dedup=False)
-        assert b.npred == 1
-        assert a.successors == [b]
+        assert g.npred[b] == 1
+        assert g.succs[a] == [b]
         assert g.n_edges == 1
 
     def test_self_edge_rejected(self):
-        g = TaskGraph()
-        a = g.new_task()
+        g = TaskTable()
+        a = g.new()
         assert not g.add_edge(a, a, dedup=False)
         assert g.n_edges == 0
 
     def test_duplicate_skipped_with_dedup(self):
-        g = TaskGraph()
-        a, b = g.new_task(), g.new_task()
+        g = TaskTable()
+        a, b = g.new(), g.new()
         g.add_edge(a, b, dedup=True)
         assert not g.add_edge(a, b, dedup=True)
-        assert b.npred == 1
+        assert g.npred[b] == 1
         assert g.stats.duplicates_skipped == 1
 
     def test_duplicate_created_without_dedup(self):
-        g = TaskGraph()
-        a, b = g.new_task(), g.new_task()
+        g = TaskTable()
+        a, b = g.new(), g.new()
         g.add_edge(a, b, dedup=False)
         assert g.add_edge(a, b, dedup=False)
-        assert b.npred == 2
+        assert g.npred[b] == 2
         assert g.stats.duplicates_created == 1
         assert g.n_edges == 2
 
     def test_nonadjacent_duplicate_not_detected(self):
         # O(1) detection only catches adjacent duplicates; interleaving a
-        # different successor resets last_successor.
-        g = TaskGraph()
-        a, b, c = g.new_task(), g.new_task(), g.new_task()
+        # different successor resets last_succ.
+        g = TaskTable()
+        a, b, c = g.new(), g.new(), g.new()
         g.add_edge(a, b, dedup=True)
         g.add_edge(a, c, dedup=True)
         assert g.add_edge(a, b, dedup=True)
-        assert b.npred == 2
+        assert g.npred[b] == 2
 
     def test_prune_completed(self):
-        g = TaskGraph()
-        a, b = g.new_task(), g.new_task()
-        a.state = TaskState.COMPLETED
+        g = TaskTable()
+        a, b = g.new(), g.new()
+        g.state[a] = COMPLETED
         assert not g.add_edge(a, b, dedup=False)
         assert g.stats.pruned == 1
-        assert b.npred == 0
+        assert g.npred[b] == 0
 
     def test_persistent_presatisfied(self):
-        g = TaskGraph(persistent=True)
-        a, b = g.new_task(), g.new_task()
-        a.state = TaskState.COMPLETED
+        g = TaskTable(persistent=True)
+        a, b = g.new(), g.new()
+        g.state[a] = COMPLETED
         assert g.add_edge(a, b, dedup=False)
-        assert b.npred == 0
-        assert b.presat == 1
-        assert a.successors == [b]
+        assert g.npred[b] == 0
+        assert g.presat[b] == 1
+        assert g.succs[a] == [b]
 
 
 class TestGraphLifecycle:
     def test_tids_sequential(self):
-        g = TaskGraph()
-        tasks = [g.new_task() for _ in range(5)]
-        assert [t.tid for t in tasks] == list(range(5))
+        g = TaskTable()
+        tids = [g.new() for _ in range(3)] + [g.new_stub()] + [g.new()]
+        assert tids == list(range(5))
 
     def test_stub_counted(self):
-        g = TaskGraph()
+        g = TaskTable()
         s = g.new_stub()
-        assert s.is_stub
+        assert g.is_stub[s]
         assert g.stats.redirect_nodes == 1
 
     def test_persistent_flag_propagates(self):
-        g = TaskGraph(persistent=True)
-        t = g.new_task()
-        assert t.persistent
+        assert TaskTable().prune_completed
+        g = TaskTable(persistent=True)
+        assert g.persistent
+        assert not g.prune_completed
 
     def test_reset_for_replay(self):
-        g = TaskGraph(persistent=True)
-        a, b = g.new_task(), g.new_task()
+        g = TaskTable(persistent=True)
+        a, b = g.new(), g.new()
         g.add_edge(a, b, dedup=False)
-        a.npred_initial, b.npred_initial = 0, 1
-        a.state = b.state = TaskState.COMPLETED
-        b.npred = 0
+        g.npred_initial[a], g.npred_initial[b] = 0, 1
+        g.state[a] = g.state[b] = COMPLETED
+        g.npred[b] = 0
         g.reset_for_replay()
-        assert a.state == TaskState.CREATED
-        assert b.npred == 1
+        assert g.state[a] == CREATED
+        assert g.npred[b] == 1
 
     def test_validate_acyclic_ok(self):
-        g = TaskGraph()
-        a, b, c = g.new_task(), g.new_task(), g.new_task()
+        g = TaskTable()
+        a, b, c = g.new(), g.new(), g.new()
         g.add_edge(a, b, dedup=False)
         g.add_edge(b, c, dedup=False)
-        g.validate_acyclic()  # no raise
+        assert topological_order(*g.build_csr()) == [a, b, c]
 
     def test_validate_acyclic_detects_cycle(self):
-        g = TaskGraph()
-        a, b = g.new_task(), g.new_task()
+        g = TaskTable()
+        a, b = g.new(), g.new()
         # Force a cycle (the resolver can never produce one: it only adds
         # edges towards the task currently being submitted).
         g.add_edge(a, b, dedup=False)
         g.add_edge(b, a, dedup=False)
         with pytest.raises(ValueError, match="cycle"):
-            g.validate_acyclic()
+            topological_order(*g.build_csr())
 
 
 class TestTopologicalOrder:

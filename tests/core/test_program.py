@@ -235,11 +235,11 @@ class TestInoutsetEdgeAccounting:
 
     def test_m_times_n_without_c(self):
         tdg = self.discover("ab", m=4, n=6)
-        assert tdg.graph.stats.created == 4 * 6
-        assert tdg.graph.stats.redirect_nodes == 0
+        assert tdg.compiled.stats.created == 4 * 6
+        assert tdg.compiled.stats.redirect_nodes == 0
 
     def test_m_plus_n_with_c(self):
         tdg = self.discover("abc", m=4, n=6)
-        assert tdg.graph.stats.created == 4 + 6
-        assert tdg.graph.stats.redirect_nodes == 1
+        assert tdg.compiled.stats.created == 4 + 6
+        assert tdg.compiled.stats.redirect_nodes == 1
         assert tdg.n_stubs == 1

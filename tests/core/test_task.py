@@ -1,79 +1,67 @@
-"""Unit tests for the task model."""
+"""Unit tests for the task model: a task is one row of a TaskTable."""
 
 import math
 
 
-from repro.core.graph import TaskGraph
-from repro.core.task import DepMode, Task, TaskState
+from repro.core.task import DepMode
+from repro.sim.table import COMPLETED, CREATED, TaskTable
 
 
 class TestTaskBasics:
     def test_initial_state(self):
-        t = Task(0, "t")
-        assert t.state == TaskState.CREATED
-        assert t.npred == 0
-        assert t.successors == []
-        assert not t.armed
-        assert not t.completed
+        t = TaskTable()
+        tid = t.new("t")
+        assert t.state[tid] == CREATED
+        assert t.npred[tid] == 0
+        assert t.succs[tid] == []
+        assert not t.armed[tid]
 
     def test_identity_fields(self):
-        t = Task(7, "kernel", loop_id=3, iteration=2, flops=10.0, fp_bytes=64)
-        assert t.tid == 7
-        assert t.name == "kernel"
-        assert t.loop_id == 3
-        assert t.iteration == 2
-        assert t.flops == 10.0
-        assert t.fp_bytes == 64
+        t = TaskTable()
+        t.new("first")
+        tid = t.new("kernel", loop_id=3, iteration=2, flops=10.0, fp_bytes=64)
+        assert tid == 1
+        assert t.name[tid] == "kernel"
+        assert t.loop_id[tid] == 3
+        assert t.iteration[tid] == 2
+        assert t.flops[tid] == 10.0
+        assert t.fp_bytes[tid] == 64
 
     def test_footprint_is_tuple(self):
-        t = Task(0, footprint=[(1, 100), (2, 200)])
-        assert t.footprint == ((1, 100), (2, 200))
+        t = TaskTable()
+        tid = t.new(footprint=[(1, 100), (2, 200)])
+        assert t.footprint[tid] == ((1, 100), (2, 200))
 
     def test_timestamps_start_nan(self):
-        t = Task(0)
-        assert math.isnan(t.created_at)
-        assert math.isnan(t.started_at)
-        assert math.isnan(t.completed_at)
-
-    def test_completed_property(self):
-        t = Task(0)
-        t.state = TaskState.COMPLETED
-        assert t.completed
-
-    def test_repr_contains_key_fields(self):
-        t = Task(3, "foo")
-        assert "foo" in repr(t)
-        assert "3" in repr(t)
+        t = TaskTable()
+        tid = t.new()
+        assert math.isnan(t.started_at[tid])
+        assert math.isnan(t.completed_at[tid])
 
 
 class TestReplayReset:
     def test_reset_restores_npred(self):
-        t = Task(0)
-        t.npred_initial = 5
-        t.npred = 0
-        t.state = TaskState.COMPLETED
-        t.armed = True
-        t.worker = 3
+        t = TaskTable(persistent=True)
+        tid = t.new()
+        t.npred_initial[tid] = 5
+        t.npred[tid] = 0
+        t.state[tid] = COMPLETED
+        t.armed[tid] = True
+        t.started_at[tid] = 1.0
+        t.completed_at[tid] = 2.0
         t.reset_for_replay()
-        assert t.npred == 5
-        assert t.state == TaskState.CREATED
-        assert not t.armed
-        assert t.worker == -1
-        assert math.isnan(t.started_at)
-        assert math.isnan(t.completed_at)
+        assert t.npred[tid] == 5
+        assert t.state[tid] == CREATED
+        assert not t.armed[tid]
+        assert math.isnan(t.started_at[tid])
+        assert math.isnan(t.completed_at[tid])
 
     def test_reset_keeps_successors(self):
-        g = TaskGraph()
-        a, b = g.new_task(), g.new_task()
-        g.add_edge(a, b, dedup=False)
-        a.reset_for_replay()
-        assert a.successors == [b]
-
-    def test_reset_clears_detach(self):
-        t = Task(0)
-        t.detach_pending = True
+        t = TaskTable(persistent=True)
+        a, b = t.new(), t.new()
+        t.add_edge(a, b, dedup=False)
         t.reset_for_replay()
-        assert not t.detach_pending
+        assert t.succs[a] == [b]
 
 
 class TestDepMode:

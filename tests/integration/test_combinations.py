@@ -145,8 +145,7 @@ class TestPriorityInteractions:
         prog = Program.from_template(specs, 3, persistent_candidate=True)
         rt = TaskRuntime(prog, cfg(opts=OptimizationSet.parse("abcp")))
         rt.run()
-        pri = [t for t in rt.graph.tasks if t.name == "pri"][0]
-        assert pri.priority
+        assert rt.table.priority[rt.table.name.index("pri")]
 
 
 class TestDeviceCombos:

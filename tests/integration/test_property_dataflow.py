@@ -21,23 +21,14 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.core import OptimizationSet
+from repro.core.graph_stats import topological_order
 from repro.core.program import IterationSpec, Program, TaskSpec
 from repro.core.task import DepMode
 from repro.memory import tiny_test_machine
 from repro.runtime import RuntimeConfig, TaskRuntime
+from tests.strategies import program_shape
 
-N_ADDRS = 4
-
-dep_mode = st.sampled_from(
-    [DepMode.IN, DepMode.OUT, DepMode.INOUT, DepMode.INOUTSET]
-)
-task_deps = st.lists(
-    st.tuples(st.integers(0, N_ADDRS - 1), dep_mode),
-    min_size=1,
-    max_size=4,
-    unique_by=lambda d: d[0],  # one mode per address per task, like real clauses
-)
-program_shape = st.lists(task_deps, min_size=1, max_size=24)
+shapes = program_shape(n_addrs=4, max_deps=4, max_tasks=24)
 
 
 def sequential_expectations(all_deps: list[list[tuple[int, DepMode]]]):
@@ -106,7 +97,7 @@ def build_program(all_deps, iterations=1):
 class TestSequentialConsistency:
     @settings(max_examples=60, deadline=None)
     @given(
-        shape=program_shape,
+        shape=shapes,
         opts=st.sampled_from(["", "a", "b", "c", "bc", "abc"]),
         threads=st.integers(1, 4),
         sched=st.sampled_from(["lifo-df", "fifo-bf"]),
@@ -125,7 +116,7 @@ class TestSequentialConsistency:
         assert failures == [], failures
 
     @settings(max_examples=30, deadline=None)
-    @given(shape=program_shape, threads=st.integers(1, 4))
+    @given(shape=shapes, threads=st.integers(1, 4))
     def test_non_overlapped_mode_consistent(self, shape, threads):
         prog, failures = build_program(shape)
         cfg = RuntimeConfig(
@@ -138,7 +129,7 @@ class TestSequentialConsistency:
         assert failures == [], failures
 
     @settings(max_examples=30, deadline=None)
-    @given(shape=program_shape)
+    @given(shape=shapes)
     def test_throttled_producer_consistent(self, shape):
         prog, failures = build_program(shape)
         from repro.core import ThrottleConfig
@@ -156,7 +147,7 @@ class TestSequentialConsistency:
 class TestEdgeOrderingInvariant:
     @settings(max_examples=40, deadline=None)
     @given(
-        shape=program_shape,
+        shape=shapes,
         opts=st.sampled_from(["", "abc"]),
         threads=st.integers(1, 4),
     )
@@ -175,13 +166,14 @@ class TestEdgeOrderingInvariant:
             ),
         )
         rt.run()
-        for pred, succ in rt.graph.iter_edges():
-            if succ.is_stub:
+        tb = rt.table
+        for pred, succ in tb.iter_edges():
+            if tb.is_stub[succ]:
                 continue
-            assert pred.completed_at <= succ.started_at + 1e-12
+            assert tb.completed_at[pred] <= tb.started_at[succ] + 1e-12
 
     @settings(max_examples=40, deadline=None)
-    @given(shape=program_shape, opts=st.sampled_from(["", "b", "c", "abc"]))
+    @given(shape=shapes, opts=st.sampled_from(["", "b", "c", "abc"]))
     def test_graph_always_acyclic(self, shape, opts):
         specs = [
             TaskSpec(name=f"t{i}", depends=tuple(deps)) for i, deps in enumerate(shape)
@@ -196,4 +188,4 @@ class TestEdgeOrderingInvariant:
             ),
         )
         rt.run()
-        rt.graph.validate_acyclic()
+        topological_order(*rt.table.build_csr())  # raises on a cycle

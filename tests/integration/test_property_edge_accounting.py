@@ -9,18 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import OptimizationSet
 from repro.core.program import IterationSpec, Program, TaskSpec
-from repro.core.task import DepMode
 from repro.memory import tiny_test_machine
 from repro.runtime import RuntimeConfig, TaskRuntime
+from tests.strategies import program_shape
 
-dep_mode = st.sampled_from(
-    [DepMode.IN, DepMode.OUT, DepMode.INOUT, DepMode.INOUTSET]
-)
-task_deps = st.lists(
-    st.tuples(st.integers(0, 3), dep_mode),
-    min_size=1, max_size=4, unique_by=lambda d: d[0],
-)
-program_shape = st.lists(task_deps, min_size=1, max_size=20)
+shapes = program_shape(n_addrs=4, max_deps=4, max_tasks=20)
 
 
 def discover(shape, opts, persistent=False):
@@ -43,40 +36,38 @@ def discover(shape, opts, persistent=False):
 
 class TestEdgeAccounting:
     @settings(max_examples=60, deadline=None)
-    @given(shape=program_shape, opts=st.sampled_from(["", "b", "c", "bc", "abc"]))
+    @given(shape=shapes, opts=st.sampled_from(["", "b", "c", "bc", "abc"]))
     def test_npred_initial_matches_in_edges(self, shape, opts):
-        rt = discover(shape, opts)
-        in_edges = {t.tid: 0 for t in rt.graph.tasks}
-        for pred, succ in rt.graph.iter_edges():
-            in_edges[succ.tid] += 1
-        for t in rt.graph.tasks:
-            if t.is_stub:
+        tb = discover(shape, opts).table
+        in_edges = [0] * len(tb)
+        for _, succ in tb.iter_edges():
+            in_edges[succ] += 1
+        for tid in range(len(tb)):
+            if tb.is_stub[tid]:
                 continue
             # Non-overlapped: nothing completes during discovery, so
             # npred_initial must equal the materialized in-edges exactly.
-            assert t.npred_initial == in_edges[t.tid]
+            assert tb.npred_initial[tid] == in_edges[tid]
 
     @settings(max_examples=40, deadline=None)
-    @given(shape=program_shape, opts=st.sampled_from(["", "b", "c", "bc"]))
+    @given(shape=shapes, opts=st.sampled_from(["", "b", "c", "bc"]))
     def test_successor_list_lengths_match_created(self, shape, opts):
-        rt = discover(shape, opts)
-        total_out = sum(len(t.successors) for t in rt.graph.tasks)
-        assert total_out == rt.graph.stats.created
+        tb = discover(shape, opts).table
+        total_out = sum(len(succs) for succs in tb.succs)
+        assert total_out == tb.stats.created
 
     @settings(max_examples=40, deadline=None)
-    @given(shape=program_shape)
+    @given(shape=shapes)
     def test_dedup_only_removes_duplicates(self, shape):
         """(b) must not change the set of distinct edges, only multiplicity."""
-        rt_nb = discover(shape, "")
-        rt_b = discover(shape, "b")
-        edges_nb = {(p.tid, s.tid) for p, s in rt_nb.graph.iter_edges()}
-        edges_b = {(p.tid, s.tid) for p, s in rt_b.graph.iter_edges()}
-        assert edges_nb == edges_b
-        assert rt_b.graph.stats.created + rt_b.graph.stats.duplicates_skipped \
-            == rt_nb.graph.stats.created
+        tb_nb = discover(shape, "").table
+        tb_b = discover(shape, "b").table
+        assert set(tb_nb.iter_edges()) == set(tb_b.iter_edges())
+        assert tb_b.stats.created + tb_b.stats.duplicates_skipped \
+            == tb_nb.stats.created
 
     @settings(max_examples=40, deadline=None)
-    @given(shape=program_shape)
+    @given(shape=shapes)
     def test_persistent_discovery_never_prunes(self, shape):
         rt = discover(shape, "p", persistent=True)
-        assert rt.graph.stats.pruned == 0
+        assert rt.table.stats.pruned == 0

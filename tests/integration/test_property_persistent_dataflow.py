@@ -17,19 +17,9 @@ from repro.core.program import Program, TaskSpec
 from repro.core.task import DepMode
 from repro.memory import tiny_test_machine
 from repro.runtime import RuntimeConfig, TaskRuntime
+from tests.strategies import program_shape
 
-N_ADDRS = 3
-
-dep_mode = st.sampled_from(
-    [DepMode.IN, DepMode.OUT, DepMode.INOUT, DepMode.INOUTSET]
-)
-task_deps = st.lists(
-    st.tuples(st.integers(0, N_ADDRS - 1), dep_mode),
-    min_size=1,
-    max_size=3,
-    unique_by=lambda d: d[0],
-)
-program_shape = st.lists(task_deps, min_size=1, max_size=10)
+shapes = program_shape(n_addrs=3, max_deps=3, max_tasks=10)
 
 
 def build_iterated_program(all_deps, iterations):
@@ -104,7 +94,7 @@ def build_iterated_program(all_deps, iterations):
 class TestPersistentSequentialConsistency:
     @settings(max_examples=40, deadline=None)
     @given(
-        shape=program_shape,
+        shape=shapes,
         iterations=st.integers(2, 4),
         threads=st.integers(1, 4),
     )
@@ -121,7 +111,7 @@ class TestPersistentSequentialConsistency:
         assert failures == [], failures
 
     @settings(max_examples=25, deadline=None)
-    @given(shape=program_shape, iterations=st.integers(2, 3))
+    @given(shape=shapes, iterations=st.integers(2, 3))
     def test_non_persistent_multi_iteration_consistent(self, shape, iterations):
         prog, failures = build_iterated_program(shape, iterations)
         cfg = RuntimeConfig(

@@ -20,13 +20,12 @@ from repro.analysis.graphtools import to_networkx
 from repro.core import OptimizationSet
 from repro.core.compiled import compile_program
 from repro.core.program import IterationSpec, Program, TaskSpec
-from repro.core.task import DepMode
 from repro.memory import tiny_test_machine
 from repro.runtime import RuntimeConfig
 from repro.sim.tiers import replay, simulate
 from tests.sim.test_tiers import assert_single_walk_matches_reference
+from tests.strategies import program_shape
 
-N_ADDRS = 4
 #: Replay-vs-DES agreement on adversarial random graphs.  The campaign
 #: cross-check holds the real workloads to 8%; random programs this
 #: small are dominated by single-task scheduling accidents, so the
@@ -34,16 +33,7 @@ N_ADDRS = 4
 AGREEMENT = 0.25
 EPS = 1e-9
 
-dep_mode = st.sampled_from(
-    [DepMode.IN, DepMode.OUT, DepMode.INOUT, DepMode.INOUTSET]
-)
-task_deps = st.lists(
-    st.tuples(st.integers(0, N_ADDRS - 1), dep_mode),
-    min_size=1,
-    max_size=4,
-    unique_by=lambda d: d[0],
-)
-program_shape = st.lists(task_deps, min_size=1, max_size=20)
+shapes = program_shape(n_addrs=4, max_deps=4, max_tasks=20)
 
 
 def build_program(shape) -> Program:
@@ -57,7 +47,7 @@ def build_program(shape) -> Program:
 class TestLadderOrdering:
     @settings(max_examples=40, deadline=None)
     @given(
-        shape=program_shape,
+        shape=shapes,
         opts=st.sampled_from(["", "a", "abc"]),
         threads=st.integers(1, 4),
         sched=st.sampled_from(["lifo-df", "fifo-bf"]),
@@ -97,7 +87,7 @@ class TestLadderOrdering:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        shape=program_shape,
+        shape=shapes,
         opts=st.sampled_from(["", "a", "abc"]),
         threads=st.integers(1, 4),
     )
@@ -111,7 +101,7 @@ class TestLadderOrdering:
         assert_single_walk_matches_reference(art, cfg)
 
     @settings(max_examples=25, deadline=None)
-    @given(shape=program_shape, threads=st.integers(1, 4))
+    @given(shape=shapes, threads=st.integers(1, 4))
     def test_non_overlapped_ordering(self, shape, threads):
         prog = build_program(shape)
         cfg = RuntimeConfig(
@@ -131,7 +121,7 @@ class TestLadderOrdering:
             assert x <= hi * (1 + EPS)
 
     @settings(max_examples=25, deadline=None)
-    @given(shape=program_shape, iters=st.integers(2, 4))
+    @given(shape=shapes, iters=st.integers(2, 4))
     def test_persistent_ordering(self, shape, iters):
         prog = Program.from_template(
             [

@@ -5,7 +5,7 @@ import pytest
 from repro.accel import Accelerator, AcceleratorSpec
 from repro.core import OptimizationSet
 from repro.core.program import Program, TaskSpec
-from repro.core.task import DepMode, Task
+from repro.core.task import DepMode
 from repro.memory import tiny_test_machine
 from repro.runtime import RuntimeConfig, TaskRuntime
 from repro.sim.events import EventQueue
@@ -35,14 +35,13 @@ class TestAcceleratorModel:
         engine = EventQueue()
         return Accelerator(spec(**kw), engine), engine
 
-    def task(self, tid=0, flops=1e6, footprint=((1, 1024),)):
-        t = Task(tid, "k", flops=flops, footprint=footprint)
-        t.device = True
-        return t
+    def kernel(self, flops=1e6, footprint=((1, 1024),)):
+        """``(flops, footprint)`` of one offloaded task."""
+        return flops, footprint
 
     def test_kernel_duration_components(self):
         acc, _ = self.make(n_streams=1)
-        d, h2d = acc.kernel_duration(self.task())
+        d, h2d = acc.kernel_duration(*self.kernel())
         assert h2d == 1024
         expected = (
             acc.spec.launch_overhead
@@ -53,8 +52,8 @@ class TestAcceleratorModel:
 
     def test_device_residency_skips_transfer(self):
         acc, _ = self.make(n_streams=1)
-        _, h2d1 = acc.kernel_duration(self.task(0))
-        _, h2d2 = acc.kernel_duration(self.task(1))
+        _, h2d1 = acc.kernel_duration(*self.kernel())
+        _, h2d2 = acc.kernel_duration(*self.kernel())
         assert h2d1 == 1024
         assert h2d2 == 0
         assert acc.stats.resident_hits == 1
@@ -62,20 +61,20 @@ class TestAcceleratorModel:
     def test_streams_run_concurrently(self):
         acc, engine = self.make(n_streams=2)
         done = []
-        f1 = acc.submit(self.task(0, footprint=((1, 64),)), 0.0, done.append)
-        f2 = acc.submit(self.task(1, footprint=((2, 64),)), 0.0, done.append)
+        f1 = acc.submit(*self.kernel(footprint=((1, 64),)), 0.0, done.append)
+        f2 = acc.submit(*self.kernel(footprint=((2, 64),)), 0.0, done.append)
         # Two streams: both start at t=0 (similar finish times).
         assert abs(f1 - f2) < 1e-6
 
     def test_single_stream_serializes(self):
         acc, engine = self.make(n_streams=1)
-        f1 = acc.submit(self.task(0, footprint=((1, 64),)), 0.0, lambda t: None)
-        f2 = acc.submit(self.task(1, footprint=((2, 64),)), 0.0, lambda t: None)
+        f1 = acc.submit(*self.kernel(footprint=((1, 64),)), 0.0, lambda t: None)
+        f2 = acc.submit(*self.kernel(footprint=((2, 64),)), 0.0, lambda t: None)
         assert f2 > f1
 
     def test_utilization_bounds(self):
         acc, _ = self.make()
-        acc.submit(self.task(), 0.0, lambda t: None)
+        acc.submit(*self.kernel(), 0.0, lambda t: None)
         assert 0.0 <= acc.utilization(1.0) <= 1.0
         assert acc.utilization(0.0) == 0.0
 
@@ -108,9 +107,10 @@ class TestOffloadedExecution:
     def test_sink_waits_for_kernels(self):
         rt = TaskRuntime(self.program(), self.cfg(trace=True))
         rt.run()
-        sink = rt.graph.tasks[-1]
-        for k in rt.graph.tasks[:-1]:
-            assert k.completed_at <= sink.started_at + 1e-12
+        tb = rt.table
+        sink = len(tb) - 1
+        for k in range(sink):
+            assert tb.completed_at[k] <= tb.started_at[sink] + 1e-12
 
     def test_device_flag_ignored_without_accelerator(self):
         rt = TaskRuntime(

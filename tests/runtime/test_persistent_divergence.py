@@ -4,7 +4,8 @@ Every app builds its iterations from one shared template list
 (``Program.from_template``), so a real run can never diverge; these tests
 rebuild the programs with a mutated second iteration — the mesh-refinement
 scenario of §3.2 "Applicability" — and check the runtime raises
-:class:`PersistentStructureError` at the barrier.
+:class:`PersistentStructureError` at the barrier, naming the same
+divergence as the static ``V-PTSG-UNSAFE`` finding.
 """
 
 import dataclasses
@@ -13,10 +14,11 @@ import pytest
 
 from repro.core import OptimizationSet
 from repro.core.persistent import PersistentStructureError
-from repro.core.program import IterationSpec, Program
+from repro.core.program import IterationSpec, Program, TaskSpec
 from repro.core.task import DepMode
 from repro.memory import tiny_test_machine
 from repro.runtime import RuntimeConfig, TaskRuntime
+from repro.verify.persistence import check_persistence
 
 
 def lulesh_program():
@@ -98,3 +100,42 @@ class TestDivergenceDetected:
     def test_content_equal_copy_validates_and_completes(self, app):
         res = TaskRuntime(corrected(APP_BUILDERS[app]()), cfg()).run()
         assert res.makespan > 0.0
+
+
+TEMPLATE = [
+    TaskSpec(name="a", depends=((0, DepMode.OUT),), loop_id=0, flops=100.0),
+    TaskSpec(name="b", depends=((0, DepMode.IN),), loop_id=0, flops=100.0),
+    TaskSpec(name="taskwait", barrier=True),
+    TaskSpec(name="c", depends=((1, DepMode.INOUT),), loop_id=1, flops=100.0),
+]
+
+#: Iteration 1 of each program: the template with one structural change.
+MUTATIONS = {
+    "depend": [
+        TEMPLATE[0],
+        dataclasses.replace(TEMPLATE[1], depends=((7, DepMode.IN),)),
+        *TEMPLATE[2:],
+    ],
+    "name": [TEMPLATE[0], dataclasses.replace(TEMPLATE[1], name="b2"), *TEMPLATE[2:]],
+    "loop-id": [TEMPLATE[0], dataclasses.replace(TEMPLATE[1], loop_id=5), *TEMPLATE[2:]],
+    "task-count": TEMPLATE[:-1],
+    "taskwait-position": [TEMPLATE[0], TEMPLATE[2], TEMPLATE[1], TEMPLATE[3]],
+}
+
+
+class TestDivergenceText:
+    @pytest.mark.parametrize("change", list(MUTATIONS))
+    def test_runtime_and_verifier_report_the_same_divergence(self, change):
+        prog = Program(
+            [
+                IterationSpec(index=0, tasks=list(TEMPLATE)),
+                IterationSpec(index=1, tasks=MUTATIONS[change]),
+            ],
+            persistent_candidate=True,
+        )
+        config = cfg()
+        (finding,) = check_persistence(prog, config.opts)
+        assert finding.rule == "V-PTSG-UNSAFE"
+        with pytest.raises(PersistentStructureError) as err:
+            TaskRuntime(prog, config).run()
+        assert str(err.value) == f"iteration 1: {finding.data['divergence']}"

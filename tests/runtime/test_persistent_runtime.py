@@ -53,7 +53,7 @@ class TestReplaySemantics:
         prog = iterative_program(4, 4, persistent=False)
         rt = TaskRuntime(prog, cfg(opts=OptimizationSet.parse("abcp")))
         r = rt.run()
-        assert rt._region is None
+        assert rt.table.persistent is False
         assert r.n_tasks == 4 * 6
 
     def test_barrier_no_iteration_interleaving(self):

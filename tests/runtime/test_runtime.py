@@ -52,8 +52,9 @@ class TestExecutionOrdering:
             b.task("sink", inp=[("y", i) for i in range(6)], flops=500.0)
         rt = TaskRuntime(b.build(), cfg(trace=True))
         r = rt.run()
-        for pred, succ in rt.graph.iter_edges():
-            assert pred.completed_at <= succ.started_at + 1e-12
+        tb = rt.table
+        for pred, succ in tb.iter_edges():
+            assert tb.completed_at[pred] <= tb.started_at[succ] + 1e-12
 
     def test_all_tasks_complete(self):
         prog = wide_program(50)
@@ -235,11 +236,11 @@ class TestDetachedComm:
             b.task("work", inp=["dt"], flops=100.0)
         rt = TaskRuntime(b.build(), cfg(trace=True))
         r = rt.run()
-        red = rt.graph.tasks[0]
-        work = rt.graph.tasks[1]
-        assert work.started_at >= red.completed_at - 1e-12
+        tb = rt.table
+        red, work = 0, 1
+        assert tb.started_at[work] >= tb.completed_at[red] - 1e-12
         # Detached completion happens strictly after the body returned.
-        assert red.completed_at > red.started_at
+        assert tb.completed_at[red] > tb.started_at[red]
 
 
 class TestSchedulerPolicies:

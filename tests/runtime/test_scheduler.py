@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.task import Task
 from repro.runtime.scheduler import (
     FifoBreadthFirstScheduler,
     LifoDepthFirstScheduler,
@@ -11,7 +10,7 @@ from repro.runtime.scheduler import (
 
 
 def tasks(n):
-    return [Task(i) for i in range(n)]
+    return list(range(n))
 
 
 class TestLifoDepthFirst:
@@ -47,7 +46,16 @@ class TestLifoDepthFirst:
         s.push_local(0, b)
         task, src = s.pop(1)
         assert src == "steal"
-        assert task is a  # bottom = oldest
+        assert task == a  # bottom = oldest
+
+    def test_priority_pops_first(self):
+        s = LifoDepthFirstScheduler(2, seed=0)
+        a, b, c = tasks(3)
+        s.push_local(0, a)
+        s.push_spawn(b)
+        s.push_local(0, c, priority=True)
+        assert s.pop(1) == (c, "spawn")
+        assert s.pop(0) == (a, "local")
 
     def test_empty_pop(self):
         s = LifoDepthFirstScheduler(2, seed=0)
@@ -87,13 +95,13 @@ class TestFifoBreadthFirst:
         s.push_local(0, a)
         s.push_spawn(b)
         s.push_local(1, c)
-        assert s.pop(0)[0] is a
-        assert s.pop(1)[0] is b
-        assert s.pop(0)[0] is c
+        assert s.pop(0)[0] == a
+        assert s.pop(1)[0] == b
+        assert s.pop(0)[0] == c
 
     def test_n_ready(self):
         s = FifoBreadthFirstScheduler(2)
-        s.push_spawn(Task(0))
+        s.push_spawn(0)
         assert s.n_ready == 1
 
 

@@ -2,26 +2,30 @@
 
 import math
 
-import pytest
-
-from repro.core.task import Task, TaskState
-from repro.sim.table import COMPLETED, TaskTable
+from repro.core.task import AccessMode, split_footprint
+from repro.sim.table import COMPLETED, CREATED, TaskTable
 
 
 class TestAllocation:
     def test_new_rows_are_created_state(self):
         t = TaskTable()
         tid = t.new("a", flops=10.0)
-        assert t.state[tid] == int(TaskState.CREATED)
+        assert t.state[tid] == CREATED
         assert t.npred[tid] == 0
         assert t.succs[tid] == []
-        assert math.isnan(t.created_at[tid])
+        assert math.isnan(t.started_at[tid])
 
     def test_footprint_normalized_to_chunks_and_modes(self):
+        footprint = [(1, 100), (2, 200, AccessMode.READ)]
         t = TaskTable()
-        tid = t.new("a", footprint=[(1, 100), (2, 200, 0)])
+        tid = t.new("a", footprint=footprint)
         assert t.footprint[tid] == ((1, 100), (2, 200))
-        assert len(t.fp_modes[tid]) == 2
+        # The modes feed the static analyses (TaskSpec.accesses), not the
+        # table; a bare 2-tuple defaults to read-modify-write.
+        assert split_footprint(footprint) == (
+            ((1, 100), (2, 200)),
+            (AccessMode.READWRITE, AccessMode.READ),
+        )
 
     def test_new_stub_counts_redirects(self):
         t = TaskTable()
@@ -70,7 +74,7 @@ class TestEdges:
         assert t.npred[b] == 0
 
     def test_completed_pred_presat_when_persistent(self):
-        t = TaskTable(persistent=True, prune_completed=False)
+        t = TaskTable(persistent=True)
         a, b = t.new("a"), t.new("b")
         t.state[a] = COMPLETED
         assert t.add_edge(a, b, dedup=True)
@@ -103,7 +107,7 @@ class TestCsr:
 
 class TestReplay:
     def test_reset_for_replay_restores_counters_keeps_edges(self):
-        t = TaskTable(persistent=True, prune_completed=False)
+        t = TaskTable(persistent=True)
         a, b = t.new("a"), t.new("b")
         t.add_edge(a, b, dedup=True)
         t.npred_initial[a] = 0
@@ -116,28 +120,3 @@ class TestReplay:
         assert t.npred[b] == 1
         assert t.succs[a] == [b]  # the expensive part survives
 
-
-class TestViews:
-    def test_views_are_cached_identities(self):
-        t = TaskTable()
-        tid = t.new("a")
-        assert t.view(tid) is t.view(tid)
-
-    def test_view_reflects_table_state(self):
-        t = TaskTable()
-        tid = t.new("a", flops=5.0)
-        v = t.view(tid)
-        assert v.flops == 5.0
-        v.flops = 9.0
-        assert t.flops[tid] == 9.0
-
-    def test_standalone_task_owns_private_table(self):
-        v = Task(0, "solo", flops=3.0)
-        assert v.table.n_tasks == 1
-        assert v.flops == 3.0
-        assert v.state == TaskState.CREATED
-
-    def test_view_out_of_range_rejected(self):
-        t = TaskTable()
-        with pytest.raises(IndexError):
-            t.view(0)

@@ -3,9 +3,10 @@
 scipy and networkx load on first use — the HPCG and Cholesky numeric
 validators, :func:`~repro.analysis.fit.fit_discovery_costs` and
 :func:`~repro.analysis.graphtools.to_networkx` — so every CLI call, campaign
-worker and benchmark repeat starts without paying for them.  The check runs
-in a fresh interpreter where importing either package raises, and drives
-each path the benchmark measures at its smallest size.
+worker and benchmark repeat starts without paying for them.  The checks run
+in a fresh interpreter where importing either package raises: one drives
+each path the benchmark measures at its smallest size, the other imports
+every ``repro`` module and resolves every name its ``__all__`` exports.
 """
 
 import os
@@ -61,14 +62,49 @@ BOUNDARY_SCRIPT = textwrap.dedent(
     """
 )
 
+EXPORTS_SCRIPT = textwrap.dedent(
+    """
+    import importlib
+    import pkgutil
+    import sys
 
-def test_benchmark_paths_never_import_scipy_or_networkx(tmp_path):
+    sys.modules["scipy"] = sys.modules["networkx"] = None
+
+    import repro
+
+    visited, missing = [], []
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name == "repro.__main__":
+            continue  # runs the CLI on argv
+        module = importlib.import_module(info.name)
+        visited.append(info.name)
+        missing += [
+            f"{info.name}.{name}"
+            for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)
+        ]
+    assert "repro.core.compiled" in visited, visited
+    assert not missing, f"stale __all__ entries: {missing}"
+    """
+)
+
+
+def _run(script: str, cwd) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", BOUNDARY_SCRIPT],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
+
+
+def test_benchmark_paths_never_import_scipy_or_networkx(tmp_path):
+    proc = _run(BOUNDARY_SCRIPT, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_every_module_imports_and_every_export_resolves(tmp_path):
+    proc = _run(EXPORTS_SCRIPT, tmp_path)
     assert proc.returncode == 0, proc.stderr

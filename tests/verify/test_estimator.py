@@ -26,10 +26,10 @@ class TestExactEdgeCounts:
         tdg = discover_static(prog, ABCP)
         cfg = presets.mpc_omp(tiny_test_machine(4), opts=ABCP, n_threads=4)
         res = TaskRuntime(prog, cfg).run()
-        assert tdg.graph.stats.created == res.edges.created
+        assert tdg.compiled.stats.created == res.edges.created
         assert res.edges.pruned == 0
-        assert tdg.graph.stats.duplicates_skipped == res.edges.duplicates_skipped
-        assert tdg.graph.stats.redirect_nodes == res.edges.redirect_nodes
+        assert tdg.compiled.stats.duplicates_skipped == res.edges.duplicates_skipped
+        assert tdg.compiled.stats.redirect_nodes == res.edges.redirect_nodes
 
     def test_lulesh_non_overlapped_matches_des(self):
         from dataclasses import replace
@@ -44,7 +44,7 @@ class TestExactEdgeCounts:
             non_overlapped=True,
         )
         res = TaskRuntime(prog, cfg).run()
-        assert tdg.graph.stats.created == res.edges.created
+        assert tdg.compiled.stats.created == res.edges.created
         assert res.edges.pruned == 0
 
 

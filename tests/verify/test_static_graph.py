@@ -39,7 +39,7 @@ class TestDiscovery:
         tdg = discover_static(b.build(), OptimizationSet.parse("abc"))
         assert tdg.n_user_tasks == 5
         assert tdg.n_stubs == 1
-        assert tdg.graph.stats.redirect_nodes == 1
+        assert tdg.compiled.stats.redirect_nodes == 1
         # m + n edges through the stub.
         assert tdg.n_edges == 3 + 2
 
