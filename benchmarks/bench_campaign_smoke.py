@@ -61,7 +61,7 @@ def main(cache_dir: str | None = None) -> int:
         # (the CI runs this script twice to prove the resume contract), so
         # assert relative to what the store already holds.
         pre_hits = sum(1 for s in specs if store.contains(s))
-        fanout = run_campaign(specs, jobs=JOBS, cache=store)
+        fanout = run_campaign(specs, jobs=JOBS, store=store)
         assert fanout.ok, fanout.failures[0].error
         got = [canonical_json(r.to_dict()) for r in fanout.results]
         assert got == reference, "parallel campaign diverged from serial run"
@@ -70,7 +70,7 @@ def main(cache_dir: str | None = None) -> int:
             f"speedup vs serial: {serial.wall / max(fanout.wall, 1e-9):.2f}x, informational"
         print(f"parallel: {fanout.summary()} ({tag})")
 
-        again = run_campaign(specs, jobs=JOBS, cache=store)
+        again = run_campaign(specs, jobs=JOBS, store=store)
         assert again.n_executed == 0, f"expected all hits: {again.summary()}"
         assert again.n_cached == len(specs)
         assert [canonical_json(r.to_dict()) for r in again.results] == reference
@@ -79,7 +79,7 @@ def main(cache_dir: str | None = None) -> int:
         mutated = list(specs)
         mutated[2] = mutated[2].with_params(tpl=TPLS[2] + 1)
         expect_new = 0 if store.contains(mutated[2]) else 1
-        third = run_campaign(mutated, jobs=JOBS, cache=store)
+        third = run_campaign(mutated, jobs=JOBS, store=store)
         assert third.n_executed == expect_new, third.summary()
         assert third.n_cached == len(specs) - expect_new
         print(f"mutated:  {third.summary()} — "

@@ -20,7 +20,7 @@ from repro.campaign.runner import run_experiment_cluster
 from repro.apps.lulesh import LuleshConfig, build_task_program
 from repro.cluster import Cluster, RankGrid
 from repro.mpi.network import bxi_like
-from repro.profiler import comm_metrics
+from repro.obs import comm_metrics
 
 GRID = RankGrid.cubic(27)
 TPLS = (8, 16, 32, 64, 96, 128, 192) if LARGE else (8, 16, 32, 64, 96, 128)

@@ -15,7 +15,7 @@ from repro.apps.lulesh import LuleshConfig
 from repro.campaign.runner import run_experiment_cluster
 from repro.cluster import RankGrid
 from repro.mpi.network import bxi_like
-from repro.profiler import gantt_of
+from repro.obs import gantt_of
 
 GRID = RankGrid.cubic(8)
 ITERS = 6

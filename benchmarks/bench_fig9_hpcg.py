@@ -20,7 +20,7 @@ from repro.campaign.runner import run_experiment
 from repro.campaign.spec import ExperimentSpec
 from repro.cluster import RankGrid
 from repro.mpi.network import bxi_like
-from repro.profiler import comm_metrics
+from repro.obs import comm_metrics
 
 GRID = RankGrid.cubic(8)
 TPLS = (8, 16, 32, 64, 96, 128, 192, 256) if LARGE else (8, 32, 96, 192, 256)
@@ -46,7 +46,7 @@ def hpcg_spec(tpl, *, engine="task", opts="abcp"):
 
 def fig9_experiment():
     out = run_campaign(
-        [hpcg_spec(tpl) for tpl in TPLS], jobs=BENCH_JOBS, cache=BENCH_CACHE
+        [hpcg_spec(tpl) for tpl in TPLS], jobs=BENCH_JOBS, store=BENCH_CACHE
     )
     assert out.ok, out.failures[0].error
     points = []

@@ -16,7 +16,7 @@ from repro.campaign import ExperimentSpec
 from repro.campaign.runner import run_experiment_cluster
 from repro.cluster import RankGrid
 from repro.mpi.network import bxi_like
-from repro.profiler import comm_metrics, gantt_of
+from repro.obs import comm_metrics, gantt_of
 
 
 def main() -> None:

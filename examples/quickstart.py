@@ -10,7 +10,6 @@ Run:  python examples/quickstart.py
 
 from repro import OptimizationSet, ProgramBuilder, RuntimeConfig, TaskRuntime
 from repro.memory import skylake_8168
-from repro.profiler import breakdown_of
 
 
 def build_program(iterations: int = 8, width: int = 64) -> "Program":
@@ -50,8 +49,7 @@ def main() -> None:
             scheduler="lifo-df",
         )
         result = TaskRuntime(program, config).run()
-        bd = breakdown_of(result)
-        print(f"optimizations {opts:>4}: {bd}")
+        print(f"optimizations {opts:>4}: {result.summary()}")
         print(
             f"    {result.edges.created} edges materialized, "
             f"{result.edges.pruned} pruned, "

@@ -13,9 +13,11 @@ studies on real hardware:
   multi-rank runs;
 - :mod:`repro.apps` — LULESH, HPCG and tile Cholesky workloads (timing
   proxies *and* numerically real kernels for validation);
-- :mod:`repro.profiler` / :mod:`repro.analysis` — the paper's §2.3.1/§4.1
-  methodology: breakdowns, communication overlap, Gantt charts, METG,
-  TPL sweeps, scaling models;
+- :mod:`repro.obs` / :mod:`repro.analysis` — the paper's §2.3.1/§4.1
+  methodology: communication overlap, Gantt charts and per-loop profiles
+  read from one recording of a run (the time breakdown is a
+  :class:`~repro.runtime.RunResult` property), METG, TPL sweeps, scaling
+  models;
 - :mod:`repro.verify` — DES-free static verification: race detection over
   declared footprints, depend-clause lint, persistence safety and
   discovery-cost prediction (``python -m repro lint``);
@@ -77,7 +79,7 @@ from repro.campaign import (
     run_campaign,
     run_experiment,
 )
-from repro.profiler import breakdown_of, comm_metrics, gantt_of
+from repro.obs import comm_metrics, gantt_of
 from repro.verify import verify_cluster, verify_program
 
 __all__ = [
@@ -118,7 +120,6 @@ __all__ = [
     "ExperimentSpec",
     "run_campaign",
     "run_experiment",
-    "breakdown_of",
     "comm_metrics",
     "gantt_of",
     "verify_cluster",

@@ -4,11 +4,11 @@ The paper reasons about the *shape* of the discovered graph — its depth
 (the critical path the depth-first scheduler descends), its width (how much
 parallelism throttling may hide), and its average parallelism.  These
 helpers take a frozen :class:`~repro.core.compiled.CompiledTDG` (from
-:func:`~repro.core.compiled.compile_program`, or a DES run's
-:meth:`~repro.runtime.runtime.TaskRuntime.compiled`) and compute every
-metric on its CSR ``(offsets, targets)`` pair along its cached
+:func:`~repro.core.compiled.compile_program`) and compute every metric on
+its CSR ``(offsets, targets)`` pair along its cached
 :attr:`~repro.core.compiled.CompiledTDG.topo_order`
-(:func:`repro.core.graph_stats.shape_from_csr`).  :mod:`networkx` is only
+(:func:`repro.core.graph_stats.shape_from_csr`,
+:func:`~repro.core.graph_stats.width_profile_from_csr`).  :mod:`networkx` is only
 materialized on demand (:func:`to_networkx`) for callers that want the
 ecosystem, never for the metrics themselves.
 """
@@ -78,4 +78,6 @@ def analyze_shape(
 
 def width_profile(graph: CompiledTDG) -> list[int]:
     """Tasks per depth level — the breadth the scheduler could exploit."""
-    return width_profile_from_csr(graph.succ_offsets, graph.succ_targets)
+    return width_profile_from_csr(
+        graph.succ_offsets, graph.succ_targets, graph.topo_order
+    )

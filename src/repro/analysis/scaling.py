@@ -15,17 +15,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from repro.analysis.calibration import scaled_epyc, scaled_mpc, scaled_network
 from repro.apps.lulesh.config import LuleshConfig
 from repro.campaign.runner import run_experiment
 from repro.campaign.spec import ExperimentSpec
 from repro.core.optimizations import OptimizationSet
-from repro.db.store import DbResultStore, open_store
 from repro.mpi.network import NetworkSpec
-from repro.runtime.runtime import RuntimeConfig
+
+#: Per-item flops of the scaled LULESH mesh the probes simulate.
+_FLOPS_PER_ITEM = 25.0
+#: Share of the halo + Allreduce time the task version hides behind work.
+_OVERLAP_RATIO = 0.85
 
 
 def dynamic_tpl(n_nodes: int, *, min_tpl: int = 16, nodes_per_task: int = 1024) -> int:
@@ -72,131 +74,88 @@ def lulesh_scaling(
     sim_iterations: int = 4,
     report_iterations: int = 64,
     opts: OptimizationSet | str = "abcp",
-    network: Optional[NetworkSpec] = None,
-    config_factory: Optional[Callable[[int], RuntimeConfig]] = None,
-    flops_per_item: float = 25.0,
     fixed_tpl: Optional[int] = None,
-    overlap_ratio: float = 0.85,
-    nodes_per_task: int = 1024,
-    cache: Union[DbResultStore, str, Path, None] = None,
-    fidelity: Optional[str] = None,
 ) -> list[ScalingPoint]:
     """Model Table 3's weak/strong rows.
 
     ``mode="weak"``: constant ``s_weak`` per rank.  ``mode="strong"``: the
     global ``s_strong_global``^3 mesh divided over ranks, with the dynamic
     TPL rule.  The inner single-rank DES probes go through
-    :func:`~repro.campaign.runner.run_experiment`; pass ``cache`` to skip
-    probes a previous study already ran (strong/weak studies share rows).
-    ``fidelity`` runs the *task-engine* probes at a cheaper simulation
-    tier (see :mod:`repro.sim.tiers`); the fork-join reference probes
-    always stay on DES, which the tiers do not model.
+    :func:`~repro.campaign.runner.run_experiment` on the scaled MPC-OMP
+    EPYC configuration and the scaled network.
     """
     if mode not in ("weak", "strong"):
         raise ValueError(f"mode must be 'weak' or 'strong', got {mode!r}")
     if isinstance(opts, str):
         opts = OptimizationSet.parse(opts)
-    # A store opened here from a path is closed again before returning.
-    owned = open_store(cache) if isinstance(cache, (str, Path)) else None
-    if owned is not None:
-        cache = owned
-    net = network if network is not None else scaled_network()
-
-    def probe(spec: ExperimentSpec) -> float:
-        if cache is not None:
-            hit = cache.get(spec)
-            if hit is not None:
-                return hit.makespan
-        res = run_experiment(spec)
-        if cache is not None:
-            cache.put(spec, res)
-        return res.makespan
+    net = scaled_network()
+    rc = scaled_mpc(scaled_epyc(), opts=opts)
 
     points = []
-    try:
-        for p in rank_counts:
-            side = round(p ** (1.0 / 3.0))
-            if side**3 != p:
-                raise ValueError(f"rank count {p} is not a perfect cube")
-            if mode == "weak":
-                s_local = s_weak
-            else:
-                s_local = max(4, round(s_strong_global / side))
-            cfg_probe = LuleshConfig(
-                s=s_local, iterations=sim_iterations, tpl=4, flops_per_item=flops_per_item
+    for p in rank_counts:
+        side = round(p ** (1.0 / 3.0))
+        if side**3 != p:
+            raise ValueError(f"rank count {p} is not a perfect cube")
+        if mode == "weak":
+            s_local = s_weak
+        else:
+            s_local = max(4, round(s_strong_global / side))
+        cfg_probe = LuleshConfig(
+            s=s_local, iterations=sim_iterations, tpl=4,
+            flops_per_item=_FLOPS_PER_ITEM,
+        )
+        tpl = fixed_tpl if fixed_tpl is not None else dynamic_tpl(cfg_probe.n_nodes)
+        tpl = min(tpl, cfg_probe.n_elems)
+        cfg = LuleshConfig(
+            s=s_local, iterations=sim_iterations, tpl=tpl,
+            flops_per_item=_FLOPS_PER_ITEM,
+        )
+
+        # Local per-iteration times from single-rank DES.  Steady state is
+        # measured by differencing two runs (n and 2n iterations), which
+        # removes the one-off first-iteration costs (full discovery for a
+        # persistent graph, cold caches) that a 64+-iteration production
+        # run amortizes away.
+        def probe(engine: str, iters: int) -> float:
+            spec = ExperimentSpec(
+                app="lulesh",
+                config=rc,
+                params={"s": s_local, "iterations": iters, "tpl": tpl,
+                        "flops_per_item": _FLOPS_PER_ITEM},
+                engine=engine,
+                seed=rc.seed,
+                network=net,
             )
-            tpl = (fixed_tpl if fixed_tpl is not None
-                   else dynamic_tpl(cfg_probe.n_nodes, nodes_per_task=nodes_per_task))
-            tpl = min(tpl, cfg_probe.n_elems)
-            cfg = LuleshConfig(
-                s=s_local, iterations=sim_iterations, tpl=tpl, flops_per_item=flops_per_item
+            return run_experiment(spec).makespan
+
+        n = sim_iterations
+        local_task = (probe("task", 2 * n) - probe("task", n)) / n
+        local_for = (probe("forloop", 2 * n) - probe("forloop", n)) / n
+
+        # Analytic per-iteration communication terms.
+        allreduce = net.allreduce_time(p, 8)
+        halo = _halo_time(net, cfg)
+        # Load-imbalance/OS-noise skew grows slowly with scale; LULESH's
+        # homogeneous weak scaling keeps it small (paper: >95% efficiency
+        # at 1,000 ranks).
+        skew_task = 0.005 * local_task * math.log2(max(2, p))
+        skew_for = 0.005 * local_for * math.log2(max(2, p))
+        comm_task = (1.0 - _OVERLAP_RATIO) * (allreduce + halo) + skew_task
+        comm_for = allreduce + halo + skew_for
+
+        points.append(
+            ScalingPoint(
+                n_ranks=p,
+                s_local=s_local,
+                tpl=tpl,
+                time_task=(local_task + comm_task) * report_iterations,
+                time_for=(local_for + comm_for) * report_iterations,
+                local_task=local_task,
+                local_for=local_for,
+                comm_task=comm_task,
+                comm_for=comm_for,
             )
-            rc = (
-                config_factory(p)
-                if config_factory is not None
-                else scaled_mpc(scaled_epyc(), opts=opts)
-            )
-
-            # Local per-iteration times from single-rank DES.  Steady state is
-            # measured by differencing two runs (n and 2n iterations), which
-            # removes the one-off first-iteration costs (full discovery for a
-            # persistent graph, cold caches) that a 64+-iteration production
-            # run amortizes away.
-            # The spec API derives everything from the config, so a
-            # config_factory config's opts govern both discovery and program
-            # building (legacy allowed them to differ; nothing used that).
-            run_cfg = rc
-
-            def _spec(engine: str, iters: int) -> ExperimentSpec:
-                return ExperimentSpec(
-                    app="lulesh",
-                    config=run_cfg,
-                    params={"s": s_local, "iterations": iters, "tpl": tpl,
-                            "flops_per_item": flops_per_item},
-                    engine=engine,
-                    fidelity=(fidelity if fidelity and engine == "task"
-                              else "des"),
-                    seed=run_cfg.seed,
-                    network=net,
-                )
-
-            def per_iter_task(iters: int) -> float:
-                return probe(_spec("task", iters))
-
-            def per_iter_for(iters: int) -> float:
-                return probe(_spec("forloop", iters))
-
-            n = sim_iterations
-            local_task = (per_iter_task(2 * n) - per_iter_task(n)) / n
-            local_for = (per_iter_for(2 * n) - per_iter_for(n)) / n
-
-            # Analytic per-iteration communication terms.
-            allreduce = net.allreduce_time(p, 8)
-            halo = _halo_time(net, cfg)
-            # Load-imbalance/OS-noise skew grows slowly with scale; LULESH's
-            # homogeneous weak scaling keeps it small (paper: >95% efficiency
-            # at 1,000 ranks).
-            skew_task = 0.005 * local_task * math.log2(max(2, p))
-            skew_for = 0.005 * local_for * math.log2(max(2, p))
-            comm_task = (1.0 - overlap_ratio) * (allreduce + halo) + skew_task
-            comm_for = allreduce + halo + skew_for
-
-            points.append(
-                ScalingPoint(
-                    n_ranks=p,
-                    s_local=s_local,
-                    tpl=tpl,
-                    time_task=(local_task + comm_task) * report_iterations,
-                    time_for=(local_for + comm_for) * report_iterations,
-                    local_task=local_task,
-                    local_for=local_for,
-                    comm_task=comm_task,
-                    comm_for=comm_for,
-                )
-            )
-    finally:
-        if owned is not None:
-            owned.db.close()
+        )
     return points
 
 

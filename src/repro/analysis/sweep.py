@@ -194,7 +194,7 @@ def run_spec_sweep(
 
     specs = sweep_specs(base, tpls, param=param)
     out = run_campaign(
-        specs, jobs=jobs, cache=cache, timeout=timeout, bus=bus,
+        specs, jobs=jobs, store=cache, timeout=timeout, bus=bus,
         progress=progress, fidelity=fidelity,
     )
     if not out.ok:

@@ -207,7 +207,7 @@ def cross_check(
         + [s.with_fidelity("replay") for s in base]
         + [s.with_fidelity("analytic") for s in base]
     )
-    out = run_campaign(ladder, jobs=jobs, cache=cache, progress=progress)
+    out = run_campaign(ladder, jobs=jobs, store=cache, progress=progress)
     n = len(base)
     report = CrossCheckReport(tolerance=tolerance)
     for i, spec in enumerate(base):

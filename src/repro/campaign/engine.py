@@ -145,14 +145,14 @@ def _worker_entry(spec_json: str, locator: str, campaign: str = "") -> None:
     resolves it).
     """
     spec = ExperimentSpec.from_json(spec_json)
-    cache = open_store(locator, campaign=campaign)
-    compiled_cache = CompiledGraphCache.for_campaign(cache.root)
+    store = open_store(locator, campaign=campaign)
+    compiled_cache = CompiledGraphCache.for_campaign(store.root)
     try:
         result = run_experiment(spec, compiled_cache=compiled_cache)
-        cache.put(spec, result)
+        store.put(spec, result)
     except BaseException:
         try:
-            cache.put_error(spec, traceback.format_exc())
+            store.put_error(spec, traceback.format_exc())
         finally:
             raise SystemExit(1)
 
@@ -179,7 +179,6 @@ def run_campaign(
     specs: Sequence[ExperimentSpec],
     *,
     jobs: int = 1,
-    cache: Optional[Store] = None,
     store: Optional[Store] = None,
     campaign: str = "",
     reuse_cache: bool = True,
@@ -188,7 +187,6 @@ def run_campaign(
     bus: Optional[CampaignBus] = None,
     progress: bool = False,
     live: bool = False,
-    metrics: Optional[object] = None,
     snapshot_every: int = 0,
     fidelity: Optional[str] = None,
 ) -> CampaignResult:
@@ -203,16 +201,13 @@ def run_campaign(
         Worker processes.  ``jobs <= 1`` with no ``timeout`` runs
         serially in-process (no subprocess overhead); otherwise each run
         executes in its own worker process.
-    cache:
+    store:
         A :class:`~repro.db.DbResultStore`, a locator path (``.sqlite``
         file → that store, directory ``D`` → ``D/campaign.sqlite``), or
         None — parallel and timeout modes need a store as the result
         channel, so None then means a temporary store (discarded
         afterwards).  A store opened here from a locator is closed
         before returning; a store object passed in stays open.
-    store:
-        Alias for ``cache`` (the SQLite-store spelling); passing both is
-        an error.  Same types accepted.
     campaign:
         Campaign id tagged onto every run row the store writes (reports
         compare ids).
@@ -231,16 +226,10 @@ def run_campaign(
     live:
         Render progress as the renderer's in-place status line (progress
         bar, ETA, busy workers, hit rate) instead.  Both modes read a
-        :class:`~repro.metrics.campaign.CampaignMetrics` observer; when
-        neither ``live``, ``metrics`` nor ``snapshot_every`` asks for
-        one, progress uses a private one that writes nothing to the
-        store.
-    metrics:
-        An existing :class:`~repro.metrics.campaign.CampaignMetrics` to
-        attach (``live=True`` creates one when omitted).  If it has no
-        store bound and the campaign persists into a store,
-        deterministic metric snapshots land in that store's ``metrics``
-        table.
+        :class:`~repro.metrics.campaign.CampaignMetrics` observer; with
+        ``live`` or ``snapshot_every`` and a store, its deterministic
+        snapshots land in the store's ``metrics`` table, otherwise
+        progress uses a private one that writes nothing to the store.
     snapshot_every:
         Persist an intermediate metrics snapshot every N settled runs
         (0: final snapshot only; only meaningful with a store).
@@ -255,27 +244,23 @@ def run_campaign(
     if fidelity is not None:
         specs = [s.with_fidelity(fidelity) for s in specs]
     bus = bus if bus is not None else CampaignBus()
-    if store is not None:
-        if cache is not None:
-            raise ValueError("pass either cache= or store=, not both")
-        cache = store
     # A store this call opens (from a locator, or the temporary worker
     # channel) it also closes, after campaign_done has taken the final
     # metrics snapshot: that last close checkpoints the WAL into the file.
     owned: Optional[DbResultStore] = None
-    if isinstance(cache, (str, Path)):
-        cache = owned = open_store(cache)
-    if campaign and cache is not None:
-        cache.campaign = campaign
+    if isinstance(store, (str, Path)):
+        store = owned = open_store(store)
+    if campaign and store is not None:
+        store.campaign = campaign
     # Observers attach after store resolution (metrics may bind to it)
     # but before the cache pass, so run_cached events are never missed.
-    if (live or snapshot_every > 0) and metrics is None:
+    metrics = None
+    if live or snapshot_every > 0:
         from repro.metrics.campaign import CampaignMetrics
 
         metrics = CampaignMetrics(len(specs), snapshot_every=snapshot_every)
-    if metrics is not None:
-        if getattr(metrics, "db", None) is None and cache is not None:
-            metrics.bind_store(cache)
+        if store is not None:
+            metrics.bind_store(store)
         bus.attach(metrics)
     if live or progress:
         from repro.metrics.campaign import CampaignMetrics
@@ -293,21 +278,21 @@ def run_campaign(
     tmpdir: Optional[tempfile.TemporaryDirectory] = None
     use_workers = jobs > 1 or timeout is not None
     try:
-        if cache is None and use_workers:
+        if store is None and use_workers:
             tmpdir = tempfile.TemporaryDirectory(prefix="repro-campaign-")
-            cache = owned = open_store(tmpdir.name)
-        if cache is not None:
+            store = owned = open_store(tmpdir.name)
+        if store is not None:
             # Open for writing before the cache pass: a file that is not
             # a store fails before any run executes, and the close of this
             # connection is the one that can checkpoint the workers' WAL.
-            cache.db.conn
+            store.db.conn
 
         # ---- cache pass -------------------------------------------------
         pending: list[int] = []
         seen_keys: dict[str, int] = {}
         for i, rec in enumerate(records):
-            if cache is not None and reuse_cache:
-                hit = cache.get(rec.spec)
+            if store is not None and reuse_cache:
+                hit = store.get(rec.spec)
                 if hit is not None:
                     rec.result, rec.cached = hit, True
                     _emit(bus.run_cached, i, rec.spec, hit)
@@ -320,10 +305,10 @@ def run_campaign(
 
         if use_workers:
             _run_workers(
-                records, pending, max(1, jobs), cache, timeout, retries, bus
+                records, pending, max(1, jobs), store, timeout, retries, bus
             )
         else:
-            _run_serial(records, pending, cache, retries, bus)
+            _run_serial(records, pending, store, retries, bus)
 
         # ---- fill duplicates from their first occurrence ----------------
         for i, rec in enumerate(records):
@@ -350,9 +335,9 @@ def _emit(cbs, *args) -> None:
             cb(*args)
 
 
-def _run_serial(records, pending, cache, retries, bus) -> None:
+def _run_serial(records, pending, store, retries, bus) -> None:
     compiled_cache = (
-        CompiledGraphCache.for_campaign(cache.root) if cache is not None else None
+        CompiledGraphCache.for_campaign(store.root) if store is not None else None
     )
     for i in pending:
         rec = records[i]
@@ -370,14 +355,14 @@ def _run_serial(records, pending, cache, retries, bus) -> None:
                 _emit(bus.run_failed, i, rec.spec, rec.error)
                 break
             rec.result, rec.wall, rec.error = result, time.monotonic() - t, None
-            if cache is not None:
-                cache.put(rec.spec, result)
+            if store is not None:
+                store.put(rec.spec, result)
             _emit(bus.run_done, i, rec.spec, result, rec.wall)
             break
 
 
-def _run_workers(records, pending, jobs, cache, timeout, retries, bus) -> None:
-    assert cache is not None
+def _run_workers(records, pending, jobs, store, timeout, retries, bus) -> None:
+    assert store is not None
     ctx = _mp_context()
     queue: list[tuple[int, int]] = [(i, 1) for i in pending]  # (index, attempt)
     slots: list[_Slot] = []
@@ -387,7 +372,7 @@ def _run_workers(records, pending, jobs, cache, timeout, retries, bus) -> None:
         rec.attempts = attempt
         proc = ctx.Process(
             target=_worker_entry,
-            args=(rec.spec.to_json(), cache.locator, cache.campaign),
+            args=(rec.spec.to_json(), store.locator, store.campaign),
             daemon=True,
         )
         proc.start()
@@ -408,7 +393,7 @@ def _run_workers(records, pending, jobs, cache, timeout, retries, bus) -> None:
         """Slot finished: success, crash, or timeout (``reason`` set)."""
         rec = records[slot.index]
         if reason is None and slot.proc.exitcode == 0:
-            result = cache.get(rec.spec)
+            result = store.get(rec.spec)
             if result is not None:
                 rec.result = result
                 rec.wall = time.monotonic() - slot.t_start
@@ -418,7 +403,7 @@ def _run_workers(records, pending, jobs, cache, timeout, retries, bus) -> None:
             reason = "worker exited cleanly but wrote no result"
         if reason is None:
             reason = f"worker died (exit code {slot.proc.exitcode})"
-        error = cache.get_error(rec.spec)
+        error = store.get_error(rec.spec)
         rec.error = f"{reason}\n{error}" if error else reason
         if slot.attempt <= retries:
             _emit(bus.run_retry, slot.index, rec.spec, slot.attempt, reason)

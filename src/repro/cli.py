@@ -42,8 +42,7 @@ from repro.campaign.runner import (
 )
 from repro.campaign.spec import ExperimentSpec
 from repro.core.optimizations import OptimizationSet
-from repro.profiler.breakdown import breakdown_of
-from repro.profiler.comm_metrics import comm_metrics
+from repro.obs.comm_metrics import comm_metrics
 from repro.runtime import presets
 
 
@@ -110,7 +109,7 @@ def cmd_lulesh(args) -> int:
         res = run_experiment_cluster(spec)
         pr = [r for r in res.results if r.extra.get("profiled")][0]
         print(f"cluster makespan: {res.makespan:.6f}s over {args.ranks} ranks")
-        print(breakdown_of(pr))
+        print(pr.summary())
         print("profiled rank comm:", comm_metrics(pr.comm, pr.trace, pr.n_threads))
         return 0
     if args.offload:
@@ -126,7 +125,7 @@ def cmd_lulesh(args) -> int:
         app="lulesh", config=config, params=params, seed=config.seed
     )
     r = run_experiment(spec)
-    print(breakdown_of(r))
+    print(r.summary())
     print(f"tasks={r.n_tasks} edges={r.edges.created} "
           f"pruned={r.edges.pruned} dup-skipped={r.edges.duplicates_skipped}")
     accel = r.extra.get("accelerator")
@@ -147,7 +146,7 @@ def cmd_hpcg(args) -> int:
         seed=config.seed,
     )
     r = run_experiment(spec)
-    print(breakdown_of(r))
+    print(r.summary())
     print(f"tasks={r.n_tasks} edges={r.edges.created} "
           f"grain={r.work_per_task * 1e6:.1f}us")
     return 0
@@ -165,7 +164,7 @@ def cmd_cholesky(args) -> int:
     )
     r = run_experiment(spec)
     ccfg = CholeskyConfig(n=args.n, b=args.b, iterations=args.i)
-    print(breakdown_of(r))
+    print(r.summary())
     print(f"tasks={r.n_tasks} ({ccfg.n_tasks_one_factorization()} per "
           f"factorization), discovery {r.discovery_busy * 1e3:.3f}ms")
     return 0
@@ -262,8 +261,7 @@ def cmd_campaign(args) -> int:
     out = run_campaign(
         specs,
         jobs=args.jobs,
-        cache=args.cache_dir,
-        store=args.db,
+        store=args.db or args.cache_dir,
         campaign=args.campaign_id,
         reuse_cache=args.resume,
         timeout=args.timeout,

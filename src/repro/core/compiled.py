@@ -5,12 +5,13 @@ wins by *reusing* a discovered graph instead of rediscovering it.  This
 module gives the reproduction a single frozen representation of a
 discovered TDG that every consumer reads:
 
-- :class:`~repro.runtime.runtime.TaskRuntime` snapshots one after the
-  first persistent iteration (:meth:`CompiledTDG.from_table`), the
-  oracle that checks DES discovery against the static compile;
-- :mod:`repro.verify` compiles one statically (:func:`compile_program`)
-  instead of maintaining its own shadow graph — static-vs-DES edge
-  equality becomes equality by construction;
+- :func:`compile_program` is its one producer: the production resolver
+  walks the program and :meth:`CompiledTDG.from_table` freezes the table,
+  which for a persistent or non-overlapped run is the table the DES
+  discovers;
+- :mod:`repro.verify` compiles one statically instead of maintaining its
+  own shadow graph — static-vs-DES edge equality becomes equality by
+  construction;
 - :mod:`repro.analysis.graphtools` and :mod:`repro.cluster.mapping` read
   the CSR arrays directly (shape metrics, rank partition summaries).
 
@@ -601,8 +602,8 @@ def compile_program(
     - with optimization (p) active on a persistent candidate, only the
       template iteration is resolved and every later iteration is a
       replay (the implicit barrier resets the resolver) — matching the
-      runtime's persistent mode, and matching the artifact the runtime
-      snapshots at its first persistent barrier *by construction*;
+      runtime's persistent mode, whose table at its first persistent
+      barrier freezes to the same bytes *by construction*;
     - otherwise every iteration is resolved against the same address
       map, so inter-iteration edges appear exactly as in a
       non-persistent run.

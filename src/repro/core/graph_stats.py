@@ -173,10 +173,14 @@ def shape_from_csr(
 
 
 def width_profile_from_csr(
-    offsets: Sequence[int], targets: Sequence[int]
+    offsets: Sequence[int], targets: Sequence[int], order: Sequence[int]
 ) -> list[int]:
-    """Tasks per depth level — the breadth the scheduler could exploit."""
-    level = _levels(offsets, targets, topological_order(offsets, targets))
+    """Tasks per depth level — the breadth the scheduler could exploit.
+
+    ``order`` is the graph's :func:`topological_order` (e.g.
+    :attr:`~repro.core.compiled.CompiledTDG.topo_order`).
+    """
+    level = _levels(offsets, targets, order)
     out = [0] * max(level, default=0)
     for lv in level:
         out[lv - 1] += 1

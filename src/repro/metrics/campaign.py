@@ -1,7 +1,7 @@
 """Campaign telemetry: a :class:`CampaignMetrics` observer on the bus.
 
 Attach to a :class:`~repro.campaign.bus.CampaignBus` (the engine does it
-for you via ``run_campaign(live=True)`` / ``metrics=``) and it maintains
+for you via ``run_campaign(live=True)`` / ``snapshot_every=``) and it maintains
 a :class:`~repro.metrics.registry.MetricsRegistry` of campaign health:
 
 ====================================================  =================

@@ -17,10 +17,17 @@ those two artifacts:
 - :mod:`repro.obs.critical_path` — the measured critical path over the
   compiled TDG's CSR arrays, per-task slack, and inflation vs the
   static T∞ bound;
+- :mod:`repro.obs.comm_metrics` — the §4.1 communication time, overlapped
+  work and overlap ratio of one MPI process;
+- :mod:`repro.obs.gantt` — the Fig 8 ASCII Gantt chart, one row per thread,
+  glyphs per outer iteration;
+- :mod:`repro.obs.loops` — §2.3.1 post-mortem aggregation per loop and per
+  outer iteration;
 - :mod:`repro.obs.profile` — ``profile_spec(spec)``, the one-call
   driver behind the ``repro profile`` CLI.
 """
 
+from repro.obs.comm_metrics import CommMetrics, comm_metrics
 from repro.obs.counters import (
     COUNTERS_SCHEMA_VERSION,
     DiscoveryCounters,
@@ -41,21 +48,30 @@ from repro.obs.export import (
     write_ndjson,
     write_perfetto,
 )
+from repro.obs.gantt import GanttChart, gantt_of
+from repro.obs.loops import LoopProfile, iteration_spans, loop_profiles
 from repro.obs.profile import ProfileReport, profile_spec, render_diff, text_report
 from repro.obs.recorder import TraceRecorder
 
 __all__ = [
     "COUNTERS_SCHEMA_VERSION",
+    "CommMetrics",
     "CriticalPathResult",
     "DiscoveryCounters",
+    "GanttChart",
     "IterationCounters",
     "IterationCriticalPath",
+    "LoopProfile",
     "ProfileReport",
     "TRACE_SCHEMA_VERSION",
     "TraceRecorder",
     "check_counters_doc",
+    "comm_metrics",
     "diff_counters",
+    "gantt_of",
     "iter_ndjson",
+    "iteration_spans",
+    "loop_profiles",
     "measured_critical_path",
     "profile_spec",
     "render_diff",

@@ -109,21 +109,19 @@ def discovery_share(totals: dict, t_end: float) -> float:
 
 def text_report(report: ProfileReport) -> str:
     """The human-readable profile: breakdown, counters, critical path."""
-    from repro.profiler.breakdown import breakdown_of
-
     lines: list[str] = []
     spec = report.spec
     lines.append(f"profile: {spec.label}")
     lines.append(f"spec key: {spec.key[:16]}")
     lines.append("")
 
-    bd = breakdown_of(report.result)
+    r = report.result
     lines.append("time breakdown (§2.3.1, averaged on threads)")
-    lines.append(f"  makespan   {bd.makespan:12.6f} s")
-    lines.append(f"  work       {bd.work_avg:12.6f} s")
-    lines.append(f"  idle       {bd.idle_avg:12.6f} s")
-    lines.append(f"  overhead   {bd.overhead_avg:12.6f} s")
-    lines.append(f"  discovery  {bd.discovery:12.6f} s (producer busy)")
+    lines.append(f"  makespan   {r.makespan:12.6f} s")
+    lines.append(f"  work       {r.work_avg:12.6f} s")
+    lines.append(f"  idle       {r.idle_avg:12.6f} s")
+    lines.append(f"  overhead   {r.overhead_avg:12.6f} s")
+    lines.append(f"  discovery  {r.discovery_busy:12.6f} s (producer busy)")
     lines.append("")
 
     tot = report.counters["totals"]

@@ -36,7 +36,6 @@ from repro.obs.recorder import CommRecord
 from repro.runtime.result import RunResult
 from repro.runtime.runtime import RuntimeConfig
 from repro.sim import EventQueue, InstrumentationBus
-from repro.util.units import us
 
 
 @dataclass(frozen=True, slots=True)

@@ -174,7 +174,8 @@ class RunResult:
 
     # ------------------------------------------------------------------
     def summary(self) -> str:
-        """One-line human-readable summary."""
+        """One-line human-readable summary: the §2.3.1 breakdown averaged
+        on threads, producer discovery time, tasks and edges."""
         return (
             f"{self.name}: makespan={self.makespan:.3f}s "
             f"work/thr={self.work_avg:.3f}s idle/thr={self.idle_avg:.3f}s "

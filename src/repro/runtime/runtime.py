@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.core.compiled import CompiledTDG, structural_signature
 from repro.core.dependences import DependenceResolver
 from repro.core.optimizations import OptimizationSet
 from repro.core.persistent import PersistentStructureError, first_divergence
@@ -282,10 +281,6 @@ class TaskRuntime:
         self.work = [0.0] * n
         self.overhead = [0.0] * n
         self.discovery_busy = 0.0
-        # Per-task resolution counts in tid order (creator row followed by
-        # zero rows for its redirect stubs) — the discovery columns of the
-        # compiled()-snapshot artifact.
-        self._disc_rows: list[tuple[int, int, int, int]] = []
         self._disc_first = _NAN
         self._disc_last = _NAN
         self._exec_first = _NAN
@@ -308,7 +303,6 @@ class TaskRuntime:
         self._c_release = sched.c_release
         self._c_post = sched.c_post
         self._flops_per_core = config.machine.flops_per_core
-        self._should_block = config.throttle.should_block
         self._ready_cap = config.throttle.ready_cap
         self._total_cap = config.throttle.total_cap
         # The fused replay chain is trace-equivalent only when the
@@ -526,10 +520,6 @@ class TaskRuntime:
                 tb.device[tid] = True
             res = self.resolver.resolve_tid(tid, spec.depends)
             tb.npred_initial[tid] = tb.npred[tid] + tb.presat[tid]
-            self._disc_rows.append(
-                (res.n_addrs, res.n_edges, res.n_skipped, res.n_redirects)
-            )
-            self._disc_rows.extend((0, 0, 0, 0) for _ in res.redirect_tids)
             for stub in res.redirect_tids:
                 self._arm_stub(stub)
             if self._persistent_mode:
@@ -747,70 +737,6 @@ class TaskRuntime:
         self._stub_tids = [
             tid for tid, s in enumerate(self.table.is_stub) if s
         ]
-
-    # ------------------------------------------------------------------
-    # compiled-TDG artifact
-    # ------------------------------------------------------------------
-    def compiled(self) -> CompiledTDG:
-        """Freeze the discovered TDG into a :class:`CompiledTDG`.
-
-        Persistent runs may call this any time after the first iteration
-        (the region is frozen); non-persistent runs after discovery ends.
-        The artifact is keyed by the program's structural signature, so
-        it equals what :func:`repro.core.compiled.compile_program` builds
-        for the same program and opts — by construction.
-        """
-        if self._persistent_mode and not self._frozen:
-            raise RuntimeError("compiled(): persistent region not frozen yet")
-        if not self._persistent_mode and not self._discovery_done:
-            raise RuntimeError("compiled(): discovery has not finished")
-        segment, spec_pos = self._segment_columns()
-        art = CompiledTDG.from_table(
-            self.table,
-            key=structural_signature(self.program, self.config.opts),
-            segment=segment,
-            spec_pos=spec_pos,
-            disc=self._disc_rows,
-            n_iterations=self.program.n_iterations,
-            owner=self.rank,
-        )
-        if self._persistent_mode:
-            # Replay re-stamps the table's iteration column for tracing;
-            # the artifact describes the template iteration.
-            art.iteration = [0] * len(art.iteration)
-        return art
-
-    def _segment_columns(self) -> tuple[list[int], list[int]]:
-        """Reconstruct per-tid barrier segments and template positions.
-
-        Stub tids always follow the user task whose resolution created
-        them, so one joint walk over tids and submitted specs aligns
-        both columns.
-        """
-        is_stub = self.table.is_stub
-        segment: list[int] = []
-        spec_pos: list[int] = []
-        seg = 0
-        if self._persistent_mode:
-            walk = [self.program.iterations[0].tasks]
-        else:
-            walk = [it.tasks for it in self._iterations]
-        specs = iter(
-            (pos, spec) for tasks in walk for pos, spec in enumerate(tasks)
-        )
-        pos, spec = -1, None
-        for tid in range(len(is_stub)):
-            if is_stub[tid]:
-                segment.append(seg)
-                spec_pos.append(-1)
-                continue
-            pos, spec = next(specs)
-            while spec.barrier:
-                seg += 1
-                pos, spec = next(specs)
-            segment.append(seg)
-            spec_pos.append(pos)
-        return segment, spec_pos
 
     def _finish_discovery(self) -> None:
         if self._discovery_done:

@@ -5,7 +5,7 @@ not the timing of its execution.  The discovery itself lives in
 :func:`repro.core.compiled.compile_program`: one static walk through the
 production :class:`~repro.core.dependences.DependenceResolver` that
 freezes the result into a :class:`~repro.core.compiled.CompiledTDG` — the
-same CSR artifact the runtime snapshots at its first persistent barrier.
+graph a persistent or non-overlapped DES run discovers, byte for byte.
 Static-vs-DES edge equality is therefore equality *by construction*: both
 layers read one compiled graph, neither maintains a shadow.
 

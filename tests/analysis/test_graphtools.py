@@ -3,25 +3,14 @@
 import pytest
 
 from repro.analysis.graphtools import analyze_shape, to_networkx, width_profile
-from repro.core import OptimizationSet, ProgramBuilder
-from repro.memory import tiny_test_machine
-from repro.runtime import RuntimeConfig, TaskRuntime
+from repro.core import OptimizationSet, ProgramBuilder, compile_program
 
 
 def discover(builder_fn, opts=""):
     b = ProgramBuilder("g")
     with b.iteration():
         builder_fn(b)
-    rt = TaskRuntime(
-        b.build(),
-        RuntimeConfig(
-            machine=tiny_test_machine(2),
-            opts=OptimizationSet.parse(opts),
-            non_overlapped=True,
-        ),
-    )
-    rt.run()
-    return rt.compiled()
+    return compile_program(b.build(), OptimizationSet.parse(opts))
 
 
 class TestToNetworkx:
@@ -88,7 +77,7 @@ class TestShape:
         assert shape.total_weight == pytest.approx(14.0)
 
     def test_empty_graph(self):
-        from repro.core import Program, compile_program
+        from repro.core import Program
 
         shape = analyze_shape(compile_program(Program([]), OptimizationSet.none()))
         assert shape.n_tasks == 0
@@ -109,6 +98,30 @@ class TestWidthProfile:
             b.task("tail", inp=[("y", i) for i in range(4)], flops=1.0)
         assert width_profile(discover(build)) == [1, 4, 1]
 
+    def test_shares_the_cached_topological_order(self, monkeypatch):
+        """analyze_shape then width_profile on one artifact: one Kahn pass."""
+        from repro.core import compiled, graph_stats
+
+        passes = []
+        kahn = graph_stats.topological_order
+
+        def counting(offsets, targets):
+            passes.append(len(offsets) - 1)
+            return kahn(offsets, targets)
+
+        for module in (compiled, graph_stats):
+            monkeypatch.setattr(module, "topological_order", counting)
+
+        def build(b):
+            b.task("head", out=["x"], flops=1.0)
+            for i in range(4):
+                b.task(f"w{i}", inp=["x"], out=[("y", i)], flops=1.0)
+            b.task("tail", inp=[("y", i) for i in range(4)], flops=1.0)
+        art = discover(build)
+        analyze_shape(art)
+        assert width_profile(art) == [1, 4, 1]
+        assert passes == [6]
+
     def test_lulesh_parallelism_scales_with_tpl(self):
         """The TDG's average parallelism grows with TPL — what refinement
         buys before discovery gets in the way."""
@@ -119,14 +132,5 @@ class TestWidthProfile:
             prog = build_task_program(
                 LuleshConfig(s=12, iterations=1, tpl=tpl), opt_a=True
             )
-            rt = TaskRuntime(
-                prog,
-                RuntimeConfig(
-                    machine=tiny_test_machine(2),
-                    opts=OptimizationSet.abc(),
-                    non_overlapped=True,
-                ),
-            )
-            rt.run()
-            shapes[tpl] = analyze_shape(rt.compiled())
+            shapes[tpl] = analyze_shape(compile_program(prog, OptimizationSet.abc()))
         assert shapes[16].avg_parallelism > shapes[4].avg_parallelism

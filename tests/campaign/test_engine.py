@@ -51,8 +51,8 @@ class TestSerial:
 
     def test_cache_round_trip(self, tmp_path):
         cache = tmp_path
-        first = run_campaign(SPECS[:3], cache=cache)
-        second = run_campaign(SPECS[:3], cache=cache)
+        first = run_campaign(SPECS[:3], store=cache)
+        second = run_campaign(SPECS[:3], store=cache)
         assert second.n_cached == 3 and second.n_executed == 0
         assert fingerprints(first) == fingerprints(second)
 
@@ -79,7 +79,7 @@ class TestParallelDeterminism:
         specs = SPECS + PERSISTENT_SPECS
         serial = run_campaign(specs)
         assert serial.ok
-        parallel = run_campaign(specs, jobs=8, cache=tmp_path)
+        parallel = run_campaign(specs, jobs=8, store=tmp_path)
         assert parallel.ok
         assert fingerprints(parallel) == fingerprints(serial)
 
@@ -89,8 +89,8 @@ class TestParallelDeterminism:
         same document in both."""
         params = {"s": 8, "iterations": 3, "tpl": 8}
         s0, s1 = (spec(config=CFG_P, params=params, seed=k) for k in (0, 1))
-        forward = run_campaign([s0, s1], cache=tmp_path / "forward")
-        backward = run_campaign([s1, s0], cache=tmp_path / "backward")
+        forward = run_campaign([s0, s1], store=tmp_path / "forward")
+        backward = run_campaign([s1, s0], store=tmp_path / "backward")
         assert forward.ok and backward.ok
         assert canonical_json(forward.results[1].to_dict()) == canonical_json(
             backward.results[0].to_dict()
@@ -98,27 +98,27 @@ class TestParallelDeterminism:
 
     def test_second_parallel_pass_all_cache_hits(self, tmp_path):
         cache = tmp_path
-        first = run_campaign(SPECS[:4], jobs=4, cache=cache)
+        first = run_campaign(SPECS[:4], jobs=4, store=cache)
         assert first.ok and first.n_executed == 4
-        second = run_campaign(SPECS[:4], jobs=4, cache=cache)
+        second = run_campaign(SPECS[:4], jobs=4, store=cache)
         assert second.n_executed == 0
         assert second.n_cached == 4
         assert fingerprints(first) == fingerprints(second)
 
     def test_mutating_one_spec_reruns_exactly_that_run(self, tmp_path):
         cache = tmp_path
-        run_campaign(SPECS[:4], jobs=2, cache=cache)
+        run_campaign(SPECS[:4], jobs=2, store=cache)
         mutated = list(SPECS[:4])
         mutated[2] = mutated[2].with_params(tpl=99)
-        out = run_campaign(mutated, jobs=2, cache=cache)
+        out = run_campaign(mutated, jobs=2, store=cache)
         assert out.n_executed == 1
         assert out.n_cached == 3
         assert not out.records[2].cached
 
     def test_no_resume_reexecutes_everything(self, tmp_path):
         cache = tmp_path
-        run_campaign(SPECS[:3], jobs=2, cache=cache)
-        out = run_campaign(SPECS[:3], jobs=2, cache=cache, reuse_cache=False)
+        run_campaign(SPECS[:3], jobs=2, store=cache)
+        out = run_campaign(SPECS[:3], jobs=2, store=cache, reuse_cache=False)
         assert out.n_executed == 3 and out.n_cached == 0
 
 
@@ -127,7 +127,7 @@ class TestRobustness:
         # An invalid spec param set makes every worker die; with the
         # default retry-once the record shows two attempts.
         bad = spec(params={"s": 6, "iterations": 1, "tpl": 2, "bogus": 1})
-        out = run_campaign([bad], jobs=2, cache=tmp_path)
+        out = run_campaign([bad], jobs=2, store=tmp_path)
         assert out.n_failed == 1
         assert out.records[0].attempts == 2
         assert "bogus" in out.records[0].error  # worker traceback captured
@@ -136,7 +136,7 @@ class TestRobustness:
         # A run far too big to finish within the deadline.
         big = spec(app="cholesky", params={"n": 4096, "b": 16})
         out = run_campaign(
-            [big], jobs=1, cache=tmp_path, timeout=0.2, retries=0
+            [big], jobs=1, store=tmp_path, timeout=0.2, retries=0
         )
         assert out.n_failed == 1
         assert "timed out" in out.records[0].error
@@ -149,7 +149,7 @@ class TestRobustness:
     def test_worker_killed_mid_write_retries_cleanly(self, tmp_path, monkeypatch):
         # The first attempt's worker dies inside an open write
         # transaction; the retry must find nothing of it in the store.
-        reference = run_campaign(SPECS[:1], cache=tmp_path / "serial")
+        reference = run_campaign(SPECS[:1], store=tmp_path / "serial")
         marker = tmp_path / "killed"
         put = DbResultStore.put
 
@@ -164,7 +164,7 @@ class TestRobustness:
             return put(store, spec, result)
 
         monkeypatch.setattr(DbResultStore, "put", put_then_die)
-        out = run_campaign(SPECS[:1], jobs=2, cache=tmp_path / "killed-run")
+        out = run_campaign(SPECS[:1], jobs=2, store=tmp_path / "killed-run")
         assert out.ok and out.records[0].attempts == 2
         with CampaignDB(tmp_path / "killed-run" / STORE_FILENAME) as db:
             counts = db.table_counts()
@@ -185,11 +185,11 @@ class TestBusEvents:
         bus.subscribe("run_cached", lambda i, s, r: events.append(("cached", i)))
         bus.subscribe("campaign_done", lambda r: events.append(("fin",)))
         cache = tmp_path
-        run_campaign(SPECS[:2], cache=cache, bus=bus)
+        run_campaign(SPECS[:2], store=cache, bus=bus)
         assert events == [("start", 0), ("done", 0), ("start", 1), ("done", 1),
                           ("fin",)]
         events.clear()
-        run_campaign(SPECS[:2], cache=cache, bus=bus)
+        run_campaign(SPECS[:2], store=cache, bus=bus)
         assert events == [("cached", 0), ("cached", 1), ("fin",)]
 
     def test_failed_event(self):
@@ -206,7 +206,7 @@ class TestBusEvents:
         dumps = []
         for progress in (False, True):
             store = tmp_path / f"progress-{progress}" / STORE_FILENAME
-            out = run_campaign(SPECS[:2], cache=store, progress=progress)
+            out = run_campaign(SPECS[:2], store=store, progress=progress)
             assert out.ok
             with CampaignDB(store) as db:
                 dumps.append(db.dump())
@@ -223,8 +223,8 @@ class TestSpecKeyInResult:
 
     def test_campaign_result_to_dict_is_deterministic(self, tmp_path):
         cache = tmp_path
-        a = run_campaign(SPECS[:3], jobs=2, cache=cache)
-        b = run_campaign(SPECS[:3], jobs=2, cache=cache)
+        a = run_campaign(SPECS[:3], jobs=2, store=cache)
+        b = run_campaign(SPECS[:3], jobs=2, store=cache)
         da, db = a.to_dict(), b.to_dict()
         # cached-ness (and hence attempt counts) differ between passes;
         # everything else is bitwise equal

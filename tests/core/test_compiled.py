@@ -307,55 +307,77 @@ class TestCompileProgram:
 
 
 class TestRuntimeSnapshotEquality:
-    """The runtime's frozen artifact equals the static compile byte for
+    """A DES run's task table, frozen, equals the static compile byte for
     byte, whatever cost model priced the compile — the
-    equality-by-construction contract."""
+    equality-by-construction contract.  The discovery columns come from
+    the run's ``task_create`` events; the barrier segments and template
+    positions, which the table does not track, from the static compile."""
 
-    def _run(self, prog, opts):
+    def _snapshot(self, prog, opts, static, *, non_overlapped=False):
+        opt_set = OptimizationSet.parse(opts)
         rt = TaskRuntime(
             prog,
             RuntimeConfig(
-                machine=tiny_test_machine(4), opts=OptimizationSet.parse(opts)
+                machine=tiny_test_machine(4), opts=opt_set,
+                non_overlapped=non_overlapped,
             ),
         )
+        disc = []
+
+        def on_create(table, tid, res, cost, time):
+            # The creator's row, then a zero row per stub it created.
+            disc.append((res.n_addrs, res.n_edges, res.n_skipped, res.n_redirects))
+            disc.extend((0, 0, 0, 0) for _ in res.redirect_tids)
+
+        rt.bus.subscribe("task_create", on_create)
         rt.run()
-        return rt
+        snap = CompiledTDG.from_table(
+            rt.table,
+            key=structural_signature(prog, opt_set),
+            segment=static.segment,
+            spec_pos=static.spec_pos,
+            disc=disc,
+            n_iterations=prog.n_iterations,
+        )
+        if rt.table.persistent:
+            # Replay re-stamps the table's iteration column for tracing;
+            # the artifact describes the template iteration.
+            snap.iteration = [0] * snap.n_tasks
+        return snap
 
     @pytest.mark.parametrize("make_prog", [chain_program, redirect_program])
     def test_persistent_snapshot_equals_static_compile(self, make_prog):
-        rt = self._run(make_prog(), "abcp")
         static = compile_program(make_prog(), ABCP, costs=DiscoveryCosts())
-        assert rt.compiled().to_bytes() == static.to_bytes()
+        snap = self._snapshot(make_prog(), "abcp", static)
+        assert snap.to_bytes() == static.to_bytes()
 
-    def test_non_persistent_snapshot_equals_static_compile(self):
+    @pytest.mark.parametrize(
+        "make_prog, opts",
+        [
+            (lambda: chain_program(4, iterations=2, persistent=False), "ab"),
+            # Redirect stubs in every resolved iteration.
+            (redirect_program, "abc"),
+        ],
+        ids=["chain-ab", "redirect-abc"],
+    )
+    def test_non_persistent_snapshot_equals_static_compile(self, make_prog, opts):
         # Non-overlapped mode: no task completes during discovery, so no
         # pruning — the exact precondition for static equality.
-        prog = chain_program(4, iterations=2, persistent=False)
-        rt = TaskRuntime(
-            prog,
-            RuntimeConfig(
-                machine=tiny_test_machine(4),
-                opts=OptimizationSet.parse("ab"),
-                non_overlapped=True,
-            ),
-        )
-        rt.run()
         static = compile_program(
-            chain_program(4, iterations=2, persistent=False),
-            OptimizationSet.parse("ab"),
-            costs=DiscoveryCosts(),
+            make_prog(), OptimizationSet.parse(opts), costs=DiscoveryCosts()
         )
-        assert rt.compiled().to_bytes() == static.to_bytes()
+        snap = self._snapshot(make_prog(), opts, static, non_overlapped=True)
+        assert snap.to_bytes() == static.to_bytes()
 
     def test_lulesh_snapshot_equality(self):
         from repro.apps.lulesh import LuleshConfig, build_task_program
 
         cfg = LuleshConfig(s=8, iterations=3, tpl=16)
-        rt = self._run(build_task_program(cfg), "abcp")
         static = compile_program(
             build_task_program(cfg), ABCP, costs=DiscoveryCosts().scaled(0.5)
         )
-        assert rt.compiled().to_bytes() == static.to_bytes()
+        snap = self._snapshot(build_task_program(cfg), "abcp", static)
+        assert snap.to_bytes() == static.to_bytes()
 
 
 class TestCompiledGraphCache:

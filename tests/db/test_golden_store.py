@@ -21,7 +21,7 @@ from repro.util.serde import canonical_json
 def golden(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     specs = golden_specs()
-    dir_out = run_campaign(specs, cache=root / "campaign")
+    dir_out = run_campaign(specs, store=root / "campaign")
     db_out = run_campaign(specs, store=root / "store.sqlite", campaign="g")
     assert dir_out.ok and db_out.ok
     return root, specs, dir_out, db_out

@@ -172,11 +172,6 @@ class TestCampaignIntegration:
         assert second.n_cached == len(SPECS) and second.n_executed == 0
         assert fingerprints(first) == fingerprints(second)
 
-    def test_store_and_cache_are_mutually_exclusive(self, tmp_path):
-        with pytest.raises(ValueError, match="not both"):
-            run_campaign(SPECS[:1], cache=tmp_path,
-                         store=tmp_path / "s.sqlite")
-
     def test_two_worker_campaign_into_one_store(self, tmp_path):
         # multi-process writers share the WAL database as IPC channel
         path = tmp_path / "s.sqlite"

@@ -16,7 +16,7 @@ from repro.apps.lulesh import LuleshConfig, build_for_program, build_task_progra
 from repro.campaign.runner import run_experiment_cluster
 from repro.campaign.spec import ExperimentSpec
 from repro.cluster import Cluster, RankGrid
-from repro.profiler import comm_metrics, gantt_of
+from repro.obs import comm_metrics, gantt_of
 from repro.runtime import TaskRuntime
 
 

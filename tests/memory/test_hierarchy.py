@@ -4,7 +4,6 @@ import pytest
 
 from repro.memory.hierarchy import MemCounters, MemoryHierarchy
 from repro.memory.machine import tiny_test_machine
-from repro.util.units import KiB
 
 
 @pytest.fixture

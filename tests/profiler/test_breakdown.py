@@ -1,10 +1,9 @@
-"""Unit tests for the §2.3.1 time breakdown."""
+"""Unit tests for the §2.3.1 time breakdown a RunResult carries."""
 
 import pytest
 
 from repro.core import ProgramBuilder
 from repro.memory import tiny_test_machine
-from repro.profiler.breakdown import breakdown_of
 from repro.runtime import RuntimeConfig, TaskRuntime
 
 
@@ -20,24 +19,26 @@ def run(n_tasks=20, n_threads=4):
 
 class TestBreakdown:
     def test_accounting_identity(self):
+        """work + overhead + idle (+ discovery / threads) == makespan."""
         r = run()
-        bd = breakdown_of(r)
-        assert bd.accounted_avg == pytest.approx(bd.makespan, rel=1e-6)
+        accounted = (
+            r.work_avg + r.overhead_avg + r.idle_avg
+            + r.discovery_busy / r.n_threads
+        )
+        assert accounted == pytest.approx(r.makespan, rel=1e-6)
 
     def test_components_non_negative(self):
-        bd = breakdown_of(run())
-        assert bd.work_avg >= 0
-        assert bd.idle_avg >= 0
-        assert bd.overhead_avg >= 0
-        assert bd.discovery >= 0
+        r = run()
+        assert r.work_avg >= 0
+        assert r.idle_avg >= 0
+        assert r.overhead_avg >= 0
+        assert r.discovery_busy >= 0
 
     def test_totals_scale_with_threads(self):
-        bd = breakdown_of(run(n_threads=4))
-        assert bd.work_total == pytest.approx(bd.work_avg * 4)
-
-    def test_row_keys(self):
-        row = breakdown_of(run()).row()
-        assert set(row) == {"makespan", "work", "idle", "overhead", "discovery"}
+        r = run(n_threads=4)
+        assert r.work_total == pytest.approx(r.work_avg * 4)
 
     def test_str_smoke(self):
-        assert "work=" in str(breakdown_of(run()))
+        line = run().summary()
+        for field in ("makespan=", "work/thr=", "idle/thr=", "ovh/thr=", "disc="):
+            assert field in line

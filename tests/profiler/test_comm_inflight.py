@@ -13,7 +13,7 @@ import pytest
 
 from repro.obs import TraceRecorder, iter_ndjson, to_perfetto, validate_perfetto
 from repro.obs.recorder import CommRecord
-from repro.profiler.comm_metrics import comm_metrics
+from repro.obs.comm_metrics import comm_metrics
 from repro.util.serde import canonical_json
 
 

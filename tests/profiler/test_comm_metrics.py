@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.obs.recorder import CommRecord, TraceRecorder
-from repro.profiler.comm_metrics import CommMetrics, _Coverage, comm_metrics
+from repro.obs.comm_metrics import _Coverage, comm_metrics
 
 
 def trace_with(intervals_by_worker):

@@ -2,7 +2,7 @@
 
 
 from repro.obs.recorder import TraceRecorder
-from repro.profiler.gantt import gantt_of
+from repro.obs.gantt import gantt_of
 
 
 def trace_of(records):

@@ -5,7 +5,7 @@ import pytest
 from repro.core import ProgramBuilder
 from repro.memory import tiny_test_machine
 from repro.obs.recorder import TraceRecorder
-from repro.profiler.report import iteration_spans, loop_profiles
+from repro.obs.loops import iteration_spans, loop_profiles
 from repro.runtime import RuntimeConfig, TaskRuntime
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.obs.recorder import CommRecord, TraceRecorder
-from repro.profiler.comm_metrics import _work_intervals
+from repro.obs.comm_metrics import _work_intervals
 
 
 class _Table:

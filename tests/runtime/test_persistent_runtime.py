@@ -7,7 +7,7 @@ from repro.core.persistent import PersistentStructureError
 from repro.core.program import IterationSpec, Program, TaskSpec
 from repro.core.task import DepMode
 from repro.memory import tiny_test_machine
-from repro.profiler import iteration_spans
+from repro.obs import iteration_spans
 from repro.runtime import RuntimeConfig, TaskRuntime
 
 

@@ -48,7 +48,7 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "tasks=" in out
-        assert "work=" in out
+        assert "work/thr=" in out
 
     def test_lulesh_cluster(self, capsys):
         rc = main(["lulesh", "-s", "12", "-i", "2", "--tpl", "8",
