@@ -15,7 +15,6 @@ from _common import LARGE, scaled_mpc, scaled_skylake
 from repro.analysis.tables import render_table
 from repro.apps.cholesky import CholeskyConfig, build_task_programs
 from repro.cluster import Cluster
-from repro.core import OptimizationSet
 from repro.runtime import TaskRuntime
 
 N = 4096 if LARGE else 2048

@@ -23,7 +23,7 @@ def fig1_experiment():
     machine = scaled_skylake()
     base = LULESH.spec(scaled_llvm(machine, name="llvm"))
     sweep = run_spec_sweep(
-        base, LULESH.tpls, jobs=BENCH_JOBS, cache=BENCH_CACHE
+        base, LULESH.tpls, jobs=BENCH_JOBS, store=BENCH_CACHE
     )
     res_for = run_experiment(
         LULESH.spec(scaled_mpc(machine), tpl=LULESH.tpls[0], engine="forloop")

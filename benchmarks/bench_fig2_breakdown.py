@@ -19,7 +19,7 @@ from repro.util.units import fmt_count
 def fig2_experiment():
     base = LULESH.spec(scaled_mpc(scaled_skylake(), opts="", name="mpc-noopt"))
     return run_spec_sweep(
-        base, LULESH.tpls, jobs=BENCH_JOBS, cache=BENCH_CACHE
+        base, LULESH.tpls, jobs=BENCH_JOBS, store=BENCH_CACHE
     )
 
 

@@ -20,11 +20,11 @@ def fig6_experiment():
     machine = scaled_skylake()
     sweep_opt = run_spec_sweep(
         LULESH.spec(scaled_mpc(machine, opts="abcp", name="mpc-opt")),
-        LULESH.tpls, jobs=BENCH_JOBS, cache=BENCH_CACHE,
+        LULESH.tpls, jobs=BENCH_JOBS, store=BENCH_CACHE,
     )
     sweep_noopt = run_spec_sweep(
         LULESH.spec(scaled_mpc(machine, opts="", name="mpc-noopt")),
-        LULESH.tpls, jobs=BENCH_JOBS, cache=BENCH_CACHE,
+        LULESH.tpls, jobs=BENCH_JOBS, store=BENCH_CACHE,
     )
     t_for = run_experiment(
         LULESH.spec(scaled_mpc(machine), tpl=LULESH.tpls[0], engine="forloop")

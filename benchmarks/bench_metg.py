@@ -33,7 +33,7 @@ def metg_experiment():
         "gcc": LULESH.spec(scaled_gcc(machine)),
     }
     return {
-        name: run_spec_sweep(base, LULESH.tpls, jobs=BENCH_JOBS, cache=BENCH_CACHE)
+        name: run_spec_sweep(base, LULESH.tpls, jobs=BENCH_JOBS, store=BENCH_CACHE)
         for name, base in bases.items()
     }
 

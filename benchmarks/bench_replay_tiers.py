@@ -119,7 +119,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     if args.tiny:
-        rec = run_case("lulesh-llvm-tpl64-tiny", 16, 2, 64, 1)
+        rec = run_case("lulesh-llvm-tpl64-tiny", 16, 2, 64, args.repeats)
     else:
         rec = run_case("lulesh-llvm-tpl1152", 48, 4, 1152, args.repeats)
 

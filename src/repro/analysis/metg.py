@@ -136,13 +136,13 @@ def run_metg_study(
     *,
     efficiency: float = 0.95,
     jobs: int = 1,
-    cache: "Union[DbResultStore, str, Path, None]" = None,
+    store: "Union[DbResultStore, str, Path, None]" = None,
     fidelity: "Optional[str]" = None,
 ) -> dict[str, MetgResult]:
     """Sweep every runtime's base spec over ``tpls`` and compute METG.
 
     ``bases`` maps runtime labels (e.g. preset names) to base specs; each
-    is swept through the campaign engine (shared ``cache``/``jobs``), then
+    is swept through the campaign engine (shared ``store``/``jobs``), then
     :func:`metg` scores them against the global best.  ``fidelity``
     selects the simulation tier for every sweep point — METG needs dense
     TPL ladders, exactly what the ``replay`` tier makes affordable.
@@ -150,7 +150,7 @@ def run_metg_study(
     from repro.analysis.sweep import run_spec_sweep
 
     sweeps = {
-        name: run_spec_sweep(base, tpls, jobs=jobs, cache=cache,
+        name: run_spec_sweep(base, tpls, jobs=jobs, store=store,
                              fidelity=fidelity)
         for name, base in bases.items()
     }

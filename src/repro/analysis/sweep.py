@@ -175,7 +175,7 @@ def run_spec_sweep(
     *,
     param: str = "tpl",
     jobs: int = 1,
-    cache: "Union[DbResultStore, str, Path, None]" = None,
+    store: "Union[DbResultStore, str, Path, None]" = None,
     timeout: Optional[float] = None,
     bus: "Optional[CampaignBus]" = None,
     progress: bool = False,
@@ -185,7 +185,7 @@ def run_spec_sweep(
 
     The workload, runtime config, engine and rank count all come from
     ``base``, each point only overrides the ``param`` app parameter.
-    ``jobs``/``cache`` fan the points out and skip ones already cached.
+    ``jobs``/``store`` fan the points out and skip ones already stored.
     ``fidelity`` rewrites every point to that simulation tier (see
     :mod:`repro.sim.tiers`) — ``"replay"`` makes dense TPL ladders ~10×
     cheaper than DES while preserving the series shapes.
@@ -194,7 +194,7 @@ def run_spec_sweep(
 
     specs = sweep_specs(base, tpls, param=param)
     out = run_campaign(
-        specs, jobs=jobs, store=cache, timeout=timeout, bus=bus,
+        specs, jobs=jobs, store=store, timeout=timeout, bus=bus,
         progress=progress, fidelity=fidelity,
     )
     if not out.ok:

@@ -191,15 +191,15 @@ def cross_check(
     *,
     tolerance: float = REPLAY_TOLERANCE,
     jobs: int = 1,
-    cache=None,
+    store=None,
     progress: bool = False,
 ) -> CrossCheckReport:
     """Run ``specs`` (default: the golden set) at all three fidelities.
 
     Each spec is executed as a DES reference and rewritten to the
     ``replay`` and ``analytic`` tiers (so all three share the campaign
-    cache and compiled-TDG artifacts); the report compares makespans and
-    analytic bounds row by row.
+    ``store`` and its compiled-TDG artifacts); the report compares
+    makespans and analytic bounds row by row.
     """
     base = list(golden_specs() if specs is None else specs)
     ladder = (
@@ -207,7 +207,7 @@ def cross_check(
         + [s.with_fidelity("replay") for s in base]
         + [s.with_fidelity("analytic") for s in base]
     )
-    out = run_campaign(ladder, jobs=jobs, store=cache, progress=progress)
+    out = run_campaign(ladder, jobs=jobs, store=store, progress=progress)
     n = len(base)
     report = CrossCheckReport(tolerance=tolerance)
     for i, spec in enumerate(base):

@@ -184,7 +184,7 @@ def cmd_sweep(args) -> int:
         base,
         tpls,
         jobs=args.jobs,
-        cache=args.cache_dir,
+        store=args.cache_dir,
         progress=args.jobs > 1,
         fidelity=args.fidelity,
     )

@@ -40,7 +40,8 @@ import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -162,6 +163,14 @@ _PER_TASK = tuple(
     c for c, _ in _COLUMNS if c not in ("succ_offsets", "succ_targets")
 )
 
+#: The numeric columns :attr:`CompiledTDG.arrays` holds, each with the
+#: type a list column converts to (integers ``<i8``).
+_ARRAY_DTYPES = tuple(
+    (c, "<i8" if dtypes is _INT_DTYPES else dtypes[0])
+    for c, dtypes in _COLUMNS
+    if c != "name"
+)
+
 
 def _encode_column(values: list, dtypes: tuple[str, ...]) -> tuple[str, np.ndarray]:
     """``(dtype, array)`` for one column; integers take the narrowest type."""
@@ -182,6 +191,13 @@ def _digest(header: dict, payload) -> str:
     h = hashlib.sha256(canonical_json(header).encode())
     h.update(payload)
     return h.hexdigest()
+
+
+def _read_only(arrays: dict[str, np.ndarray]) -> Mapping[str, np.ndarray]:
+    """``arrays`` frozen: non-writeable arrays behind a read-only mapping."""
+    for arr in arrays.values():
+        arr.flags.writeable = False
+    return MappingProxyType(arrays)
 
 
 @dataclass
@@ -290,12 +306,29 @@ class CompiledTDG:
     def topo_order(self) -> list[int]:
         """The graph's :func:`~repro.core.graph_stats.topological_order`.
 
-        Derived once per artifact and never serialized: every pass over
-        the CSR walks this order, because tid order is not topological
-        once redirect stubs exist.  The CSR is never mutated after
-        construction, so the cache cannot go stale.
+        Derived once per artifact and never serialized: every sequential
+        pass over the CSR walks this order, because tid order is not
+        topological once redirect stubs exist (the analytic tier's
+        frontier-by-frontier relaxation needs none).  The CSR is never
+        mutated after construction, so the cache cannot go stale.
         """
         return topological_order(self.succ_offsets, self.succ_targets)
+
+    @cached_property
+    def arrays(self) -> Mapping[str, np.ndarray]:
+        """Every column but ``name`` as a read-only numpy array, by name.
+
+        What :func:`~repro.sim.tiers.tier_weights` and the analytic
+        tier compute on.  A decoded artifact
+        (:meth:`from_bytes`) starts with the arrays it decoded, in their
+        stored types (integers ``<i1``..``<i8``); any other artifact
+        converts its list columns once, on first use (integers ``<i8``).
+        Never serialized; the columns are never mutated after
+        construction, so the view cannot go stale.
+        """
+        return _read_only(
+            {c: np.asarray(getattr(self, c), dtype=d) for c, d in _ARRAY_DTYPES}
+        )
 
     def successors(self, tid: int) -> list[int]:
         return self.succ_targets[self.succ_offsets[tid]:self.succ_offsets[tid + 1]]
@@ -505,7 +538,9 @@ class CompiledTDG:
         ``offsets[-1]`` targets, ``n`` per task), missing or extra
         payload bytes, a digest mismatch and a missing, non-integer or
         negative ``n_iterations`` all return None: a damaged,
-        stale or misfiled artifact misses rather than misparses.
+        stale or misfiled artifact misses rather than misparses.  The
+        decoded column arrays, views of ``buf``, become the artifact's
+        :attr:`arrays`.
         """
         if len(buf) < _HEADER_LEN.size:
             return None
@@ -571,7 +606,7 @@ class CompiledTDG:
             or (n and not (0 <= codes.min() and codes.max() < len(names)))
         ):
             return None
-        return cls(
+        art = cls(
             key=key,
             persistent=persistent,
             stats=stats,
@@ -580,6 +615,8 @@ class CompiledTDG:
             name=np.asarray(names, dtype=object)[codes].tolist(),
             **{col: arr.tolist() for col, arr in arrays.items()},
         )
+        art.__dict__["arrays"] = _read_only(arrays)  # fills the cached view
+        return art
 
 
 # ======================================================================
@@ -721,7 +758,9 @@ class CompiledGraphCache:
     campaign worker, or a previous run entirely.  An entry that does not
     decode for its key (damaged, truncated, another format, copied under
     another name) is a miss; format-3 ``<key>.json`` artifacts are never
-    read.  The directory is created by the first write.
+    read.  The directory is created by the first write.  The artifact of
+    the last decode is kept with the bytes it came from, so a replay and
+    an analytic spec of one program decode it once.
     """
 
     #: Subdirectory name campaign caches use for their compiled graphs.
@@ -729,6 +768,8 @@ class CompiledGraphCache:
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
+        #: ``(key, file bytes, artifact)`` of the last successful decode.
+        self._last: Optional[tuple[str, bytes, CompiledTDG]] = None
 
     @classmethod
     def for_campaign(cls, cache_root: Union[str, Path]) -> "CompiledGraphCache":
@@ -741,12 +782,25 @@ class CompiledGraphCache:
 
     def get(self, key: str) -> Optional[CompiledTDG]:
         """The stored artifact for ``key``, or None when it is missing or
-        does not decode as a current-format artifact of ``key``."""
+        does not decode as a current-format artifact of ``key``.
+
+        The file is read every time; while it still holds the bytes of
+        the last decode, that decode's artifact is returned again (callers
+        share it: an artifact is never mutated after construction).  Any
+        other request drops the kept artifact before decoding.
+        """
+        last, self._last = self._last, None
         try:
             buf = self.path_for(key).read_bytes()
         except OSError:
             return None
-        return CompiledTDG.from_bytes(buf, key)
+        if last is not None and last[0] == key and last[1] == buf:
+            self._last = last
+            return last[2]
+        art = CompiledTDG.from_bytes(buf, key)
+        if art is not None:
+            self._last = (key, buf, art)
+        return art
 
     def put(self, compiled: CompiledTDG) -> Path:
         """Store ``compiled`` under its key, atomically."""

@@ -11,9 +11,12 @@ critical path and average parallelism need no per-task objects and no
 external graph library.
 
 :func:`topological_order` is the one place that decides which order of a
-frozen graph is topological; every pass over a CSR walks its result
-(cached per artifact as
-:attr:`~repro.core.compiled.CompiledTDG.topo_order`).
+frozen graph is topological; every sequential pass over a CSR walks its
+result (cached per artifact as
+:attr:`~repro.core.compiled.CompiledTDG.topo_order`): the shape metrics,
+the critical path and the static verifier.  The analytic tier needs no
+order: it relaxes the CSR frontier by frontier in numpy
+(:func:`repro.sim.tiers._segment_spans`).
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ class GraphShape:
 def topological_order(
     offsets: Sequence[int], targets: Sequence[int]
 ) -> list[int]:
-    """The topological order every pass over a frozen TDG walks.
+    """The topological order every sequential pass over a frozen TDG walks.
 
     FIFO Kahn over the CSR ``(offsets, targets)`` pair: sources in tid
     order, then successors as their last predecessor is dequeued.  Tid

@@ -7,11 +7,12 @@ compiled CSR artifact freezes that shape.  This module runs experiments
 :class:`~repro.runtime.result.RunResult`:
 
 ``analytic`` (:func:`analytic`)
-    Work/span bounds from one walk over the CSR: T₁, T∞, the Brent
-    bounds ``max(T₁/N, T∞) ≤ TN ≤ T₁/N + T∞`` per barrier segment, plus
-    the serial-producer discovery limit.  No events at all; the reported
-    makespan is the nominal lower Brent bound and ``extra["bounds"]``
-    carries certified lower/upper brackets.
+    Work/span bounds from one level-synchronous numpy relaxation over
+    the artifact's column arrays: T₁, T∞, the Brent bounds
+    ``max(T₁/N, T∞) ≤ TN ≤ T₁/N + T∞`` per barrier segment, plus the
+    serial-producer discovery limit.  No events and no Python loop over
+    the edges; the reported makespan is the nominal lower Brent bound and
+    ``extra["bounds"]`` carries certified lower/upper brackets.
 
 ``replay`` (:func:`replay`)
     A list-scheduling simulator (LIFO depth-first or FIFO, matching
@@ -91,7 +92,8 @@ class TierWeights:
 
 
 def tier_weights(compiled: "CompiledTDG", config: "RuntimeConfig") -> TierWeights:
-    """Stamp the cost model onto the artifact's columns.
+    """Stamp the cost model onto the artifact's column
+    :attr:`~repro.core.compiled.CompiledTDG.arrays`.
 
     Task memory time follows the DES hierarchy's envelope without its
     per-line state: the whole-graph working set picks the cache level
@@ -102,11 +104,12 @@ def tier_weights(compiled: "CompiledTDG", config: "RuntimeConfig") -> TierWeight
     m = config.machine
     w = config.threads
     disc, sched = config.discovery, config.sched
-    flops = np.asarray(compiled.flops, dtype=float)
-    foot = np.asarray(compiled.foot_bytes, dtype=float)
-    stub = np.asarray(compiled.is_stub, dtype=bool)
-    comm = np.asarray(compiled.comm_kind, dtype=int) >= 0
-    outdeg = np.diff(np.asarray(compiled.succ_offsets, dtype=float))
+    cols = compiled.arrays
+    flops = np.asarray(cols["flops"], dtype=float)
+    foot = np.asarray(cols["foot_bytes"], dtype=float)
+    stub = cols["is_stub"]
+    comm = cols["comm_kind"] >= 0
+    outdeg = np.diff(np.asarray(cols["succ_offsets"], dtype=float))
 
     compute = flops / m.flops_per_core + comm * sched.c_post
     ws = compiled.distinct_foot_bytes
@@ -143,10 +146,10 @@ def tier_weights(compiled: "CompiledTDG", config: "RuntimeConfig") -> TierWeight
     for arr in (body, mem_shared, body_lo, body_hi, overhead):
         arr[stub] = 0.0
 
-    addrs = np.asarray(compiled.disc_addrs, dtype=float)
-    edges = np.asarray(compiled.disc_edges, dtype=float)
-    skips = np.asarray(compiled.disc_skips, dtype=float)
-    redirects = np.asarray(compiled.disc_redirects, dtype=float)
+    addrs = np.asarray(cols["disc_addrs"], dtype=float)
+    edges = np.asarray(cols["disc_edges"], dtype=float)
+    skips = np.asarray(cols["disc_skips"], dtype=float)
+    redirects = np.asarray(cols["disc_redirects"], dtype=float)
     creation = (
         disc.c_task
         + disc.c_dep * addrs
@@ -162,7 +165,7 @@ def tier_weights(compiled: "CompiledTDG", config: "RuntimeConfig") -> TierWeight
         + disc.c_redirect * redirects
     )
     replay_cost = disc.c_replay + disc.c_fp_byte * np.asarray(
-        compiled.fp_bytes, dtype=float
+        cols["fp_bytes"], dtype=float
     )
     for arr in (creation, creation_lo, replay_cost):
         arr[stub] = 0.0
@@ -253,74 +256,84 @@ def _segment_spans(
     w_hi: np.ndarray,
 ) -> tuple[list[np.ndarray], list[np.ndarray], float, int]:
     """Per-segment T₁ and T∞ of three weight vectors, plus the nominal
-    whole-graph critical path and the depth, in one walk.
+    whole-graph critical path and the depth, in one relaxation.
 
     Returns ``([t1_nom, t1_lo, t1_hi], [span_nom, span_lo, span_hi],
-    t_inf, depth)``.  The spans come from one forward relaxation over the
-    CSR along :attr:`~repro.core.compiled.CompiledTDG.topo_order` — tid
-    order is not topological, because an opt-(c) redirect stub is
-    created after the reader it feeds.  Segment spans only follow
-    intra-segment edges (taskwait barriers already serialize
-    cross-segment work); ``t_inf`` follows every edge under ``w_nom``;
-    the depth is the longest path in tasks.  Each vector's maxima and
-    additions are the ones a walk of that vector alone would make, so
-    the results do not depend on the fusion.
+    t_inf, depth)``.  The relaxation is level-synchronous over the
+    artifact's :attr:`~repro.core.compiled.CompiledTDG.arrays`: each
+    frontier holds the tasks whose predecessors have all finished, so a
+    task's start is final when its frontier comes up, frontier ``k``
+    holds the tasks whose longest path has ``k`` tasks, and the depth is
+    the number of frontiers.  A frontier's finish times are pushed along
+    its out-edges with one ``np.maximum.at`` per vector.  Segment spans
+    only follow intra-segment edges (taskwait barriers already serialize
+    cross-segment work), so cross-segment edges push 0.0, which the 0.0
+    floor absorbs; ``t_inf`` follows every edge under ``w_nom``.  Starts
+    are maxima and finishes one addition, as in a walk along a
+    topological order, so each vector's results are bitwise those of
+    such a walk of that vector alone.  Raises ``ValueError`` on a cycle.
+    The cost is a round of array operations per frontier, so it grows
+    with the graph's depth as well as its size.
     """
-    seg = compiled.segment
-    n_seg = (max(seg) + 1) if seg else 1
+    cols = compiled.arrays
+    # Decoded columns may be as narrow as <i1: the ones the walk does
+    # arithmetic on are cast to the platform index type, so nothing can
+    # wrap.  ``targets`` is only ever an index and keeps its stored type
+    # (a copy would be the walk's largest allocation).
+    offsets = np.asarray(cols["succ_offsets"], dtype=np.intp)
+    seg = np.asarray(cols["segment"], dtype=np.intp)
+    targets = cols["succ_targets"]
+    n = len(seg)
+    n_seg = int(seg.max()) + 1 if n else 1
     t1s = []
     for weights in (w_nom, w_lo, w_hi):
         t1 = np.zeros(n_seg)
         np.add.at(t1, seg, weights)
         t1s.append(t1)
-    offsets, targets = compiled.succ_offsets, compiled.succ_targets
-    n = compiled.n_tasks
-    # Finish times along intra-segment paths, per vector, and along any
-    # path under the nominal vector.
-    d_nom = [0.0] * n
-    d_lo = [0.0] * n
-    d_hi = [0.0] * n
-    d_all = [0.0] * n
-    level = [1] * n
-    s_nom = [0.0] * n_seg
-    s_lo = [0.0] * n_seg
-    s_hi = [0.0] * n_seg
-    t_inf = 0.0
-    wn, wl, wh = w_nom.tolist(), w_lo.tolist(), w_hi.tolist()
-    for t in compiled.topo_order:
-        st = seg[t]
-        f_nom = d_nom[t] + wn[t]
-        f_lo = d_lo[t] + wl[t]
-        f_hi = d_hi[t] + wh[t]
-        f_all = d_all[t] + wn[t]
-        if f_nom > s_nom[st]:
-            s_nom[st] = f_nom
-        if f_lo > s_lo[st]:
-            s_lo[st] = f_lo
-        if f_hi > s_hi[st]:
-            s_hi[st] = f_hi
-        if f_all > t_inf:
-            t_inf = f_all
-        nl = level[t] + 1
-        for s in targets[offsets[t]:offsets[t + 1]]:
-            if seg[s] == st:
-                if f_nom > d_nom[s]:
-                    d_nom[s] = f_nom
-                if f_lo > d_lo[s]:
-                    d_lo[s] = f_lo
-                if f_hi > d_hi[s]:
-                    d_hi[s] = f_hi
-            if f_all > d_all[s]:
-                d_all[s] = f_all
-            if nl > level[s]:
-                level[s] = nl
-    depth = max(level) if level else 0
-    spans = [np.asarray(s_nom), np.asarray(s_lo), np.asarray(s_hi)]
-    return t1s, spans, t_inf, depth
+    # Rows: intra-segment paths under each vector, any path under w_nom.
+    weights = np.stack((w_nom, w_lo, w_hi, w_nom))
+    start = np.zeros((4, n))
+    out_deg = np.diff(offsets)
+    cross = np.repeat(seg, out_deg) != seg[targets]
+    npred = np.bincount(targets, minlength=n)
+    frontier = np.flatnonzero(npred == 0)
+    depth = done = 0
+    while frontier.size:
+        depth += 1
+        done += frontier.size
+        # The frontier's out-edges, as indices into ``targets``.
+        deg = out_deg[frontier]
+        first = offsets[frontier] - (np.cumsum(deg) - deg)
+        edges = np.repeat(first, deg) + np.arange(int(deg.sum()))
+        succ = targets[edges]
+        push = np.repeat(
+            start[:, frontier] + weights[:, frontier], deg, axis=1
+        )
+        push[:3, cross[edges]] = 0.0
+        for row, values in zip(start, push):
+            np.maximum.at(row, succ, values)
+        released = np.bincount(succ, minlength=n)
+        npred -= released
+        frontier = np.flatnonzero((npred == 0) & (released > 0))
+    if done != n:
+        raise ValueError("CSR graph contains a cycle")
+    finish = start + weights
+    spans = []
+    for row in finish[:3]:
+        span = np.zeros(n_seg)
+        np.maximum.at(span, seg, row)
+        spans.append(span)
+    return t1s, spans, float(finish[3].max(initial=0.0)), depth
 
 
 def analytic(compiled: "CompiledTDG", config: "RuntimeConfig") -> RunResult:
-    """Work/span bounds over the CSR — no events, microseconds to run."""
+    """Work/span bounds over the CSR — no events, no per-edge loop.
+
+    Computes on the artifact's
+    :attr:`~repro.core.compiled.CompiledTDG.arrays` (through
+    :func:`tier_weights` and :func:`_segment_spans`) and never builds its
+    ``topo_order``.
+    """
     _check_supported(config, "analytic")
     w = config.threads
     tw = tier_weights(compiled, config)

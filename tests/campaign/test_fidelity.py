@@ -20,7 +20,7 @@ import pytest
 from repro.campaign.engine import run_campaign
 from repro.campaign.runner import run_experiment
 from repro.campaign.spec import ExperimentSpec, dump_specs, load_specs
-from repro.core.compiled import CompiledGraphCache
+from repro.core.compiled import CompiledGraphCache, CompiledTDG
 from repro.memory.machine import tiny_test_machine
 from repro.runtime import presets
 from repro.util.serde import canonical_json
@@ -150,6 +150,45 @@ class TestRunnerDispatch:
         warm = run_experiment(spec(fidelity="analytic"), compiled_cache=cache)
         assert warm.extra["compiled_tdg"]["cache_hit"] is True
         assert warm.makespan == ana.makespan
+
+    def test_warm_replay_then_analytic_decodes_once(self, tmp_path, monkeypatch):
+        """One cache keeps its last decode: a warm replay spec and the
+        analytic spec of the same program decode the artifact once.  A
+        changed file is decoded again, so a damaged one still misses."""
+        run_experiment(spec(fidelity="replay"),
+                       compiled_cache=CompiledGraphCache(tmp_path))
+        decodes = []
+        decode = CompiledTDG.from_bytes
+
+        def counting(buf, key):
+            decodes.append(key)
+            return decode(buf, key)
+
+        monkeypatch.setattr(CompiledTDG, "from_bytes", staticmethod(counting))
+        cache = CompiledGraphCache(tmp_path)
+        for fidelity in ("replay", "analytic"):
+            warm = run_experiment(spec(fidelity=fidelity), compiled_cache=cache)
+            assert warm.extra["compiled_tdg"].pop("cache_hit") is True
+            cold = run_experiment(spec(fidelity=fidelity))
+            assert cold.extra["compiled_tdg"].pop("cache_hit") is False
+            assert canonical_json(warm.to_dict()) == canonical_json(cold.to_dict())
+        key = warm.extra["compiled_tdg"]["key"]
+        assert decodes == [key]
+
+        path = cache.path_for(key)
+        good = path.read_bytes()
+        flipped = bytearray(good)
+        flipped[-1] ^= 0x01
+        for bad in (bytes(flipped), good[:-1], resign(good, format=4)):
+            path.write_bytes(bad)
+            assert cache.get(key) is None
+        path.write_bytes(good)
+        assert cache.get(key) is not None
+        assert cache.get(key) is cache.get(key)
+        # Asking for another key drops the kept artifact.
+        assert cache.get("0" * 64) is None
+        assert cache.get(key) is not None
+        assert len(decodes) == 1 + 3 + 1 + 1
 
     def test_format_4_artifact_and_alias_are_recompiled(self, tmp_path):
         """Artifacts and aliases of the previous format miss once and are

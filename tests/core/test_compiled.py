@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from repro.campaign.runner import run_experiment
@@ -568,6 +569,51 @@ class TestBinaryArtifact:
         assert width[o_type] == width[t_type]
         moved = [[o_name, o_type, o_n + 1], [t_name, t_type, t_n - 1]] + cols[2:]
         assert CompiledTDG.from_bytes(resign(buf, columns=moved), c.key) is None
+
+
+class TestColumnArrays:
+    """``CompiledTDG.arrays``: the numeric columns as read-only arrays,
+    handed over by the decoder or converted once from the lists."""
+
+    SCALARS = {
+        "key", "persistent", "name", "stats", "n_iterations",
+        "distinct_foot_bytes",
+    }
+
+    @pytest.mark.parametrize(
+        "make",
+        [chain_program, redirect_program, empty_program, lulesh_rank_program],
+    )
+    def test_arrays_equal_the_list_columns(self, make):
+        c = compile_program(make(), ABCP, costs=DiscoveryCosts(), owner=1)
+        back = CompiledTDG.from_bytes(c.to_bytes(), c.key)
+        for art in (c, back):
+            arrays = art.arrays
+            assert art.arrays is arrays
+            assert list(arrays) == [
+                col for col in art.to_dict() if col not in self.SCALARS
+            ]
+            for col, arr in arrays.items():
+                assert arr.tolist() == getattr(art, col), col
+        # The decoder hands over its arrays in their stored (narrowest)
+        # types; list columns convert to <i8.
+        header, _ = split_artifact(c.to_bytes())
+        stored = {col: np.dtype(dtype) for col, dtype, _ in header["columns"]}
+        for col, arr in back.arrays.items():
+            assert arr.dtype == stored[col], col
+        assert stored["segment"] == np.dtype("<i1")
+        assert c.arrays["segment"].dtype == np.dtype("<i8")
+
+    def test_arrays_reject_writes(self):
+        c = compile_program(redirect_program(), ABCP)
+        back = CompiledTDG.from_bytes(c.to_bytes(), c.key)
+        for art in (c, back):
+            for col, arr in art.arrays.items():
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[:1] = 0
+            with pytest.raises(TypeError):
+                art.arrays["flops"] = np.zeros(art.n_tasks)
+            assert art.arrays["flops"].tolist() == art.flops
 
 
 class TestRuntimeCachePublication:

@@ -129,7 +129,7 @@ class TestAnalysisFromDb:
     def test_sweep_and_metg_parity(self, tmp_path):
         path = tmp_path / "s.sqlite"
         tpls = (2, 4, 8, 16)
-        sweep = run_spec_sweep(SPEC, tpls, cache=str(path))
+        sweep = run_spec_sweep(SPEC, tpls, store=str(path))
         with CampaignDB(path) as db:
             from_db = Sweep.from_db(db)
             db_metg = metg_from_db(db)

@@ -1,18 +1,21 @@
 """Unit tests for the fidelity ladder (repro.sim.tiers).
 
 Covers the fidelity names, the analytic bounds structure, replay
-scheduling policies, the unified RunResult shape, and the rejection
-paths (bodies, accelerators, missing program, unknown fidelity).
+scheduling policies, the unified RunResult shape, decoded artifacts
+simulating like compiled ones, and the rejection paths (bodies,
+accelerators, missing program, unknown fidelity, cyclic graphs).
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.accel import AcceleratorSpec
 from repro.core import OptimizationSet
-from repro.core.compiled import compile_program
+from repro.core.compiled import CompiledTDG, compile_program
 from repro.core.program import IterationSpec, Program, TaskSpec
 from repro.core.task import DepMode
 from repro.memory import tiny_test_machine
@@ -20,6 +23,7 @@ from repro.runtime import RuntimeConfig, TaskRuntime
 from repro.sim.tiers import (
     FIDELITIES,
     _segment_spans,
+    analytic,
     replay,
     simulate,
     tier_weights,
@@ -103,6 +107,17 @@ def persistent_program(iters: int = 3) -> Program:
     return Program.from_template(specs, iters)
 
 
+def empty_program() -> Program:
+    return Program([IterationSpec(index=0, tasks=[])])
+
+
+def single_task_program() -> Program:
+    """One task and no edges."""
+    return Program(
+        [IterationSpec(index=0, tasks=[TaskSpec(name="one", flops=FLOPS)])]
+    )
+
+
 def taskwait_program() -> Program:
     """Three barrier segments with edges crossing each taskwait."""
     tw = TaskSpec(name="tw", barrier=True)
@@ -121,8 +136,8 @@ def reference_segment_spans(
     compiled, weights: np.ndarray, *, with_depth: bool = False
 ) -> tuple[np.ndarray, np.ndarray, float, int]:
     """Per-segment (T₁, T∞), whole-graph T∞ and depth of *one* weight
-    vector: the walk-per-vector form that the fused ``_segment_spans``
-    replaced, kept as its reference."""
+    vector: a Python walk along ``topo_order``, one vector at a time —
+    the reference for ``_segment_spans``'s numpy relaxation of three."""
     seg = compiled.segment
     n_seg = (max(seg) + 1) if seg else 1
     t1 = np.zeros(n_seg)
@@ -159,7 +174,7 @@ def reference_segment_spans(
 
 
 def assert_single_walk_matches_reference(compiled, cfg: RuntimeConfig) -> None:
-    """The fused walk equals three reference walks, bit for bit: on the
+    """The one relaxation equals three reference walks, bit for bit: on the
     tier's own weight vectors, and on three unrelated random ones (small
     programs often give the nominal and low vectors equal weights)."""
     tw = tier_weights(compiled, cfg)
@@ -178,6 +193,12 @@ def assert_single_walk_matches_reference(compiled, cfg: RuntimeConfig) -> None:
             if i == 0:
                 assert t_inf.hex() == ref_inf.hex()
                 assert depth == ref_depth
+
+
+def decoded(compiled):
+    """``compiled`` read back from its file bytes: integer columns come
+    back as narrow as ``<i1``."""
+    return CompiledTDG.from_bytes(compiled.to_bytes(), compiled.key)
 
 
 def config(threads: int = 4, **kw) -> RuntimeConfig:
@@ -234,6 +255,29 @@ class TestUnifiedResult:
         meta = res.extra["compiled_tdg"]
         assert meta["key"] == art.key
         assert meta["n_tasks"] == art.n_tasks
+
+    @pytest.mark.parametrize("fidelity", ["analytic", "replay"])
+    @pytest.mark.parametrize(
+        "make, opts",
+        [
+            (chain_program, "abc"),
+            (stub_chain_program, "abc"),
+            (taskwait_program, "abc"),
+            (persistent_program, "abcp"),
+            (empty_program, "abc"),
+            (single_task_program, "abc"),
+        ],
+    )
+    def test_decoded_artifact_simulates_bitwise(self, fidelity, make, opts):
+        """A decoded artifact (narrow integer columns) simulates exactly
+        like the compiled one it was encoded from."""
+        cfg = config(opts=OptimizationSet.parse(opts))
+        art = compiled_for(make(), cfg)
+        back = decoded(art)
+        assert back.to_dict() == art.to_dict()
+        a = simulate(art, cfg, fidelity=fidelity)
+        b = simulate(back, cfg, fidelity=fidelity)
+        assert canonical_json(a.to_dict()) == canonical_json(b.to_dict())
 
     @pytest.mark.parametrize("fidelity", ["analytic", "replay"])
     def test_persistent_artifact_compiled_without_costs(self, fidelity):
@@ -309,7 +353,14 @@ class TestAnalytic:
 
     @pytest.mark.parametrize(
         "make",
-        [stub_chain_program, taskwait_program, diamond_program, persistent_program],
+        [
+            stub_chain_program,
+            taskwait_program,
+            diamond_program,
+            persistent_program,
+            empty_program,
+            single_task_program,
+        ],
     )
     @pytest.mark.parametrize("opts", ["ab", "abc", "abcp"])
     def test_single_walk_matches_per_vector_walks(self, make, opts):
@@ -318,6 +369,21 @@ class TestAnalytic:
         if make is taskwait_program:
             assert max(art.segment) == 2
         assert_single_walk_matches_reference(art, cfg)
+
+    @pytest.mark.parametrize("decode", [False, True], ids=["compiled", "decoded"])
+    def test_cycle_raises(self, decode):
+        """c0 -> c1 -> c2 -> c1: the walk leaves c0's frontier and stalls."""
+        cfg = config()
+        art = dataclasses.replace(
+            compiled_for(chain_program(3), cfg),
+            succ_offsets=[0, 1, 2, 3],
+            succ_targets=[1, 2, 1],
+            indegree=[0, 2, 1],
+        )
+        if decode:
+            art = decoded(art)
+        with pytest.raises(ValueError, match="CSR graph contains a cycle"):
+            analytic(art, cfg)
 
     def test_persistent_rounds(self):
         prog = persistent_program(3)
