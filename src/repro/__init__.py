@@ -60,7 +60,7 @@ from repro.runtime import (
 )
 from repro.memory import MachineSpec, epyc_7763_numa, skylake_8168
 from repro.mpi import NetworkSpec, bxi_like
-from repro.cluster import Cluster, RankGrid, run_spmd
+from repro.cluster import Cluster, RankGrid
 from repro.apps.lulesh import LuleshConfig
 from repro.apps.hpcg import HpcgConfig
 from repro.apps.cholesky import CholeskyConfig
@@ -105,7 +105,6 @@ __all__ = [
     "bxi_like",
     "Cluster",
     "RankGrid",
-    "run_spmd",
     "LuleshConfig",
     "HpcgConfig",
     "CholeskyConfig",

@@ -137,21 +137,19 @@ def run_metg_study(
     efficiency: float = 0.95,
     jobs: int = 1,
     store: "Union[DbResultStore, str, Path, None]" = None,
-    fidelity: "Optional[str]" = None,
 ) -> dict[str, MetgResult]:
     """Sweep every runtime's base spec over ``tpls`` and compute METG.
 
     ``bases`` maps runtime labels (e.g. preset names) to base specs; each
     is swept through the campaign engine (shared ``store``/``jobs``), then
-    :func:`metg` scores them against the global best.  ``fidelity``
-    selects the simulation tier for every sweep point — METG needs dense
-    TPL ladders, exactly what the ``replay`` tier makes affordable.
+    :func:`metg` scores them against the global best.  Each base spec's
+    ``fidelity`` is the simulation tier of its sweep points — METG needs
+    dense TPL ladders, exactly what the ``replay`` tier makes affordable.
     """
     from repro.analysis.sweep import run_spec_sweep
 
     sweeps = {
-        name: run_spec_sweep(base, tpls, jobs=jobs, store=store,
-                             fidelity=fidelity)
+        name: run_spec_sweep(base, tpls, jobs=jobs, store=store)
         for name, base in bases.items()
     }
     return metg(sweeps, efficiency=efficiency)

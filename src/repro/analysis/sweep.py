@@ -179,23 +179,22 @@ def run_spec_sweep(
     timeout: Optional[float] = None,
     bus: "Optional[CampaignBus]" = None,
     progress: bool = False,
-    fidelity: Optional[str] = None,
 ) -> Sweep:
     """Run a TPL sweep through the campaign engine.
 
     The workload, runtime config, engine and rank count all come from
     ``base``, each point only overrides the ``param`` app parameter.
     ``jobs``/``store`` fan the points out and skip ones already stored.
-    ``fidelity`` rewrites every point to that simulation tier (see
-    :mod:`repro.sim.tiers`) — ``"replay"`` makes dense TPL ladders ~10×
-    cheaper than DES while preserving the series shapes.
+    Every point runs at ``base.fidelity`` (see :mod:`repro.sim.tiers`):
+    ``base.with_fidelity("replay")`` makes dense TPL ladders ~10× cheaper
+    than DES while preserving the series shapes.
     """
     from repro.campaign.engine import run_campaign
 
     specs = sweep_specs(base, tpls, param=param)
     out = run_campaign(
         specs, jobs=jobs, store=store, timeout=timeout, bus=bus,
-        progress=progress, fidelity=fidelity,
+        progress=progress,
     )
     if not out.ok:
         bad = out.failures[0]

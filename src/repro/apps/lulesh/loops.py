@@ -10,7 +10,7 @@ scatter-accumulate into node forces — the ``inoutset`` pattern of Fig. 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: An access target: (array, group) with array in {"nodes", "elems"}.
 Access = tuple[str, str]
@@ -106,8 +106,3 @@ LOOP_SCHEDULE: tuple[LoopDef, ...] = (
 COMM_AFTER_LOOP: int = 6
 
 assert len(LOOP_SCHEDULE) == 33, "the reports mandate the 33-loop structure"
-
-
-def total_flops_scale() -> float:
-    """Sum of flops_scale over the schedule (calibration helper)."""
-    return sum(l.flops_scale for l in LOOP_SCHEDULE)

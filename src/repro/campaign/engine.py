@@ -188,7 +188,6 @@ def run_campaign(
     progress: bool = False,
     live: bool = False,
     snapshot_every: int = 0,
-    fidelity: Optional[str] = None,
 ) -> CampaignResult:
     """Execute a campaign of experiment specs.
 
@@ -233,16 +232,9 @@ def run_campaign(
     snapshot_every:
         Persist an intermediate metrics snapshot every N settled runs
         (0: final snapshot only; only meaningful with a store).
-    fidelity:
-        When set, every spec is rewritten to that simulation tier
-        (``spec.with_fidelity``) before execution — the campaign-level
-        switch behind ``repro campaign --fidelity``.  Rewritten specs
-        hash to their own keys, so tiers never cross-pollute the cache.
     """
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
-    if fidelity is not None:
-        specs = [s.with_fidelity(fidelity) for s in specs]
     bus = bus if bus is not None else CampaignBus()
     # A store this call opens (from a locator, or the temporary worker
     # channel) it also closes, after campaign_done has taken the final

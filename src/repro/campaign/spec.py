@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any, Iterable, Mapping, Optional, Tuple, Union
 
 from repro.core.optimizations import OptimizationSet
@@ -109,12 +110,15 @@ class ExperimentSpec:
         """The discovery optimization set (lives inside the config)."""
         return self.config.opts
 
-    @property
+    @cached_property
     def key(self) -> str:
         """Content-addressed identity: sha256 of the canonical JSON.
 
         Unlike ``hash()``, this is stable across processes and platforms —
         it is the cache key and the campaign's unit of deduplication.
+        Computed once per spec: the spec is frozen, and every copy
+        (``with_params``, ``with_fidelity``, ``replace``) is a new,
+        uncached instance.
         """
         return content_key(self.to_dict())
 

@@ -180,13 +180,14 @@ def cmd_sweep(args) -> int:
                 "flops_per_item": args.flops},
         seed=config.seed,
     )
+    if args.fidelity is not None:
+        base = base.with_fidelity(args.fidelity)
     sweep = run_spec_sweep(
         base,
         tpls,
         jobs=args.jobs,
         store=args.cache_dir,
         progress=args.jobs > 1,
-        fidelity=args.fidelity,
     )
     rows = [
         [p.tpl, f"{p.total * 1e3:.3f}", f"{p.execution * 1e3:.3f}",
@@ -258,6 +259,8 @@ def cmd_campaign(args) -> int:
         sys.stdin.read() if args.specfile == "-" else Path(args.specfile).read_text()
     )
     specs = load_specs(text)
+    if args.fidelity is not None:
+        specs = [s.with_fidelity(args.fidelity) for s in specs]
     out = run_campaign(
         specs,
         jobs=args.jobs,
@@ -269,7 +272,6 @@ def cmd_campaign(args) -> int:
         progress=not args.json and not args.live,
         live=args.live,
         snapshot_every=args.snapshot_every,
-        fidelity=args.fidelity,
     )
     if args.json:
         print(canonical_json(out.to_dict()))

@@ -1,22 +1,11 @@
 """Multi-rank coupled simulation (distributed MPI+OpenMP substrate)."""
 
 from repro.cluster.mapping import Neighbor, RankGrid
-from repro.cluster.cluster import (
-    Cluster,
-    ClusterResult,
-    CommManifest,
-    CommOp,
-    run_spmd,
-    static_comm_manifest,
-)
+from repro.cluster.cluster import Cluster, ClusterResult
 
 __all__ = [
     "Neighbor",
     "RankGrid",
     "Cluster",
     "ClusterResult",
-    "CommManifest",
-    "CommOp",
-    "run_spmd",
-    "static_comm_manifest",
 ]

@@ -242,9 +242,10 @@ class CompiledTDG:
     n_iterations: int
     # ---- comm-edge metadata (aligned columns) ------------------------
     #: :class:`~repro.core.program.CommKind` int per task, -1 when the
-    #: task posts no MPI request.  Together with peer/tag/nbytes this is
-    #: what the cross-rank verifier matches endpoints on — the static
-    #: comm manifest is readable straight off cached artifacts.
+    #: task posts no MPI request.  Together with peer/tag/nbytes these
+    #: rows, in :attr:`comm_tids` order, are the operations the rank
+    #: posts; the cross-rank verifier (:mod:`repro.verify.mpi`) reads a
+    #: rank's operations from these columns alone.
     comm_kind: list[int]
     comm_peer: list[int]
     comm_tag: list[int]

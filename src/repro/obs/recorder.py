@@ -167,9 +167,6 @@ class TraceRecorder:
     def n_spans(self) -> int:
         return len(self.span_tid)
 
-    def name_of(self, name_id: int) -> str:
-        return self.name_table()[name_id]
-
     def name_table(self) -> list[str]:
         """Interned names by id (first-seen order)."""
         return self.names.keys()
@@ -198,7 +195,3 @@ class TraceRecorder:
                 continue
             out[tids[i], iters[i]] = ends[i] - starts[i]
         return out
-
-    def span_seconds(self) -> float:
-        """Total recorded task-body seconds (all ranks)."""
-        return sum(e - s for s, e in zip(self.span_start, self.span_end))

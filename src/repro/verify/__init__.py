@@ -70,7 +70,7 @@ from repro.verify.persistence import check_persistence
 from repro.verify.races import find_races
 from repro.verify.report import render_json, render_text
 from repro.verify.sarif import render_sarif, to_sarif
-from repro.verify.static_graph import StaticNode, StaticTDG, discover_static
+from repro.verify.static_graph import StaticTDG, discover_static
 
 __all__ = [
     "CLUSTER_PASSES",
@@ -86,7 +86,6 @@ __all__ = [
     "RuleConfig",
     "RuleRegistry",
     "Severity",
-    "StaticNode",
     "StaticTDG",
     "apply_policy",
     "build_cluster_tdg",
@@ -378,10 +377,10 @@ def verify_program(
     else:
         report.summary.update(
             {
-                "n_tasks": tdg.n_user_tasks,
-                "n_stubs": tdg.n_stubs,
-                "edges_created": tdg.n_edges,
-                "persistent": tdg.persistent,
+                "n_tasks": tdg.compiled.n_user_tasks,
+                "n_stubs": tdg.compiled.n_stubs,
+                "edges_created": tdg.compiled.stats.created,
+                "persistent": tdg.compiled.persistent,
             }
         )
     return report
@@ -456,10 +455,10 @@ def verify_cluster(
     report.summary.update(
         {
             "n_ranks": len(programs),
-            "n_tasks": sum(t.n_user_tasks for t in ctdg.tdgs),
-            "n_stubs": sum(t.n_stubs for t in ctdg.tdgs),
-            "edges_created": sum(t.n_edges for t in ctdg.tdgs),
-            "persistent": all(t.persistent for t in ctdg.tdgs),
+            "n_tasks": sum(t.compiled.n_user_tasks for t in ctdg.tdgs),
+            "n_stubs": sum(t.compiled.n_stubs for t in ctdg.tdgs),
+            "edges_created": sum(t.compiled.stats.created for t in ctdg.tdgs),
+            "persistent": all(t.compiled.persistent for t in ctdg.tdgs),
             "comm_ops": len(ctdg.ops),
             "comm_pairs": len(ctdg.pairs),
             "comm_collective_slots": len(ctdg.coll_groups),

@@ -92,8 +92,8 @@ class DiscoveryEstimate:
         }
 
 
-def _task_seconds(compiled: CompiledTDG, machine: MachineSpec) -> list[float]:
-    """Per-tid execution-weight column (stubs at zero)."""
+def task_seconds(compiled: CompiledTDG, machine: MachineSpec) -> list[float]:
+    """Per-tid execution weight in estimated seconds (stubs at zero)."""
     fpc, bw = machine.flops_per_core, machine.dram_bw
     return [
         0.0 if stub else flops / fpc + fp / bw
@@ -133,13 +133,13 @@ def estimate_discovery(
     shape = shape_from_csr(
         compiled.succ_offsets,
         compiled.succ_targets,
-        _task_seconds(compiled, machine),
+        task_seconds(compiled, machine),
         compiled.topo_order,
     )
     per_graph_exec = max(
         shape.total_weight / max(threads, 1), shape.critical_path_weight
     )
-    if tdg.persistent:
+    if compiled.persistent:
         # The compiled graph holds one template iteration; the implicit
         # barrier makes whole-program execution n_iterations times it.
         exec_estimate = per_graph_exec * program.n_iterations
@@ -151,10 +151,10 @@ def estimate_discovery(
         DiscoveryEstimate(
             program=program.name,
             opts=str(opts),
-            persistent=tdg.persistent,
+            persistent=compiled.persistent,
             threads=threads,
-            n_tasks=tdg.n_user_tasks,
-            n_stubs=tdg.n_stubs,
+            n_tasks=compiled.n_user_tasks,
+            n_stubs=compiled.n_stubs,
             edges_created=stats.created,
             edges_duplicates_skipped=stats.duplicates_skipped,
             edges_duplicates_created=stats.duplicates_created,
@@ -169,7 +169,7 @@ def estimate_discovery(
             exec_estimate=exec_estimate,
             # An empty graph (no tasks, zero cost on both sides) is not
             # "bound" by anything — the comparison needs work to compare.
-            discovery_bound=tdg.n_user_tasks > 0 and total >= exec_estimate,
+            discovery_bound=compiled.n_user_tasks > 0 and total >= exec_estimate,
         ),
         tdg,
     )

@@ -39,10 +39,6 @@ from repro.core.task import DepMode
 from repro.verify.findings import Finding, Severity
 
 
-def _is_write(mode: DepMode) -> bool:
-    return mode != DepMode.IN
-
-
 # ----------------------------------------------------------------------
 def lint_duplicate_deps(program: Program) -> list[Finding]:
     """``V-DUP-DEP``: duplicate (addr, mode) pairs within one clause list."""

@@ -4,9 +4,10 @@ Single-rank verification sees one address space; the defects the paper's
 cluster runs (§4) expose live *between* ranks: a send whose receive was
 never posted, tag reuse that makes FIFO matching timing-dependent, and
 post orders that deadlock under rendezvous.  This module analyses all
-ranks' statically discovered TDGs plus the
-:class:`~repro.cluster.cluster.CommManifest` — the DES-free enumeration
-of every operation the cluster would post — and answers three questions:
+ranks' statically discovered TDGs — each rank's MPI operations are the
+rows of its :class:`~repro.core.compiled.CompiledTDG` whose
+``comm_kind`` is set, in post (``comm_tids``) order — and answers three
+questions:
 
 **Matching** (``V-MPI-UNMATCHED``).  Point-to-point operations match the
 way the :class:`~repro.mpi.comm.Communicator` matches them: FIFO per
@@ -50,37 +51,43 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.cluster.cluster import CommManifest, CommOp, static_comm_manifest
 from repro.core.optimizations import OptimizationSet
 from repro.core.program import CommKind, Program
 from repro.mpi.network import NetworkSpec, bxi_like
 from repro.runtime.costs import DiscoveryCosts
 from repro.verify.findings import Finding, Severity
 from repro.verify.races import scan_conflicts
-from repro.verify.static_graph import StaticNode, StaticTDG, discover_static
+from repro.verify.static_graph import StaticTDG, discover_static
 
 #: Cap on unmatched-operation findings — beyond this the channel layout
 #: (tags/peers) is systematically wrong, not individually.
 MAX_UNMATCHED_FINDINGS = 25
 
 
-@dataclass(frozen=True)
-class BoundOp:
-    """A manifest operation bound to the task node that posts it."""
+@dataclass(frozen=True, slots=True)
+class CommOp:
+    """One MPI operation: a comm row of a rank's compiled TDG."""
 
     #: Global operation index (event ids: ``post = 2*idx``, ``complete =
     #: 2*idx + 1``).
     idx: int
-    op: CommOp
-    node: StaticNode
-
-    @property
-    def rank(self) -> int:
-        return self.op.rank
+    rank: int
+    #: Per-rank post ordinal: the position of ``tid`` in ``comm_tids``.
+    op_index: int
+    #: The posting task's row in the rank's compiled TDG.
+    tid: int
+    kind: CommKind
+    #: Peer rank for point-to-point, ``-1`` for collectives.
+    peer: int
+    tag: int
+    nbytes: int
+    #: Name of the posting task.
+    name: str
+    iteration: int
 
     @property
     def label(self) -> str:
-        return f"rank{self.op.rank}:{self.node.name}"
+        return f"rank{self.rank}:{self.name}"
 
 
 def _post(i: int) -> int:
@@ -179,14 +186,14 @@ class ClusterTDG:
     """All ranks' static TDGs coupled by the comm event graph.
 
     The cluster analogue of :class:`~repro.verify.static_graph.StaticTDG`:
-    per-rank graphs plus matching results and the event-graph reachability
-    that extends happens-before across ranks.
+    per-rank graphs, their MPI operations read off the compiled comm
+    columns, matching results and the event-graph reachability that
+    extends happens-before across ranks.
     """
 
     tdgs: list[StaticTDG]
     network: NetworkSpec
-    manifest: CommManifest
-    ops: list[BoundOp] = field(default_factory=list)
+    ops: list[CommOp] = field(default_factory=list)
     #: Global op indices per rank, in post order.
     rank_ops: list[list[int]] = field(default_factory=list)
     #: Matched ``(send idx, recv idx)`` pairs.
@@ -213,19 +220,19 @@ class ClusterTDG:
         if self._reach is not None:
             return self._reach
         edges: list[tuple[int, int]] = []
-        for b in self.ops:
-            edges.append((_post(b.idx), _complete(b.idx)))
+        for op in self.ops:
+            edges.append((_post(op.idx), _complete(op.idx)))
         for r, idxs in enumerate(self.rank_ops):
             tdg = self.tdgs[r]
             for i in idxs:
                 for j in idxs:
                     if i != j and tdg.happens_before(
-                        self.ops[i].node, self.ops[j].node
+                        self.ops[i].tid, self.ops[j].tid
                     ):
                         edges.append((_complete(i), _post(j)))
         for s, rcv in self.pairs:
             edges.append((_post(s), _complete(rcv)))
-            if not self.network.is_eager(self.ops[s].op.nbytes):
+            if not self.network.is_eager(self.ops[s].nbytes):
                 edges.append((_post(rcv), _complete(s)))
         for group in self.coll_groups:
             for i in group:
@@ -236,8 +243,8 @@ class ClusterTDG:
         return self._reach
 
     # ------------------------------------------------------------------
-    def happens_before(self, rank: int, a: StaticNode, b: StaticNode) -> bool:
-        """Cross-rank happens-before for two nodes of ``rank``'s TDG.
+    def happens_before(self, rank: int, a: int, b: int) -> bool:
+        """Cross-rank happens-before for two tasks (tids) of ``rank``'s TDG.
 
         True when ``a`` is guaranteed complete before ``b`` starts — by
         the rank's own segments/edges, or through a communication chain:
@@ -253,22 +260,21 @@ class ClusterTDG:
         reach = self.events()
         srcs: list[int] = []
         for i in self.rank_ops[rank]:
-            node = self.ops[i].node
-            if node.index == a.index:
+            tid = self.ops[i].tid
+            if tid == a:
                 srcs.append(_complete(i))
-            elif tdg.happens_before(a, node):
+            elif tdg.happens_before(a, tid):
                 srcs.append(_post(i))
         if not srcs:
             return False
         dsts = [
             _complete(j)
             for j in self.rank_ops[rank]
-            if self.ops[j].node.index != b.index
-            and tdg.happens_before(self.ops[j].node, b)
+            if self.ops[j].tid != b and tdg.happens_before(self.ops[j].tid, b)
         ]
         return any(reach.reaches(s, d) for s in srcs for d in dsts)
 
-    def ordered(self, rank: int, a: StaticNode, b: StaticNode) -> bool:
+    def ordered(self, rank: int, a: int, b: int) -> bool:
         return self.happens_before(rank, a, b) or self.happens_before(
             rank, b, a
         )
@@ -288,10 +294,12 @@ def build_cluster_tdg(
 
     Mirrors what :class:`~repro.cluster.cluster.Cluster` would discover,
     but through :func:`~repro.verify.static_graph.discover_static` — zero
-    DES events.  When every rank runs persistent, matching happens on the
-    template iteration (replay repeats it verbatim); the iteration
-    structure must then agree across ranks, and a violation is reported
-    as a structural finding instead of unsound matching.
+    DES events.  Each rank's operations are its compiled comm rows.  A
+    persistent artifact holds only the template iteration (replay repeats
+    it verbatim), so when every rank runs persistent, matching happens on
+    the template; the iteration structure must then agree across ranks,
+    and a violation is reported as a structural finding instead of
+    unsound matching.
     """
     if isinstance(opts, str):
         opts = OptimizationSet.parse(opts)
@@ -299,7 +307,7 @@ def build_cluster_tdg(
         network = bxi_like()
     tdgs = [discover_static(p, opts, costs=costs) for p in programs]
 
-    persistent = [t.persistent for t in tdgs]
+    persistent = [t.compiled.persistent for t in tdgs]
     guards: list[Finding] = []
     template_only = all(persistent)
     if any(persistent) and not template_only:
@@ -334,36 +342,32 @@ def build_cluster_tdg(
                 )
             )
 
-    ctdg = ClusterTDG(
-        tdgs=tdgs,
-        network=network,
-        manifest=static_comm_manifest(programs, template_only=template_only),
-        structural_findings=guards,
-    )
+    ctdg = ClusterTDG(tdgs=tdgs, network=network, structural_findings=guards)
     if guards:
         ctdg.rank_ops = [[] for _ in tdgs]
         return ctdg
 
-    # Bind manifest ops to compiled comm nodes: both enumerate the same
-    # submission stream in the same order, so they zip by rank ordinal.
-    ops: list[BoundOp] = []
-    rank_ops: list[list[int]] = []
     for r, tdg in enumerate(tdgs):
-        rows = ctdg.manifest.by_rank(r)
-        tids = tdg.compiled.comm_tids
-        if len(rows) != len(tids):  # pragma: no cover - alignment invariant
-            raise RuntimeError(
-                f"rank {r}: manifest has {len(rows)} comm ops but the "
-                f"compiled TDG has {len(tids)} comm nodes"
-            )
+        c = tdg.compiled
         mine: list[int] = []
-        for row, tid in zip(rows, tids):
-            idx = len(ops)
-            ops.append(BoundOp(idx=idx, op=row, node=tdg.nodes[tid]))
+        for k, tid in enumerate(c.comm_tids):
+            idx = len(ctdg.ops)
             mine.append(idx)
-        rank_ops.append(mine)
-    ctdg.ops = ops
-    ctdg.rank_ops = rank_ops
+            ctdg.ops.append(
+                CommOp(
+                    idx=idx,
+                    rank=r,
+                    op_index=k,
+                    tid=tid,
+                    kind=CommKind(c.comm_kind[tid]),
+                    peer=c.comm_peer[tid],
+                    tag=c.comm_tag[tid],
+                    nbytes=c.comm_nbytes[tid],
+                    name=c.name[tid],
+                    iteration=c.iteration[tid],
+                )
+            )
+        ctdg.rank_ops.append(mine)
 
     _match(ctdg)
     return ctdg
@@ -374,14 +378,13 @@ def _match(ctdg: ClusterTDG) -> None:
     sends: dict[tuple[int, int, int], list[int]] = defaultdict(list)
     recvs: dict[tuple[int, int, int], list[int]] = defaultdict(list)
     colls: list[list[int]] = [[] for _ in range(ctdg.n_ranks)]
-    for b in ctdg.ops:
-        op = b.op
+    for op in ctdg.ops:
         if op.kind == CommKind.ISEND:
-            sends[(op.rank, op.peer, op.tag)].append(b.idx)
+            sends[(op.rank, op.peer, op.tag)].append(op.idx)
         elif op.kind == CommKind.IRECV:
-            recvs[(op.peer, op.rank, op.tag)].append(b.idx)
+            recvs[(op.peer, op.rank, op.tag)].append(op.idx)
         else:
-            colls[op.rank].append(b.idx)
+            colls[op.rank].append(op.idx)
 
     for key in sorted(set(sends) | set(recvs)):
         ss, rr = sends.get(key, []), recvs.get(key, [])
@@ -417,18 +420,17 @@ def check_mpi(ctdg: ClusterTDG) -> list[Finding]:
 def _check_unmatched(ctdg: ClusterTDG) -> list[Finding]:
     findings: list[Finding] = []
     for i in ctdg.unmatched_p2p[:MAX_UNMATCHED_FINDINGS]:
-        b = ctdg.ops[i]
-        op = b.op
+        op = ctdg.ops[i]
         if op.kind == CommKind.ISEND:
             msg = (
                 f"Isend from rank {op.rank} to rank {op.peer} (tag {op.tag}, "
-                f"{op.nbytes} B) posted by {b.node.name!r} never matches: "
+                f"{op.nbytes} B) posted by {op.name!r} never matches: "
                 f"rank {op.peer} posts no corresponding Irecv"
             )
         else:
             msg = (
                 f"Irecv on rank {op.rank} from rank {op.peer} (tag {op.tag}, "
-                f"{op.nbytes} B) posted by {b.node.name!r} never matches: "
+                f"{op.nbytes} B) posted by {op.name!r} never matches: "
                 f"rank {op.peer} posts no corresponding Isend"
             )
         findings.append(
@@ -436,7 +438,7 @@ def _check_unmatched(ctdg: ClusterTDG) -> list[Finding]:
                 rule="V-MPI-UNMATCHED",
                 severity=Severity.ERROR,
                 message=msg,
-                tasks=(b.node.name,),
+                tasks=(op.name,),
                 iteration=op.iteration,
                 rank=op.rank,
                 hint=(
@@ -487,23 +489,22 @@ def _check_unmatched(ctdg: ClusterTDG) -> list[Finding]:
 def _check_tagdup(ctdg: ClusterTDG) -> list[Finding]:
     """Channels whose operations reach the FIFO in schedule-dependent order."""
     by_channel: dict[tuple[str, int, int, int], list[int]] = defaultdict(list)
-    for b in ctdg.ops:
-        op = b.op
+    for op in ctdg.ops:
         if op.kind == CommKind.ISEND:
-            by_channel[("send", op.rank, op.peer, op.tag)].append(b.idx)
+            by_channel[("send", op.rank, op.peer, op.tag)].append(op.idx)
         elif op.kind == CommKind.IRECV:
-            by_channel[("recv", op.peer, op.rank, op.tag)].append(b.idx)
+            by_channel[("recv", op.peer, op.rank, op.tag)].append(op.idx)
 
     findings: list[Finding] = []
     for (side, src, dst, tag), idxs in sorted(by_channel.items()):
         if len(idxs) < 2:
             continue
         home = src if side == "send" else dst
-        racy: Optional[tuple[BoundOp, BoundOp]] = None
+        racy: Optional[tuple[CommOp, CommOp]] = None
         for x in range(len(idxs)):
             for y in range(x + 1, len(idxs)):
                 a, b = ctdg.ops[idxs[x]], ctdg.ops[idxs[y]]
-                if not ctdg.ordered(home, a.node, b.node):
+                if not ctdg.ordered(home, a.tid, b.tid):
                     racy = (a, b)
                     break
             if racy:
@@ -519,12 +520,12 @@ def _check_tagdup(ctdg: ClusterTDG) -> list[Finding]:
                 message=(
                     f"{len(idxs)} {kind} rank {home} share channel "
                     f"(src {src}, dst {dst}, tag {tag}) and at least "
-                    f"{a.node.name!r}/{b.node.name!r} post in "
+                    f"{a.name!r}/{b.name!r} post in "
                     "schedule-dependent order — FIFO matching pairs them "
                     "nondeterministically"
                 ),
-                tasks=(a.node.name, b.node.name),
-                iteration=a.op.iteration,
+                tasks=(a.name, b.name),
+                iteration=a.iteration,
                 rank=home,
                 hint=(
                     "give each logical message stream its own tag, or "
@@ -543,17 +544,17 @@ def _check_cycles(ctdg: ClusterTDG) -> list[Finding]:
         labels = tuple(
             ctdg.ops[i].label
             for i in sorted(
-                members, key=lambda i: (ctdg.ops[i].rank, ctdg.ops[i].op.op_index)
+                members, key=lambda i: (ctdg.ops[i].rank, ctdg.ops[i].op_index)
             )
         )
         ranks = sorted({ctdg.ops[i].rank for i in members})
         protos = sorted(
             {
                 "rendezvous"
-                if not ctdg.network.is_eager(ctdg.ops[i].op.nbytes)
+                if not ctdg.network.is_eager(ctdg.ops[i].nbytes)
                 else "eager"
                 for i in members
-                if ctdg.ops[i].op.kind != CommKind.IALLREDUCE
+                if ctdg.ops[i].kind != CommKind.IALLREDUCE
             }
         )
         findings.append(
@@ -590,20 +591,13 @@ def find_cluster_races(ctdg: ClusterTDG) -> list[Finding]:
     """
     if ctdg.structural_findings:
         return []
-
-    def rule_for(writer: StaticNode, other: StaticNode) -> str:
-        for n in (writer, other):
-            if n.spec is not None and n.spec.comm is not None:
-                return "V-RACE-XRANK"
-        return "V-RACE"
-
     findings: list[Finding] = []
     for r, tdg in enumerate(ctdg.tdgs):
         findings.extend(
             scan_conflicts(
                 tdg,
                 ordered=lambda a, b, _r=r: ctdg.ordered(_r, a, b),
-                rule_for=rule_for,
+                xrank=True,
                 rank=r,
             )
         )

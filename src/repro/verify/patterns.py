@@ -32,6 +32,7 @@ from typing import Optional
 
 from repro.memory.machine import MachineSpec, skylake_8168
 from repro.runtime.costs import DiscoveryCosts
+from repro.verify.estimator import task_seconds
 from repro.verify.findings import Finding, Severity
 from repro.verify.static_graph import StaticTDG
 
@@ -72,15 +73,6 @@ def detect_patterns(
     return findings
 
 
-def _exec_seconds(tdg: StaticTDG, machine: MachineSpec) -> list[float]:
-    c = tdg.compiled
-    fpc, bw = machine.flops_per_core, machine.dram_bw
-    return [
-        0.0 if stub else flops / fpc + fp / bw
-        for stub, flops, fp in zip(c.is_stub, c.flops, c.fp_bytes)
-    ]
-
-
 # ======================================================================
 # V-PAT-FUNNEL
 # ======================================================================
@@ -111,19 +103,18 @@ def _find_funnels(tdg: StaticTDG, *, rank: int) -> list[Finding]:
     findings: list[Finding] = []
     for t in candidates[:MAX_FUNNEL_FINDINGS]:
         m, out = len(preds[t]), len(succs[t])
-        node = tdg.nodes[t]
         findings.append(
             Finding(
                 rule="V-PAT-FUNNEL",
                 severity=Severity.WARNING,
                 message=(
-                    f"task {node.name!r} joins {m} predecessors "
+                    f"task {c.name[t]!r} joins {m} predecessors "
                     f"(graph mean fan-in {mean_in:.1f}) — the producer pays "
                     f"{m} edge creations at one spec and the task waits for "
                     "the slowest of all predecessors"
                 ),
-                tasks=(node.name,),
-                iteration=node.iteration,
+                tasks=(c.name[t],),
+                iteration=c.iteration[t],
                 rank=rank,
                 hint=(
                     "reduce in a tree, or funnel through an inoutset group "
@@ -152,7 +143,7 @@ def _find_producer_bound_loops(
     rank: int,
 ) -> list[Finding]:
     c = tdg.compiled
-    exec_s = _exec_seconds(tdg, machine)
+    exec_s = task_seconds(c, machine)
     by_loop: dict[int, list[int]] = defaultdict(list)
     for t in range(c.n_tasks):
         if not c.is_stub[t] and c.loop_id[t] >= 0:
@@ -167,22 +158,21 @@ def _find_producer_bound_loops(
         create = 0.0
         replay = 0.0
         for t in tids:
-            spec = tdg.nodes[t].spec
-            n_deps = len(spec.depends) if spec is not None else 0
-            create += costs.c_task + costs.c_dep * n_deps
-            if spec is not None:
-                replay += costs.replay_cost(spec)
+            spec = tdg.specs[t]
+            assert spec is not None  # user rows always carry their spec
+            create += costs.c_task + costs.c_dep * len(spec.depends)
+            replay += costs.replay_cost(spec)
         create += costs.c_edge * n_edges
         capacity = sum(exec_s[t] for t in tids) / max(threads, 1)
         # Programs intern loop labels away; name the loop by its id and a
         # sample member task so the finding still points somewhere.
-        sample = tdg.nodes[tids[0]].name
+        sample = c.name[tids[0]]
         label = f"loop{loop}({sample}...)"
         mode = None
         serial = 0.0
         if create >= capacity:
             mode, serial = "discovery", create
-        elif tdg.persistent and replay >= capacity:
+        elif c.persistent and replay >= capacity:
             mode, serial = "replay", replay
         if mode is None:
             continue
@@ -239,7 +229,9 @@ def _find_staircases(
     # end-of-iteration barrier chains the template's segment sequence
     # n_iterations times.
     repeats = (
-        tdg.program.n_iterations if tdg.persistent and len(tdg.program.iterations) > 1 else 1
+        tdg.program.n_iterations
+        if c.persistent and len(tdg.program.iterations) > 1
+        else 1
     )
 
     findings: list[Finding] = []

@@ -27,65 +27,60 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro.core.program import TaskSpec
 from repro.core.task import AccessMode, DepMode
 from repro.verify.findings import Finding, Severity
-from repro.verify.static_graph import StaticNode, StaticTDG
+from repro.verify.static_graph import StaticTDG
 
 #: Hard cap on reported races — beyond this the program needs structural
 #: fixes, not a longer list.
 MAX_RACE_FINDINGS = 50
 
 
-def _inoutset_addrs(node: StaticNode) -> frozenset[int]:
-    assert node.spec is not None
-    return frozenset(
-        a for a, m in node.spec.depends if m == DepMode.INOUTSET
-    )
-
-
-def _default_rule(writer: StaticNode, other: StaticNode) -> str:
-    return "V-RACE"
+def _inoutset_addrs(spec: TaskSpec) -> frozenset[int]:
+    return frozenset(a for a, m in spec.depends if m == DepMode.INOUTSET)
 
 
 def scan_conflicts(
     tdg: StaticTDG,
     *,
-    ordered: Optional[Callable[[StaticNode, StaticNode], bool]] = None,
-    rule_for: Optional[Callable[[StaticNode, StaticNode], str]] = None,
+    ordered: Optional[Callable[[int, int], bool]] = None,
+    xrank: bool = False,
     rank: int = -1,
     max_findings: int = MAX_RACE_FINDINGS,
 ) -> list[Finding]:
     """The race scan, parameterized for single-program and cluster use.
 
-    ``ordered`` is the happens-before-either-way oracle (defaults to the
-    TDG's own, segment + reachability); the cluster pass passes one that
-    additionally follows communication edges.  ``rule_for(writer, other)``
-    picks the rule id per pair; ``rank`` stamps every finding.
+    ``ordered(a, b)`` is the happens-before-either-way oracle over tids
+    (defaults to the TDG's own, segment + reachability); the cluster pass
+    passes one that additionally follows communication edges.  With
+    ``xrank`` a race touching a communication task (``comm_kind >= 0``)
+    is reported as ``V-RACE-XRANK``; ``rank`` stamps every finding.
     """
     if ordered is None:
         ordered = tdg.ordered
-    if rule_for is None:
-        rule_for = _default_rule
+    c = tdg.compiled
+    names, iteration, comm_kind = c.name, c.iteration, c.comm_kind
 
-    # chunk id -> list of (node, access mode)
-    accesses: dict[int, list[tuple[StaticNode, AccessMode]]] = {}
-    for node in tdg.nodes:
-        if node.spec is None:
+    # chunk id -> list of (tid, spec, access mode)
+    accesses: dict[int, list[tuple[int, TaskSpec, AccessMode]]] = {}
+    for tid, spec in enumerate(tdg.specs):
+        if spec is None:
             continue
-        for cid, _nbytes, mode in node.spec.accesses():
-            accesses.setdefault(cid, []).append((node, mode))
+        for cid, _nbytes, mode in spec.accesses():
+            accesses.setdefault(cid, []).append((tid, spec, mode))
 
     findings: list[Finding] = []
     truncated = False
     for cid in sorted(accesses):
         accs = accesses[cid]
-        if not any(m.writes for _, m in accs):
+        if not any(m.writes for _, _, m in accs):
             continue
         for i in range(len(accs)):
-            a, ma = accs[i]
+            a, sa, ma = accs[i]
             for j in range(i + 1, len(accs)):
-                b, mb = accs[j]
-                if a is b:
+                b, sb, mb = accs[j]
+                if a == b:
                     continue
                 if not (ma.writes or mb.writes):
                     continue
@@ -94,7 +89,7 @@ def scan_conflicts(
                 if (
                     ma.writes
                     and mb.writes
-                    and _inoutset_addrs(a) & _inoutset_addrs(b)
+                    and _inoutset_addrs(sa) & _inoutset_addrs(sb)
                 ):
                     # Sanctioned concurrency: same inoutset group.
                     continue
@@ -103,7 +98,11 @@ def scan_conflicts(
                     break
                 writer, other = (a, b) if ma.writes else (b, a)
                 kind = "write/write" if (ma.writes and mb.writes) else "read/write"
-                rule = rule_for(writer, other)
+                rule = (
+                    "V-RACE-XRANK"
+                    if xrank and (comm_kind[writer] >= 0 or comm_kind[other] >= 0)
+                    else "V-RACE"
+                )
                 where = f" on rank {rank}" if rank >= 0 else ""
                 findings.append(
                     Finding(
@@ -111,12 +110,12 @@ def scan_conflicts(
                         severity=Severity.ERROR,
                         message=(
                             f"{kind} race on footprint chunk {cid}{where}: "
-                            f"{writer.name!r} (iteration {writer.iteration}) and "
-                            f"{other.name!r} (iteration {other.iteration}) are "
-                            "unordered"
+                            f"{names[writer]!r} (iteration {iteration[writer]}) "
+                            f"and {names[other]!r} (iteration {iteration[other]}) "
+                            "are unordered"
                         ),
-                        tasks=(writer.name, other.name),
-                        iteration=writer.iteration,
+                        tasks=(names[writer], names[other]),
+                        iteration=iteration[writer],
                         rank=rank,
                         hint=(
                             "declare a depend clause covering the shared "

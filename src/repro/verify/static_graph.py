@@ -9,12 +9,13 @@ graph a persistent or non-overlapped DES run discovers, byte for byte.
 Static-vs-DES edge equality is therefore equality *by construction*: both
 layers read one compiled graph, neither maintains a shadow.
 
-This module keeps the verify-facing view: :class:`StaticNode` pairs each
-compiled row (``tid``) with its name and originating
-:class:`~repro.core.program.TaskSpec`, and :class:`StaticTDG` adds the
-happens-before relation the race detector queries — barrier *segments*
-(``taskwait`` markers and persistent-iteration boundaries order whole
-submission prefixes) refined by graph reachability within a segment.
+This module keeps the verify-facing view: a task is a compiled row
+(``tid``), whose name, iteration and segment are read straight off the
+artifact's columns, and :class:`StaticTDG` adds the originating
+:class:`~repro.core.program.TaskSpec` per tid plus the happens-before
+relation the race detector queries — barrier *segments* (``taskwait``
+markers and persistent-iteration boundaries order whole submission
+prefixes) refined by graph reachability within a segment.
 """
 
 from __future__ import annotations
@@ -28,63 +29,29 @@ from repro.core.program import Program, TaskSpec
 from repro.runtime.costs import DiscoveryCosts
 
 
-@dataclass(frozen=True)
-class StaticNode:
-    """One task of the statically discovered TDG."""
-
-    #: Dense index into :attr:`StaticTDG.nodes` — equals the compiled
-    #: artifact's ``tid`` (bit position for closures).
-    index: int
-    name: str
-    #: The originating spec; ``None`` for redirect stubs.
-    spec: Optional[TaskSpec]
-    iteration: int
-    #: Barrier epoch (taskwait / persistent-iteration boundary counter).
-    segment: int
-
-
 @dataclass
 class StaticTDG:
     """A statically discovered task dependency graph.
 
-    A thin verify-layer view over one :attr:`compiled` artifact:
-    ``nodes[tid]`` is the node of compiled row ``tid``.
+    A thin verify-layer view over one :attr:`compiled` artifact: every
+    task is a compiled row ``tid``.
     """
 
     program: Program
-    opts: OptimizationSet
-    #: Whether the walk ran in persistent (template + replay) mode.
-    persistent: bool
     #: The frozen CSR artifact all layers share.
     compiled: CompiledTDG
-    nodes: list[StaticNode]
+    #: The originating spec per tid; ``None`` for redirect stubs.
+    specs: list[Optional[TaskSpec]]
     #: Predicted producer busy seconds per iteration (empty without costs).
     iteration_costs: list[float]
     _ancestors: Optional[list[int]] = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
-    @property
-    def n_user_tasks(self) -> int:
-        return self.compiled.n_user_tasks
-
-    @property
-    def n_stubs(self) -> int:
-        return self.compiled.n_stubs
-
-    @property
-    def n_edges(self) -> int:
-        return self.compiled.stats.created
-
-    def unique_edges(self) -> set[tuple[int, int]]:
-        """Distinct ``(pred index, succ index)`` pairs (multiplicity folded)."""
-        return self.compiled.unique_edges()
-
-    # ------------------------------------------------------------------
     def ancestors(self) -> list[int]:
-        """Per-node ancestor sets as bitmasks over node indices.
+        """Per-tid ancestor sets as bitmasks over tids.
 
-        ``ancestors()[i] >> j & 1`` says node *j* is a (transitive) graph
-        predecessor of node *i*.  Computed once by OR-ing masks along the
+        ``ancestors()[i] >> j & 1`` says task *j* is a (transitive) graph
+        predecessor of task *i*.  Computed once by OR-ing masks along the
         artifact's :attr:`~repro.core.compiled.CompiledTDG.topo_order`
         (tid order is *not* topological: a redirect stub's tid exceeds the
         reader it feeds); duplicate edges are harmless for OR.
@@ -101,14 +68,15 @@ class StaticTDG:
         self._ancestors = anc
         return anc
 
-    def happens_before(self, a: StaticNode, b: StaticNode) -> bool:
-        """Whether ``a`` is guaranteed to complete before ``b`` starts."""
-        if a.segment != b.segment:
-            return a.segment < b.segment
-        return bool(self.ancestors()[b.index] >> a.index & 1)
+    def happens_before(self, a: int, b: int) -> bool:
+        """Whether task ``a`` is guaranteed to complete before ``b`` starts."""
+        segment = self.compiled.segment
+        if segment[a] != segment[b]:
+            return segment[a] < segment[b]
+        return bool(self.ancestors()[b] >> a & 1)
 
-    def ordered(self, a: StaticNode, b: StaticNode) -> bool:
-        """Whether ``a`` and ``b`` are ordered either way."""
+    def ordered(self, a: int, b: int) -> bool:
+        """Whether tasks ``a`` and ``b`` are ordered either way."""
         return self.happens_before(a, b) or self.happens_before(b, a)
 
 
@@ -151,33 +119,13 @@ def discover_static(
     """
     compiled = compile_program(program, opts)
     iterations = program.iterations
-    nodes: list[StaticNode] = []
-    cur_iter = 0
-    for tid in range(compiled.n_tasks):
-        pos = compiled.spec_pos[tid]
-        if pos >= 0:
-            cur_iter = compiled.iteration[tid]
-            spec = iterations[cur_iter].tasks[pos]
-        else:
-            # Redirect stub: created during the preceding user task's
-            # resolution, so it shares that task's iteration.
-            spec = None
-        nodes.append(
-            StaticNode(
-                index=tid,
-                name=compiled.name[tid],
-                spec=spec,
-                iteration=cur_iter,
-                segment=compiled.segment[tid],
-            )
-        )
-
     return StaticTDG(
         program=program,
-        opts=opts,
-        persistent=compiled.persistent,
         compiled=compiled,
-        nodes=nodes,
+        specs=[
+            iterations[it].tasks[pos] if pos >= 0 else None
+            for it, pos in zip(compiled.iteration, compiled.spec_pos)
+        ],
         iteration_costs=(
             _iteration_costs(program, compiled, costs) if costs is not None else []
         ),

@@ -8,13 +8,14 @@ from repro.analysis.calibration import scaled_mpc, scaled_skylake
 from repro.campaign.spec import ExperimentSpec
 
 
-def small_sweep(tpls=(4, 8, 16), opts="abc", fidelity=None):
+def small_sweep(tpls=(4, 8, 16), opts="abc", fidelity="des"):
     base = ExperimentSpec(
         app="lulesh",
         config=scaled_mpc(scaled_skylake(8), opts=opts, n_threads=8),
         params={"s": 12, "iterations": 2, "tpl": tpls[0]},
+        fidelity=fidelity,
     )
-    return run_spec_sweep(base, list(tpls), fidelity=fidelity)
+    return run_spec_sweep(base, list(tpls))
 
 
 class TestGeometricTpls:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+from dataclasses import replace
 
 import pytest
 
@@ -234,3 +235,43 @@ class TestSpecKeyInResult:
         da["n_cached"] = db["n_cached"] = None
         da["n_executed"] = db["n_executed"] = None
         assert canonical_json(da) == canonical_json(db)
+
+
+class TestSpecKeyComputedOnce:
+    """A campaign hashes each spec once, however many layers read its key."""
+
+    def count_keys(self, monkeypatch) -> list[int]:
+        import repro.campaign.spec as spec_module
+
+        calls: list[int] = []
+        real = spec_module.content_key
+
+        def counting(doc):
+            calls.append(1)
+            return real(doc)
+
+        monkeypatch.setattr(spec_module, "content_key", counting)
+        return calls
+
+    def test_warm_pass_hashes_each_spec_once(self, tmp_path, monkeypatch):
+        specs = [
+            spec(config=cfg, params={"s": 6, "iterations": 2, "tpl": t},
+                 fidelity=f)
+            for cfg in (CFG, CFG_P)
+            for t in (2, 4, 8)
+            for f in ("replay", "analytic")
+        ]
+        store = tmp_path / "sweep.sqlite"
+        assert run_campaign(specs, store=store).ok
+        # New store keys whose compiled graphs are already stored.
+        warm = [
+            replace(s, config=replace(s.config, n_threads=2)) for s in specs
+        ]
+        calls = self.count_keys(monkeypatch)
+        out = run_campaign(warm, store=store)
+        assert out.ok and out.n_executed == 12
+        assert len(calls) == 12
+        # Resuming the same spec objects hashes nothing again.
+        calls.clear()
+        assert run_campaign(warm, store=store).n_cached == 12
+        assert calls == []

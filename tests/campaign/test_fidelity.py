@@ -253,14 +253,16 @@ class TestRunnerDispatch:
 class TestCampaignFidelity:
     def test_fidelity_override_rewrites_specs(self):
         specs = [spec(), spec(params={**PARAMS, "tpl": 8})]
-        out = run_campaign(specs, progress=False, fidelity="replay")
+        out = run_campaign(
+            [s.with_fidelity("replay") for s in specs], progress=False
+        )
         assert len(out.records) == 2
         for rec in out.records:
             assert rec.result.extra["fidelity"] == "replay"
 
     def test_override_keys_distinct_from_des(self):
         s = spec()
-        out = run_campaign([s], progress=False, fidelity="analytic")
+        out = run_campaign([s.with_fidelity("analytic")], progress=False)
         rec = out.records[0]
         assert rec.spec.fidelity == "analytic"
         assert rec.spec.key != s.key

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import pickle
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from repro.mpi.network import NetworkSpec
 from repro.runtime import presets
 from repro.runtime.costs import DiscoveryCosts, SchedulerCosts
 from repro.runtime.runtime import RuntimeConfig
+from repro.util.serde import content_key
 
 CFG = presets.mpc_omp(tiny_test_machine(4), n_threads=4)
 
@@ -51,6 +54,25 @@ class TestValueSemantics:
         k = spec().key
         assert len(k) == 64
         assert k == spec().key
+
+    def test_copies_get_their_own_key(self):
+        base = spec()
+        base_key = base.key  # cached on the original before copying
+        copies = [
+            base.with_params(tpl=16),
+            base.with_fidelity("replay"),
+            replace(base, seed=3),
+        ]
+        for c in copies:
+            assert c.key == content_key(c.to_dict())
+            assert c.key != base_key
+        assert len({c.key for c in copies}) == 3
+        # An equal copy hashes to the same key.
+        assert replace(base).key == base_key
+        # A cached key leaves equality, hash and pickling unchanged.
+        fresh = spec()
+        assert base == fresh and hash(base) == hash(fresh)
+        assert pickle.loads(pickle.dumps(base)).key == fresh.key
 
     def test_with_params_merges(self):
         s2 = spec().with_params(tpl=16)

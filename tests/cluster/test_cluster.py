@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.cluster import Cluster, run_spmd
+from repro.cluster.cluster import Cluster
 from repro.core import ProgramBuilder
 from repro.core.program import CommKind, CommSpec
 from repro.memory import tiny_test_machine
@@ -54,7 +54,7 @@ class TestCoupledRun:
                        comm=CommSpec(CommKind.IALLREDUCE, 8))
             return b.build()
 
-        res = run_spmd(prog, lambda r: cfg(), 2)
+        res = Cluster(2).run([prog(0), prog(1)], [cfg(), cfg()])
         c0 = res.results[0].comm[0]
         c1 = res.results[1].comm[0]
         # Both complete at the same instant, gated by the slow rank.

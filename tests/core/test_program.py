@@ -242,4 +242,4 @@ class TestInoutsetEdgeAccounting:
         tdg = self.discover("abc", m=4, n=6)
         assert tdg.compiled.stats.created == 4 + 6
         assert tdg.compiled.stats.redirect_nodes == 1
-        assert tdg.n_stubs == 1
+        assert tdg.compiled.n_stubs == 1

@@ -55,8 +55,8 @@ class TestEstimate:
         )
         est, tdg = estimate_discovery(prog, ABCP, scaled_skylake())
         assert est.persistent
-        assert est.n_tasks == tdg.n_user_tasks
-        assert est.edges_created == tdg.n_edges
+        assert est.n_tasks == tdg.compiled.n_user_tasks
+        assert est.edges_created == tdg.compiled.stats.created
         assert est.discovery_total == pytest.approx(sum(tdg.iteration_costs))
         assert est.steady_iteration_cost < est.first_iteration_cost
         assert est.t1 > est.t_inf > 0
@@ -137,7 +137,7 @@ class TestDegenerateGraphs:
         assert est.n_tasks == 0
         assert est.edges_created == 0
         assert est.discovery_total == 0.0
-        assert tdg.n_edges == 0
+        assert tdg.compiled.stats.created == 0
         assert check_discovery_bound(est) == []
 
     def test_single_task(self):
@@ -164,7 +164,7 @@ class TestDegenerateGraphs:
         )
         assert est.n_tasks == 32
         assert est.edges_created == 0
-        assert tdg.n_edges == 0
+        assert tdg.compiled.stats.created == 0
         # Perfectly parallel: the exec estimate is bounded by the
         # work-law term, not a chain.
         assert est.exec_estimate > 0

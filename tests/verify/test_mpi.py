@@ -214,8 +214,8 @@ class TestCrossRankRaces:
         progs = roundtrip_programs(close_window=True)
         ctdg = build_cluster_tdg(progs)
         tdg0 = ctdg.tdgs[0]
-        a = next(n for n in tdg0.nodes if n.name == "A")
-        bb = next(n for n in tdg0.nodes if n.name == "B")
+        a = tdg0.compiled.name.index("A")
+        bb = tdg0.compiled.name.index("B")
         # Rank 0 alone cannot order A and B ...
         assert not tdg0.happens_before(a, bb)
         # ... but the bounce through rank 1 does.
@@ -237,8 +237,8 @@ class TestCrossRankRaces:
         progs = roundtrip_programs(close_window=True)
         ctdg = build_cluster_tdg(progs)
         tdg0 = ctdg.tdgs[0]
-        a = next(n for n in tdg0.nodes if n.name == "A")
-        bb = next(n for n in tdg0.nodes if n.name == "B")
+        a = tdg0.compiled.name.index("A")
+        bb = tdg0.compiled.name.index("B")
         assert ctdg.happens_before(0, a, bb)
 
         machine = tiny_test_machine(2)

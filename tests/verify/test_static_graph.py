@@ -23,11 +23,13 @@ def chain_program(n=3, *, persistent=False, iterations=1):
 class TestDiscovery:
     def test_counts_and_nodes(self):
         tdg = discover_static(chain_program(3), OptimizationSet.parse("ab"))
-        assert tdg.n_user_tasks == 3
-        assert tdg.n_stubs == 0
-        assert tdg.n_edges == 2
-        assert [n.name for n in tdg.nodes] == ["w", "r0", "r1"]
-        assert all(n.iteration == 0 for n in tdg.nodes)
+        c = tdg.compiled
+        assert c.n_user_tasks == 3
+        assert c.n_stubs == 0
+        assert c.stats.created == 2
+        assert c.name == ["w", "r0", "r1"]
+        assert all(it == 0 for it in c.iteration)
+        assert [s.name for s in tdg.specs] == c.name
 
     def test_redirect_stubs_registered(self):
         b = ProgramBuilder("ioset")
@@ -37,37 +39,41 @@ class TestDiscovery:
             for i in range(2):
                 b.task(f"r{i}", inp=["x"])
         tdg = discover_static(b.build(), OptimizationSet.parse("abc"))
-        assert tdg.n_user_tasks == 5
-        assert tdg.n_stubs == 1
-        assert tdg.compiled.stats.redirect_nodes == 1
+        c = tdg.compiled
+        assert c.n_user_tasks == 5
+        assert c.n_stubs == 1
+        assert c.stats.redirect_nodes == 1
+        # A stub has no originating spec.
+        assert [t for t, s in enumerate(tdg.specs) if s is None] == c.stub_tids
         # m + n edges through the stub.
-        assert tdg.n_edges == 3 + 2
+        assert c.stats.created == 3 + 2
 
     def test_non_persistent_keeps_cross_iteration_edges(self):
         prog = chain_program(2, iterations=2)
         tdg = discover_static(prog, OptimizationSet.parse("ab"))
-        assert not tdg.persistent
+        c = tdg.compiled
+        assert not c.persistent
         # iteration 1's writer depends on iteration 0's reader (WAR) and
         # writer (WAW is transitively covered); edges cross the boundary.
         cross = [
             (p, s)
-            for p, s in tdg.unique_edges()
-            if tdg.nodes[p].iteration != tdg.nodes[s].iteration
+            for p, s in c.unique_edges()
+            if c.iteration[p] != c.iteration[s]
         ]
         assert cross
 
     def test_persistent_resolves_template_only(self):
         prog = chain_program(2, persistent=True, iterations=4)
         tdg = discover_static(prog, OptimizationSet.parse("abcp"))
-        assert tdg.persistent
-        assert tdg.n_user_tasks == 2  # template only
-        assert len({n.iteration for n in tdg.nodes}) == 1
+        assert tdg.compiled.persistent
+        assert tdg.compiled.n_user_tasks == 2  # template only
+        assert len(set(tdg.compiled.iteration)) == 1
 
 
 class TestHappensBefore:
     def test_graph_path_orders(self):
         tdg = discover_static(chain_program(3), OptimizationSet.parse("ab"))
-        w, r0, r1 = tdg.nodes
+        w, r0, r1 = (tdg.compiled.name.index(n) for n in ("w", "r0", "r1"))
         assert tdg.happens_before(w, r0)
         assert not tdg.happens_before(r0, w)
         assert tdg.ordered(w, r1)
@@ -82,9 +88,10 @@ class TestHappensBefore:
             b.taskwait()
             b.task("c", out=["z"])
         tdg = discover_static(b.build(), OptimizationSet.parse("ab"))
-        a, bb, c = tdg.nodes
-        assert a.segment == bb.segment == 0
-        assert c.segment == 1
+        a, bb, c = (tdg.compiled.name.index(n) for n in ("a", "b", "c"))
+        segment = tdg.compiled.segment
+        assert segment[a] == segment[bb] == 0
+        assert segment[c] == 1
         assert not tdg.ordered(a, bb)
         assert tdg.happens_before(a, c) and tdg.happens_before(bb, c)
 
@@ -93,7 +100,7 @@ class TestHappensBefore:
         tdg = discover_static(prog, OptimizationSet.parse("abcp"))
         # Only template nodes exist, but the replay barrier bumps segments
         # so anything conceptually later is ordered after the template.
-        assert tdg.nodes[-1].segment == 0
+        assert tdg.compiled.segment[-1] == 0
 
     def test_ancestors_handle_redirect_topology(self):
         # Redirect stubs get edges toward earlier tids: creation order is
@@ -105,8 +112,9 @@ class TestHappensBefore:
             for i in range(2):
                 b.task(f"r{i}", inp=["x"])
         tdg = discover_static(b.build(), OptimizationSet.parse("abc"))
-        w0 = tdg.nodes[0]
-        readers = [n for n in tdg.nodes if n.name.startswith("r")]
+        names = tdg.compiled.name
+        w0 = names.index("w0")
+        readers = [t for t, n in enumerate(names) if n.startswith("r")]
         assert all(tdg.happens_before(w0, r) for r in readers)
 
 

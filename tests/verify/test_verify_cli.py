@@ -1,6 +1,7 @@
 """verify_program orchestration and the ``repro lint`` subcommand."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +124,29 @@ class TestLintPolicyFlags:
         log = json.loads(out.read_text())
         assert log["version"] == "2.1.0"
         assert log["runs"][0]["tool"]["driver"]["name"] == "repro-verify"
+
+
+#: The committed cluster baselines and the lint arguments that produce
+#: them (the same list CI regenerates).
+BASELINES = Path(__file__).resolve().parents[2] / "baselines" / "verify"
+BASELINE_ARGS = {
+    "lulesh-tpl8": ["lulesh", "--ranks", "8", "--tpl", "8"],
+    "lulesh-tpl16": ["lulesh", "--ranks", "8", "--tpl", "16"],
+    "hpcg-tpl8": ["hpcg", "--ranks", "8", "--tpl", "8"],
+    "hpcg-tpl16": ["hpcg", "--ranks", "8", "--tpl", "16"],
+    "cholesky-b128": ["cholesky", "--ranks", "4", "-b", "128"],
+    "cholesky-b64": ["cholesky", "--ranks", "4", "-b", "64"],
+}
+
+
+class TestCommittedBaselines:
+    @pytest.mark.parametrize("name", sorted(BASELINE_ARGS))
+    def test_regenerates_byte_identically(self, name, capsys, tmp_path):
+        out = tmp_path / f"{name}.json"
+        rc = main(["lint", *BASELINE_ARGS[name], "--write-baseline", str(out)])
+        assert rc == 0
+        capsys.readouterr()
+        assert out.read_bytes() == (BASELINES / f"{name}.json").read_bytes()
 
 
 class TestInfoListsVerify:
