@@ -17,7 +17,7 @@ from repro.analysis.sweep import (
     run_spec_sweep,
     sweep_specs,
 )
-from repro.analysis.metg import MetgResult, metg, run_metg_study
+from repro.analysis.metg import MetgResult, metg
 from repro.analysis.scaling import (
     ScalingPoint,
     dynamic_tpl,
@@ -54,7 +54,6 @@ __all__ = [
     "sweep_specs",
     "MetgResult",
     "metg",
-    "run_metg_study",
     "ScalingPoint",
     "dynamic_tpl",
     "lulesh_scaling",

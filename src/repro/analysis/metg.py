@@ -10,16 +10,9 @@ the best OpenMP METG reported in Task Bench.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional
 
 from repro.analysis.sweep import Sweep
-
-if TYPE_CHECKING:  # pragma: no cover
-    from pathlib import Path
-    from typing import Union
-
-    from repro.campaign.spec import ExperimentSpec
-    from repro.db.store import DbResultStore
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,10 +78,11 @@ def metg_from_db(
     """Compute METG per runtime config from stored campaign runs.
 
     ``db`` is a :class:`repro.db.CampaignDB`.  Each ``config_name`` in
-    the selected rows is one runtime under comparison (the sweeps of
-    :func:`run_metg_study`); total time and grain come straight from the
-    ``runs`` columns (``makespan``, ``work_total / n_tasks``) — the
-    result documents are never parsed.
+    the selected rows is one runtime under comparison (one
+    :func:`~repro.analysis.sweep.run_spec_sweep` per runtime); total
+    time and grain come straight from the ``runs`` columns
+    (``makespan``, ``work_total / n_tasks``) — the result documents are
+    never parsed.
     """
     import json as _json
 
@@ -128,28 +122,3 @@ def metg_from_db(
         else:
             out[name] = MetgResult(name, efficiency, None, None, best_total)
     return out
-
-
-def run_metg_study(
-    bases: "dict[str, ExperimentSpec]",
-    tpls: Sequence[int],
-    *,
-    efficiency: float = 0.95,
-    jobs: int = 1,
-    store: "Union[DbResultStore, str, Path, None]" = None,
-) -> dict[str, MetgResult]:
-    """Sweep every runtime's base spec over ``tpls`` and compute METG.
-
-    ``bases`` maps runtime labels (e.g. preset names) to base specs; each
-    is swept through the campaign engine (shared ``store``/``jobs``), then
-    :func:`metg` scores them against the global best.  Each base spec's
-    ``fidelity`` is the simulation tier of its sweep points — METG needs
-    dense TPL ladders, exactly what the ``replay`` tier makes affordable.
-    """
-    from repro.analysis.sweep import run_spec_sweep
-
-    sweeps = {
-        name: run_spec_sweep(base, tpls, jobs=jobs, store=store)
-        for name, base in bases.items()
-    }
-    return metg(sweeps, efficiency=efficiency)

@@ -19,7 +19,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from pathlib import Path
     from typing import Union
 
-    from repro.campaign.bus import CampaignBus
     from repro.campaign.spec import ExperimentSpec
     from repro.db.store import DbResultStore
 
@@ -163,27 +162,24 @@ class Sweep:
 
 
 def sweep_specs(
-    base: "ExperimentSpec", tpls: Sequence[int], *, param: str = "tpl"
+    base: "ExperimentSpec", tpls: Sequence[int]
 ) -> "list[ExperimentSpec]":
-    """Expand a base spec into one spec per TPL value (``param`` override)."""
-    return [base.with_params(**{param: int(t)}) for t in tpls]
+    """Expand a base spec into one spec per TPL value (``tpl`` override)."""
+    return [base.with_params(tpl=int(t)) for t in tpls]
 
 
 def run_spec_sweep(
     base: "ExperimentSpec",
     tpls: Sequence[int],
     *,
-    param: str = "tpl",
     jobs: int = 1,
     store: "Union[DbResultStore, str, Path, None]" = None,
-    timeout: Optional[float] = None,
-    bus: "Optional[CampaignBus]" = None,
     progress: bool = False,
 ) -> Sweep:
     """Run a TPL sweep through the campaign engine.
 
     The workload, runtime config, engine and rank count all come from
-    ``base``, each point only overrides the ``param`` app parameter.
+    ``base``, each point only overrides the ``tpl`` app parameter.
     ``jobs``/``store`` fan the points out and skip ones already stored.
     Every point runs at ``base.fidelity`` (see :mod:`repro.sim.tiers`):
     ``base.with_fidelity("replay")`` makes dense TPL ladders ~10× cheaper
@@ -191,10 +187,8 @@ def run_spec_sweep(
     """
     from repro.campaign.engine import run_campaign
 
-    specs = sweep_specs(base, tpls, param=param)
     out = run_campaign(
-        specs, jobs=jobs, store=store, timeout=timeout, bus=bus,
-        progress=progress,
+        sweep_specs(base, tpls), jobs=jobs, store=store, progress=progress
     )
     if not out.ok:
         bad = out.failures[0]

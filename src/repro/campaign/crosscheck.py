@@ -189,17 +189,14 @@ def golden_specs() -> list[ExperimentSpec]:
 def cross_check(
     specs: Optional[Sequence[ExperimentSpec]] = None,
     *,
-    tolerance: float = REPLAY_TOLERANCE,
-    jobs: int = 1,
-    store=None,
     progress: bool = False,
 ) -> CrossCheckReport:
     """Run ``specs`` (default: the golden set) at all three fidelities.
 
     Each spec is executed as a DES reference and rewritten to the
-    ``replay`` and ``analytic`` tiers (so all three share the campaign
-    ``store`` and its compiled-TDG artifacts); the report compares
-    makespans and analytic bounds row by row.
+    ``replay`` and ``analytic`` tiers, all in one serial campaign without
+    a store; the report compares makespans and analytic bounds row by
+    row against :data:`REPLAY_TOLERANCE`.
     """
     base = list(golden_specs() if specs is None else specs)
     ladder = (
@@ -207,9 +204,9 @@ def cross_check(
         + [s.with_fidelity("replay") for s in base]
         + [s.with_fidelity("analytic") for s in base]
     )
-    out = run_campaign(ladder, jobs=jobs, store=store, progress=progress)
+    out = run_campaign(ladder, progress=progress)
     n = len(base)
-    report = CrossCheckReport(tolerance=tolerance)
+    report = CrossCheckReport()
     for i, spec in enumerate(base):
         triple = out.records[i], out.records[i + n], out.records[i + 2 * n]
         bad = [r for r in triple if not r.ok]

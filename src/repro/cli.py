@@ -352,7 +352,6 @@ def cmd_lint(args) -> int:
         REGISTRY,
         Baseline,
         Severity,
-        apply_policy,
         render_json,
         render_sarif,
         render_text,
@@ -385,8 +384,8 @@ def cmd_lint(args) -> int:
             costs=config.discovery,
         )
 
-    baseline = Baseline.load(args.baseline) if args.baseline else None
-    apply_policy(report, baseline=baseline)
+    if args.baseline:
+        Baseline.load(args.baseline).apply(report)
     if args.write_baseline:
         Baseline.from_report(report).save(args.write_baseline)
         print(
@@ -587,7 +586,7 @@ def cmd_info(args) -> int:
     from repro.mpi.network import bxi_like
     from repro.runtime.costs import DiscoveryCosts, SchedulerCosts
     from repro.sim import HOOK_DOCS
-    from repro.verify import PASSES, RULES
+    from repro.verify import PASSES, REGISTRY
 
     machines = [skylake_8168(), epyc_7763_numa(), scaled_skylake(), scaled_epyc()]
     n = bxi_like()
@@ -611,7 +610,7 @@ def cmd_info(args) -> int:
                 for name, (sig, desc) in CAMPAIGN_HOOK_DOCS.items()
             },
             "verify_passes": list(PASSES),
-            "verify_rules": dict(RULES),
+            "verify_rules": REGISTRY.catalogue(),
             "db": {
                 "schema_version": DB_SCHEMA_VERSION,
                 "tables": table_inventory(),
@@ -643,7 +642,7 @@ def cmd_info(args) -> int:
         print(f"  {name:>13}{sig}: {desc}")
 
     print(f"\nverify passes ({', '.join(PASSES)}) — `repro lint` rules:")
-    for rule, desc in RULES.items():
+    for rule, desc in REGISTRY.catalogue().items():
         print(f"  {rule:>14}: {desc}")
 
     inventory = table_inventory()

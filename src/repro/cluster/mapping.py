@@ -1,23 +1,13 @@
-"""Cartesian rank grids, neighbor topology, and TDG partition summaries.
+"""Cartesian rank grids and neighbor topology.
 
 LULESH decomposes its mesh over a cubic grid of MPI processes; each process
 exchanges frontier data with up to 26 neighbors: 6 *faces* (O(s²) bytes),
 12 *edges* (O(s) bytes) and 8 *corners* (O(1) bytes) — §4.1.
-
-:func:`partition_stats` summarizes how a cluster-wide workload is split
-over the ranks by reading the per-rank compiled TDG artifacts
-(:class:`~repro.core.compiled.CompiledTDG`) directly — task/edge counts
-off the CSR arrays, compute weight off the ``flops`` column — giving the
-load-imbalance view the paper's per-rank makespan comparisons rest on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.compiled import CompiledTDG
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,89 +87,3 @@ class RankGrid:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RankGrid({self.px}x{self.py}x{self.pz})"
-
-
-# ======================================================================
-# compiled-TDG partition summaries
-# ======================================================================
-@dataclass(frozen=True, slots=True)
-class RankPartition:
-    """One rank's share of a cluster-wide task workload."""
-
-    rank: int
-    n_tasks: int
-    n_user_tasks: int
-    n_stubs: int
-    #: Materialized intra-rank edges (with multiplicity, CSR length).
-    n_edges: int
-    #: Total compute weight (sum of the artifact's ``flops`` column).
-    weight: float
-    #: Zero-flop non-stub tasks — communication/bookkeeping placeholders.
-    n_comm_tasks: int
-
-
-@dataclass(frozen=True, slots=True)
-class PartitionSummary:
-    """Cluster-wide view over per-rank compiled TDGs."""
-
-    ranks: list[RankPartition]
-    total_tasks: int
-    total_edges: int
-    total_weight: float
-    #: max / mean rank weight — 1.0 is a perfectly balanced partition.
-    imbalance: float
-
-    def __str__(self) -> str:
-        return (
-            f"ranks={len(self.ranks)} tasks={self.total_tasks} "
-            f"edges={self.total_edges} weight={self.total_weight:.4g} "
-            f"imbalance={self.imbalance:.3f}"
-        )
-
-
-def partition_stats(compiled_by_rank: Sequence["CompiledTDG"]) -> PartitionSummary:
-    """Summarize a rank partition from its compiled artifacts.
-
-    Reads the CSR arrays and columns directly; no per-task objects and no
-    DES state are involved, so this works on cached artifacts
-    (:class:`~repro.core.compiled.CompiledGraphCache`) as well as freshly
-    compiled ones.
-    """
-    if not compiled_by_rank:
-        raise ValueError("partition_stats needs at least one compiled TDG")
-    ranks: list[RankPartition] = []
-    for r, c in enumerate(compiled_by_rank):
-        weight = 0.0
-        n_comm = 0
-        n_stubs = 0
-        # Comm payloads are not a compiled column; communication tasks
-        # carry zero flops in every app builder, so zero-flop non-stub
-        # tasks count as communication placeholders.
-        for stub, flops in zip(c.is_stub, c.flops):
-            if stub:
-                n_stubs += 1
-            elif flops == 0.0:
-                n_comm += 1
-            else:
-                weight += flops
-        ranks.append(
-            RankPartition(
-                rank=r,
-                n_tasks=c.n_tasks,
-                n_user_tasks=c.n_tasks - n_stubs,
-                n_stubs=n_stubs,
-                n_edges=len(c.succ_targets),
-                weight=weight,
-                n_comm_tasks=n_comm,
-            )
-        )
-    weights = [p.weight for p in ranks]
-    mean = sum(weights) / len(weights)
-    imbalance = (max(weights) / mean) if mean > 0 else 1.0
-    return PartitionSummary(
-        ranks=ranks,
-        total_tasks=sum(p.n_tasks for p in ranks),
-        total_edges=sum(p.n_edges for p in ranks),
-        total_weight=sum(weights),
-        imbalance=imbalance,
-    )

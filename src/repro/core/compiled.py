@@ -12,8 +12,8 @@ discovered TDG that every consumer reads:
 - :mod:`repro.verify` compiles one statically instead of maintaining its
   own shadow graph — static-vs-DES edge equality becomes equality by
   construction;
-- :mod:`repro.analysis.graphtools` and :mod:`repro.cluster.mapping` read
-  the CSR arrays directly (shape metrics, rank partition summaries).
+- :mod:`repro.analysis.graphtools` reads the CSR arrays directly (shape
+  metrics).
 
 Artifacts are content-addressed: :func:`structural_signature` hashes the
 program's *structure* (names, loop ids, dependences, taskwait positions,
@@ -342,18 +342,6 @@ class CompiledTDG:
             for p in range(self.n_tasks)
             for s in targets[offsets[p]:offsets[p + 1]]
         }
-
-    def replay_costs(self, costs: "DiscoveryCosts") -> list[float]:
-        """Per-task re-instancing cost under ``costs``, aligned by tid.
-
-        Stubs replay for free (they are re-armed wholesale at the
-        barrier, not walked by the producer).
-        """
-        c_replay, c_fp = costs.c_replay, costs.c_fp_byte
-        return [
-            0.0 if stub else c_replay + c_fp * fp
-            for stub, fp in zip(self.is_stub, self.fp_bytes)
-        ]
 
     def creation_costs(self, costs: "DiscoveryCosts") -> list[float]:
         """Per-task first-discovery cost under ``costs``, aligned by tid.

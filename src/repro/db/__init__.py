@@ -1,9 +1,9 @@
 """``repro.db``: the campaign-scoped SQLite results/trace store.
 
 One WAL-journaled SQLite file per campaign holds specs, run results,
-streamed trace columns, discovery counters and verify findings — the
-pyotter architecture (buffered batched writers in, read-only SQL out)
-adapted to this simulator's content-addressed campaign engine.  See
+streamed trace columns and discovery counters — the pyotter
+architecture (buffered batched writers in, read-only SQL out) adapted
+to this simulator's content-addressed campaign engine.  See
 :mod:`repro.db.schema` for the layout and its versioning policy.
 """
 
@@ -24,7 +24,6 @@ from repro.db.store import (
     CampaignDB,
     DbResultStore,
     annotate_critical_path,
-    add_findings,
     delete_trace,
     latest_snapshot,
     metrics_snapshots,
@@ -48,7 +47,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "STORE_FILENAME",
     "SchemaError",
-    "add_findings",
     "annotate_critical_path",
     "delete_trace",
     "discovery_regressions",

@@ -2,9 +2,9 @@
 
 One SQLite file holds everything a campaign produces — content-addressed
 specs and run results, streamed trace columns (task spans, barriers, MPI
-requests), per-iteration discovery counters and verify findings — so a
-million-run campaign is analyzable with SQL instead of re-reading loose
-JSON blobs wholesale.
+requests) and per-iteration discovery counters — so a million-run
+campaign is analyzable with SQL instead of re-reading loose JSON blobs
+wholesale.
 
 Design rules (they are what make stores diffable in CI):
 
@@ -163,6 +163,8 @@ TABLES: dict[str, tuple[tuple[tuple[str, str], ...], tuple[str, ...]]] = {
         ),
         ("run", "rank", "iteration"),
     ),
+    # No writer fills ``findings`` any more; dropping the table changes
+    # the schema, so it waits for the next versioned migration.
     "findings": (
         (
             ("run", "INTEGER"),

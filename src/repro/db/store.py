@@ -1,4 +1,4 @@
-"""Campaign-scoped SQLite stores: results, traces, counters, findings.
+"""Campaign-scoped SQLite stores: results, traces, counters.
 
 :class:`CampaignDB` owns one store file and its two connections — a
 buffered **write** connection (WAL journal, ``executemany`` batches via
@@ -665,29 +665,8 @@ def read_metrics(
 
 
 # ======================================================================
-# findings + profile storage
+# profile storage
 # ======================================================================
-def add_findings(db: CampaignDB, run: str, report) -> int:
-    """Store a verify report's findings (suppressed ones included)."""
-    rid = run_id(run)
-    writer = BufferedWriter(db.conn, "findings", replace=True)
-    conn = db.conn
-    conn.execute("DELETE FROM findings WHERE run = ?", (rid,))
-    conn.execute(insert_sql("trace_runs", replace=True), (rid, run))
-    seq = 0
-    for finding in list(report.findings) + list(
-        getattr(report, "suppressed", [])
-    ):
-        writer.append(
-            (rid, seq, finding.rule, str(finding.severity), finding.rank,
-             finding.iteration, canonical_json(list(finding.tasks)),
-             finding.message)
-        )
-        seq += 1
-    writer.flush()
-    return seq
-
-
 def store_profile(
     db: CampaignDB, report: "ProfileReport", *, campaign: str = ""
 ) -> str:

@@ -556,7 +556,7 @@ def _run_round(
 
     Returns (round end time, stats).  State is per-round: the implicit
     end-of-round barrier guarantees nothing crosses.  ``prune_delta``
-    (c_edge - c_prune) re-prices already-satisfied edges at submission
+    (c_edge - c_edge_skip) re-prices already-satisfied edges at submission
     time, mirroring the DES resolver's pruning.
     """
     npred = list(npred0)

@@ -1,35 +1,53 @@
-"""Pluggable rule-engine core: registry, per-rule config, baselines.
+"""Rule-engine core: severities, the rule registry, baselines.
 
-Every verification rule — the PR-1 single-rank lints and the cluster
-analyses alike — is declared as a :class:`Rule` in one
-:class:`RuleRegistry`.  The registry is the single source of truth for
+Every verification rule — the single-rank lints and the cluster analyses
+alike — is declared as a :class:`Rule` in :data:`REGISTRY`, the one home
+of rule metadata:
 
 - the rule catalogue (``repro info``, SARIF ``tool.driver.rules``),
-- default severities, and
+- each rule's severity — :attr:`~repro.verify.findings.Finding.severity`
+  is a lookup here, so a finding cannot disagree with its rule — and
 - which pass (rule family) emits each rule.
 
-:class:`RuleConfig` applies user policy on top: disable rules or override
-their severity per run (``repro lint --disable`` / config dicts).
-
-:class:`Baseline` implements the committed-baseline workflow: a JSON file
-of known finding fingerprints (see :attr:`Finding.fingerprint`) checked
-into the repository.  Applying it to a :class:`Report` moves matched
-findings into :attr:`Report.suppressed`, so ``--fail-on`` only gates on
-*new* findings — the contract the CI lint gate runs on.
+:class:`Baseline` is the only policy on top: a JSON file of known
+finding fingerprints (see :attr:`Finding.fingerprint`) checked into the
+repository.  Applying it to a :class:`Report` moves matched findings
+into :attr:`Report.suppressed`, so ``--fail-on`` only gates on *new*
+findings — the contract the CI lint gate runs on.
 """
 
 from __future__ import annotations
 
+import enum
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Iterator, Mapping, Union
 
-from repro.verify.findings import Finding, Report, Severity
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.verify.findings import Finding, Report
 
 #: Schema stamp of baseline files (repro.obs schema-version policy).
 BASELINE_SCHEMA = "repro.verify.baseline"
 BASELINE_SCHEMA_VERSION = 1
+
+
+class Severity(enum.IntEnum):
+    """Finding severity, ordered so comparisons express "at least"."""
+
+    INFO = 0
+    WARNING = 1
+    ERROR = 2
+
+    @classmethod
+    def parse(cls, name: str) -> "Severity":
+        try:
+            return cls[name.strip().upper()]
+        except KeyError:
+            raise ValueError(
+                f"unknown severity {name!r}; pick from "
+                f"{[s.name.lower() for s in cls]}"
+            ) from None
 
 
 # ======================================================================
@@ -37,7 +55,7 @@ BASELINE_SCHEMA_VERSION = 1
 # ======================================================================
 @dataclass(frozen=True, slots=True)
 class Rule:
-    """One verification rule: identity, family, default severity."""
+    """One verification rule: identity, family, severity."""
 
     id: str
     #: The pass (rule family) that emits it — a name from
@@ -73,7 +91,7 @@ class RuleRegistry:
     def __contains__(self, rule_id: str) -> bool:
         return rule_id in self._rules
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[Rule]:
         return iter(self._rules.values())
 
     def __len__(self) -> int:
@@ -82,63 +100,191 @@ class RuleRegistry:
     def ids(self) -> list[str]:
         return list(self._rules)
 
-    def by_family(self, family: str) -> list[Rule]:
-        return [r for r in self._rules.values() if r.family == family]
-
     def catalogue(self) -> dict[str, str]:
         """``{rule id: one-line description}`` in registration order."""
         return {r.id: r.catalogue_entry for r in self._rules.values()}
 
 
-# ======================================================================
-# per-run rule configuration
-# ======================================================================
-@dataclass(frozen=True)
-class RuleConfig:
-    """User policy over the registry: disabled rules, severity overrides.
+#: Every rule the verifier can emit.
+REGISTRY = RuleRegistry()
 
-    Built from a plain dict (JSON-friendly)::
-
-        RuleConfig.from_dict({
-            "disable": ["V-PAT-FUNNEL"],
-            "severity": {"V-DISC-BOUND": "error"},
-        })
-    """
-
-    disabled: frozenset[str] = frozenset()
-    severity: Mapping[str, Severity] = field(default_factory=dict)
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "RuleConfig":
-        return cls(
-            disabled=frozenset(data.get("disable", ())),
-            severity={
-                rid: Severity.parse(s)
-                for rid, s in dict(data.get("severity", {})).items()
-            },
-        )
-
-    def validate(self, registry: RuleRegistry) -> None:
-        unknown = sorted(
-            (set(self.disabled) | set(self.severity)) - set(registry.ids())
-        )
-        if unknown:
-            raise ValueError(
-                f"rule config names unknown rules {unknown}; "
-                f"known rules: {registry.ids()}"
-            )
-
-    def apply(self, findings: Iterable[Finding]) -> list[Finding]:
-        """Filter disabled rules and apply severity overrides."""
-        out: list[Finding] = []
-        for f in findings:
-            if f.rule in self.disabled:
-                continue
-            sev = self.severity.get(f.rule)
-            if sev is not None and sev != f.severity:
-                f = replace(f, severity=sev)
-            out.append(f)
-        return out
+for _rule in (
+    Rule(
+        id="V-RACE",
+        family="races",
+        severity=Severity.ERROR,
+        description=(
+            "unordered conflicting footprint accesses — a depend clause "
+            "is missing or names the wrong address"
+        ),
+        help=(
+            "declare a depend clause covering the shared storage, use an "
+            "inoutset group if the writes commute, or add a taskwait"
+        ),
+    ),
+    Rule(
+        id="V-RACE-XRANK",
+        family="xrace",
+        severity=Severity.ERROR,
+        description=(
+            "race involving a communication task under the cross-rank "
+            "happens-before — invisible to single-rank analysis"
+        ),
+        help=(
+            "order the communication task and its buffer users with "
+            "depend clauses on the message buffers"
+        ),
+    ),
+    Rule(
+        id="V-DUP-DEP",
+        family="lint",
+        severity=Severity.WARNING,
+        description="duplicate (addr, mode) item in one depend clause list",
+        help="drop the duplicate clause item (user-side optimization (a))",
+    ),
+    Rule(
+        id="V-ADDR-MERGE",
+        family="lint",
+        severity=Severity.WARNING,
+        description=(
+            "addresses always accessed together with identical modes — "
+            "merge them (user-side optimization (a))"
+        ),
+        help="represent the group by one sentinel address",
+    ),
+    Rule(
+        id="V-IOSET-FANIN",
+        family="lint",
+        severity=Severity.WARNING,
+        description=(
+            "m inoutset writers feeding n readers without optimization "
+            "(c): m*n edges where a redirect node needs m+n"
+        ),
+        help="enable optimization (c) or reduce the group fan-in",
+    ),
+    Rule(
+        id="V-WAW-DEAD",
+        family="lint",
+        severity=Severity.WARNING,
+        description=(
+            "an out write overwrites a previous write with no reader in "
+            "between"
+        ),
+        help="remove the dead write or the stale out clause",
+    ),
+    Rule(
+        id="V-PTSG-UNSAFE",
+        family="persistence",
+        severity=Severity.ERROR,
+        description=(
+            "persistent_candidate program whose iteration structure "
+            "diverges from the template"
+        ),
+        help="make every iteration submit the template's task sequence",
+    ),
+    Rule(
+        id="V-PTSG-MISSED",
+        family="persistence",
+        severity=Severity.INFO,
+        description=(
+            "iteration structure provably invariant but persistence "
+            "(opt p) not enabled"
+        ),
+        help="enable optimization (p) to replay the template",
+    ),
+    Rule(
+        id="V-DISC-BOUND",
+        family="estimator",
+        severity=Severity.WARNING,
+        description=(
+            "predicted discovery time exceeds the execution estimate — "
+            "the run is discovery bound (Fig. 1)"
+        ),
+        help=(
+            "coarsen the tasks (lower TPL), enable more discovery "
+            "optimizations (a/b/c), or make the graph persistent (p)"
+        ),
+    ),
+    Rule(
+        id="V-MPI-UNMATCHED",
+        family="mpi",
+        severity=Severity.ERROR,
+        description=(
+            "an MPI operation no peer ever matches (missing or "
+            "mis-addressed send/recv/collective) — the run hangs"
+        ),
+        help=(
+            "post the matching operation on the peer rank, or fix the "
+            "peer/tag so existing operations pair up"
+        ),
+    ),
+    Rule(
+        id="V-MPI-CYCLE",
+        family="mpi",
+        severity=Severity.ERROR,
+        description=(
+            "static deadlock: post/complete events form a cross-rank "
+            "dependency cycle no schedule can break"
+        ),
+        help=(
+            "reorder the posts so one side's receive precedes its send, "
+            "or keep payloads under the eager threshold"
+        ),
+    ),
+    Rule(
+        id="V-MPI-TAGDUP",
+        family="mpi",
+        severity=Severity.WARNING,
+        description=(
+            "unordered operations share one (src, dst, tag) channel — "
+            "FIFO matching pairs them nondeterministically"
+        ),
+        help=(
+            "give each logical message stream its own tag, or order the "
+            "posting tasks with a dependence"
+        ),
+    ),
+    Rule(
+        id="V-PAT-FUNNEL",
+        family="patterns",
+        severity=Severity.WARNING,
+        description=(
+            "one task joins a far-above-average number of predecessors — "
+            "edge-creation hotspot and a serializing join"
+        ),
+        help=(
+            "reduce in a tree, or funnel through an inoutset group so "
+            "optimization (c) inserts a redirect node"
+        ),
+    ),
+    Rule(
+        id="V-PAT-PRODBOUND",
+        family="patterns",
+        severity=Severity.WARNING,
+        description=(
+            "a task loop whose serial discovery (or replay) cost exceeds "
+            "the execution it feeds the workers — producer bound"
+        ),
+        help=(
+            "coarsen this loop's tasks or cut dependence addresses per "
+            "task"
+        ),
+    ),
+    Rule(
+        id="V-PAT-STAIRCASE",
+        family="patterns",
+        severity=Severity.WARNING,
+        description=(
+            "consecutive barrier-delimited segments each narrower than "
+            "the thread count — barriers serialize execution"
+        ),
+        help=(
+            "drop taskwaits between independent phases or widen the "
+            "narrow phases"
+        ),
+    ),
+):
+    REGISTRY.register(_rule)
 
 
 # ======================================================================
@@ -192,14 +338,6 @@ class Baseline:
         report.findings = keep
         return hit
 
-    def unused(self, report: Report) -> list[str]:
-        """Baseline fingerprints no current finding matched — candidates
-        for removal (the defect was fixed)."""
-        seen = {f.fingerprint for f in report.findings} | {
-            f.fingerprint for f in report.suppressed
-        }
-        return sorted(fp for fp in self.entries if fp not in seen)
-
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         return {
@@ -234,17 +372,3 @@ class Baseline:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "Baseline":
         return cls.from_dict(json.loads(Path(path).read_text()))
-
-
-def apply_policy(
-    report: Report,
-    *,
-    config: Optional[RuleConfig] = None,
-    baseline: Optional[Baseline] = None,
-) -> Report:
-    """Apply rule config then baseline suppression to ``report`` in place."""
-    if config is not None:
-        report.findings = config.apply(report.findings)
-    if baseline is not None:
-        baseline.apply(report)
-    return report

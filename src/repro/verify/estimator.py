@@ -27,7 +27,7 @@ from repro.core.optimizations import OptimizationSet
 from repro.core.program import Program
 from repro.memory.machine import MachineSpec
 from repro.runtime.costs import DiscoveryCosts
-from repro.verify.findings import Finding, Severity
+from repro.verify.findings import Finding
 from repro.verify.static_graph import StaticTDG, discover_static
 
 
@@ -187,7 +187,6 @@ def check_discovery_bound(estimate: DiscoveryEstimate) -> list[Finding]:
     return [
         Finding(
             rule="V-DISC-BOUND",
-            severity=Severity.WARNING,
             message=(
                 f"predicted discovery time ({estimate.discovery_total:.3e} s) "
                 f"exceeds the execution estimate "

@@ -14,35 +14,18 @@ only on *new* ones.
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
+
+from repro.verify.engine import REGISTRY, Severity
 
 #: Schema stamp of the report JSON (``render_json`` / ``Report.to_dict``),
 #: following the repro.obs schema-version policy: bump on any field
 #: change so consumers reject documents they do not understand.
 REPORT_SCHEMA = "repro.verify.report"
 REPORT_SCHEMA_VERSION = 2
-
-
-class Severity(enum.IntEnum):
-    """Finding severity, ordered so comparisons express "at least"."""
-
-    INFO = 0
-    WARNING = 1
-    ERROR = 2
-
-    @classmethod
-    def parse(cls, name: str) -> "Severity":
-        try:
-            return cls[name.strip().upper()]
-        except KeyError:
-            raise ValueError(
-                f"unknown severity {name!r}; pick from "
-                f"{[s.name.lower() for s in cls]}"
-            ) from None
 
 
 def _stable_data(data: dict) -> list:
@@ -71,10 +54,8 @@ class Finding:
     Attributes
     ----------
     rule:
-        Stable rule identifier (e.g. ``"V-RACE"``) — documented in
-        :data:`repro.verify.RULES`.
-    severity:
-        :class:`Severity` of the finding.
+        Stable rule identifier (e.g. ``"V-RACE"``), registered in
+        :data:`repro.verify.engine.REGISTRY`; an unregistered id raises.
     message:
         Human-readable, single-sentence statement of the defect.
     tasks:
@@ -91,13 +72,23 @@ class Finding:
     """
 
     rule: str
-    severity: Severity
     message: str
     tasks: tuple[str, ...] = ()
     iteration: int = -1
     rank: int = -1
     hint: str = ""
     data: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.rule not in REGISTRY:
+            raise ValueError(
+                f"unregistered rule {self.rule!r}; known rules: {REGISTRY.ids()}"
+            )
+
+    @property
+    def severity(self) -> Severity:
+        """The registered severity of :attr:`rule`."""
+        return REGISTRY.get(self.rule).severity
 
     @property
     def fingerprint(self) -> str:

@@ -1,6 +1,6 @@
 """Dependence linter: discovery-cost anti-patterns in ``depend`` clauses.
 
-Rules (see :data:`repro.verify.RULES` for the registry):
+Rules (see :data:`repro.verify.REGISTRY`):
 
 ``V-DUP-DEP``
     A clause list names the same ``(addr, mode)`` pair twice.  Never adds a
@@ -36,7 +36,7 @@ from collections import Counter
 from repro.core.optimizations import OptimizationSet
 from repro.core.program import Program
 from repro.core.task import DepMode
-from repro.verify.findings import Finding, Severity
+from repro.verify.findings import Finding
 
 
 # ----------------------------------------------------------------------
@@ -53,7 +53,6 @@ def lint_duplicate_deps(program: Program) -> list[Finding]:
             findings.append(
                 Finding(
                     rule="V-DUP-DEP",
-                    severity=Severity.WARNING,
                     message=(
                         f"task {spec.name!r} names (addr={addr}, "
                         f"mode={mode.name}) more than once in its depend "
@@ -101,7 +100,6 @@ def lint_redundant_addresses(program: Program) -> list[Finding]:
         findings.append(
             Finding(
                 rule="V-ADDR-MERGE",
-                severity=Severity.WARNING,
                 message=(
                     f"{k} depend addresses {sorted(addrs)[:6]} are always "
                     f"accessed together with identical modes by "
@@ -163,7 +161,6 @@ def lint_inoutset_fanin(
                 findings.append(
                     Finding(
                         rule="V-IOSET-FANIN",
-                        severity=Severity.WARNING,
                         message=(
                             f"address {addr}: {m} inoutset writers (first: "
                             f"{seq[i][0]!r}) feed {n} readers (first: "
@@ -231,7 +228,6 @@ def lint_waw_no_reader(program: Program) -> list[Finding]:
         findings.append(
             Finding(
                 rule="V-WAW-DEAD",
-                severity=Severity.WARNING,
                 message=(
                     f"{fam!r} overwrites {prev_fam!r}'s value {where} with "
                     "no reader in between — the first write is dead through "

@@ -55,7 +55,7 @@ from repro.core.optimizations import OptimizationSet
 from repro.core.program import CommKind, Program
 from repro.mpi.network import NetworkSpec, bxi_like
 from repro.runtime.costs import DiscoveryCosts
-from repro.verify.findings import Finding, Severity
+from repro.verify.findings import Finding
 from repro.verify.races import scan_conflicts
 from repro.verify.static_graph import StaticTDG, discover_static
 
@@ -209,6 +209,13 @@ class ClusterTDG:
     #: Structural guard findings raised while building (empty when sound).
     structural_findings: list[Finding] = field(default_factory=list)
     _reach: Optional[_EventReach] = field(default=None, repr=False)
+    #: Memoized event lists of :meth:`happens_before`, by ``(rank, tid)``.
+    _srcs: dict[tuple[int, int], list[int]] = field(
+        default_factory=dict, repr=False
+    )
+    _dsts: dict[tuple[int, int], list[int]] = field(
+        default_factory=dict, repr=False
+    )
 
     @property
     def n_ranks(self) -> int:
@@ -252,27 +259,45 @@ class ClusterTDG:
         matches, rendezvous stalls and remote dependences) the completion
         of an operation that b depends on.
         """
-        tdg = self.tdgs[rank]
-        if tdg.happens_before(a, b):
+        if self.tdgs[rank].happens_before(a, b):
             return True
-        if not self.ops:
-            return False
-        reach = self.events()
-        srcs: list[int] = []
-        for i in self.rank_ops[rank]:
-            tid = self.ops[i].tid
-            if tid == a:
-                srcs.append(_complete(i))
-            elif tdg.happens_before(a, tid):
-                srcs.append(_post(i))
+        srcs = self._sources(rank, a)
         if not srcs:
             return False
-        dsts = [
-            _complete(j)
-            for j in self.rank_ops[rank]
-            if self.ops[j].tid != b and tdg.happens_before(self.ops[j].tid, b)
-        ]
+        reach = self.events()
+        dsts = self._sinks(rank, b)
         return any(reach.reaches(s, d) for s in srcs for d in dsts)
+
+    def _sources(self, rank: int, a: int) -> list[int]:
+        """Events task ``a`` precedes: the completion of its own
+        operations and the post of every operation it happens-before."""
+        key = (rank, a)
+        srcs = self._srcs.get(key)
+        if srcs is None:
+            tdg = self.tdgs[rank]
+            srcs = []
+            for i in self.rank_ops[rank]:
+                tid = self.ops[i].tid
+                if tid == a:
+                    srcs.append(_complete(i))
+                elif tdg.happens_before(a, tid):
+                    srcs.append(_post(i))
+            self._srcs[key] = srcs
+        return srcs
+
+    def _sinks(self, rank: int, b: int) -> list[int]:
+        """Completions of the other operations that happen-before task ``b``."""
+        key = (rank, b)
+        dsts = self._dsts.get(key)
+        if dsts is None:
+            tdg = self.tdgs[rank]
+            dsts = [
+                _complete(j)
+                for j in self.rank_ops[rank]
+                if self.ops[j].tid != b and tdg.happens_before(self.ops[j].tid, b)
+            ]
+            self._dsts[key] = dsts
+        return dsts
 
     def ordered(self, rank: int, a: int, b: int) -> bool:
         return self.happens_before(rank, a, b) or self.happens_before(
@@ -287,14 +312,14 @@ def build_cluster_tdg(
     programs: Sequence[Program],
     opts: OptimizationSet | str = "abcp",
     *,
-    network: Optional[NetworkSpec] = None,
     costs: Optional[DiscoveryCosts] = None,
 ) -> ClusterTDG:
     """Statically discover every rank's TDG and match their comm ops.
 
     Mirrors what :class:`~repro.cluster.cluster.Cluster` would discover,
     but through :func:`~repro.verify.static_graph.discover_static` — zero
-    DES events.  Each rank's operations are its compiled comm rows.  A
+    DES events.  Each rank's operations are its compiled comm rows; the
+    eager/rendezvous threshold is :func:`~repro.mpi.network.bxi_like`'s.  A
     persistent artifact holds only the template iteration (replay repeats
     it verbatim), so when every rank runs persistent, matching happens on
     the template; the iteration structure must then agree across ranks,
@@ -303,8 +328,6 @@ def build_cluster_tdg(
     """
     if isinstance(opts, str):
         opts = OptimizationSet.parse(opts)
-    if network is None:
-        network = bxi_like()
     tdgs = [discover_static(p, opts, costs=costs) for p in programs]
 
     persistent = [t.compiled.persistent for t in tdgs]
@@ -315,7 +338,6 @@ def build_cluster_tdg(
         guards.append(
             Finding(
                 rule="V-MPI-UNMATCHED",
-                severity=Severity.ERROR,
                 message=(
                     f"ranks {mixed} run persistent (template-only TDGs) but "
                     "the others do not — per-iteration matching across "
@@ -331,7 +353,6 @@ def build_cluster_tdg(
             guards.append(
                 Finding(
                     rule="V-MPI-UNMATCHED",
-                    severity=Severity.ERROR,
                     message=(
                         f"iteration counts differ across ranks {iters}: "
                         "replayed templates post diverging operation "
@@ -342,7 +363,7 @@ def build_cluster_tdg(
                 )
             )
 
-    ctdg = ClusterTDG(tdgs=tdgs, network=network, structural_findings=guards)
+    ctdg = ClusterTDG(tdgs=tdgs, network=bxi_like(), structural_findings=guards)
     if guards:
         ctdg.rank_ops = [[] for _ in tdgs]
         return ctdg
@@ -436,7 +457,6 @@ def _check_unmatched(ctdg: ClusterTDG) -> list[Finding]:
         findings.append(
             Finding(
                 rule="V-MPI-UNMATCHED",
-                severity=Severity.ERROR,
                 message=msg,
                 tasks=(op.name,),
                 iteration=op.iteration,
@@ -458,7 +478,6 @@ def _check_unmatched(ctdg: ClusterTDG) -> list[Finding]:
         findings.append(
             Finding(
                 rule="V-MPI-UNMATCHED",
-                severity=Severity.ERROR,
                 message=(
                     f"{dropped} further unmatched operations not listed — "
                     "the channel layout (peers/tags) is systematically "
@@ -472,7 +491,6 @@ def _check_unmatched(ctdg: ClusterTDG) -> list[Finding]:
         findings.append(
             Finding(
                 rule="V-MPI-UNMATCHED",
-                severity=Severity.ERROR,
                 message=(
                     f"Iallreduce slot {slot} is joined by only "
                     f"{len(joined)}/{ctdg.n_ranks} ranks — ranks {missing} "
@@ -516,7 +534,6 @@ def _check_tagdup(ctdg: ClusterTDG) -> list[Finding]:
         findings.append(
             Finding(
                 rule="V-MPI-TAGDUP",
-                severity=Severity.WARNING,
                 message=(
                     f"{len(idxs)} {kind} rank {home} share channel "
                     f"(src {src}, dst {dst}, tag {tag}) and at least "
@@ -560,7 +577,6 @@ def _check_cycles(ctdg: ClusterTDG) -> list[Finding]:
         findings.append(
             Finding(
                 rule="V-MPI-CYCLE",
-                severity=Severity.ERROR,
                 message=(
                     f"static deadlock: {len(members)} operations across "
                     f"ranks {ranks} form a dependency cycle "

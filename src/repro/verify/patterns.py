@@ -33,7 +33,7 @@ from typing import Optional
 from repro.memory.machine import MachineSpec, skylake_8168
 from repro.runtime.costs import DiscoveryCosts
 from repro.verify.estimator import task_seconds
-from repro.verify.findings import Finding, Severity
+from repro.verify.findings import Finding
 from repro.verify.static_graph import StaticTDG
 
 #: A fan-in counts as a funnel from this many unique predecessors...
@@ -106,7 +106,6 @@ def _find_funnels(tdg: StaticTDG, *, rank: int) -> list[Finding]:
         findings.append(
             Finding(
                 rule="V-PAT-FUNNEL",
-                severity=Severity.WARNING,
                 message=(
                     f"task {c.name[t]!r} joins {m} predecessors "
                     f"(graph mean fan-in {mean_in:.1f}) — the producer pays "
@@ -182,7 +181,6 @@ def _find_producer_bound_loops(
         findings.append(
             Finding(
                 rule="V-PAT-PRODBOUND",
-                severity=Severity.WARNING,
                 message=(
                     f"loop {label!r}: {verb} its {len(tids)} tasks costs the "
                     f"producer {serial * 1e6:.1f} us serially, but they give "
@@ -267,7 +265,6 @@ def _find_staircases(
         findings.append(
             Finding(
                 rule="V-PAT-STAIRCASE",
-                severity=Severity.WARNING,
                 message=(
                     f"taskwait staircase: {shape} — the barriers serialize "
                     "execution regardless of discovery speed"

@@ -29,7 +29,7 @@ from repro.core.optimizations import OptimizationSet
 from repro.core.persistent import first_divergence
 from repro.core.program import Program
 from repro.runtime.costs import DiscoveryCosts
-from repro.verify.findings import Finding, Severity
+from repro.verify.findings import Finding
 
 
 def check_persistence(
@@ -59,7 +59,6 @@ def check_persistence(
             return [
                 Finding(
                     rule="V-PTSG-UNSAFE",
-                    severity=Severity.ERROR,
                     message=(
                         "program is marked persistent_candidate but "
                         f"iteration {it_index} diverges from the template: "
@@ -95,7 +94,6 @@ def check_persistence(
     return [
         Finding(
             rule="V-PTSG-MISSED",
-            severity=Severity.INFO,
             message=(
                 f"all {program.n_iterations} iterations are structurally "
                 "identical; the persistent task sub-graph (opt p) is sound "

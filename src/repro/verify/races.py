@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 from repro.core.program import TaskSpec
 from repro.core.task import AccessMode, DepMode
-from repro.verify.findings import Finding, Severity
+from repro.verify.findings import Finding
 from repro.verify.static_graph import StaticTDG
 
 #: Hard cap on reported races — beyond this the program needs structural
@@ -47,7 +47,6 @@ def scan_conflicts(
     ordered: Optional[Callable[[int, int], bool]] = None,
     xrank: bool = False,
     rank: int = -1,
-    max_findings: int = MAX_RACE_FINDINGS,
 ) -> list[Finding]:
     """The race scan, parameterized for single-program and cluster use.
 
@@ -93,7 +92,7 @@ def scan_conflicts(
                 ):
                     # Sanctioned concurrency: same inoutset group.
                     continue
-                if len(findings) >= max_findings:
+                if len(findings) >= MAX_RACE_FINDINGS:
                     truncated = True
                     break
                 writer, other = (a, b) if ma.writes else (b, a)
@@ -107,7 +106,6 @@ def scan_conflicts(
                 findings.append(
                     Finding(
                         rule=rule,
-                        severity=Severity.ERROR,
                         message=(
                             f"{kind} race on footprint chunk {cid}{where}: "
                             f"{names[writer]!r} (iteration {iteration[writer]}) "
@@ -133,9 +131,8 @@ def scan_conflicts(
         findings.append(
             Finding(
                 rule="V-RACE",
-                severity=Severity.ERROR,
                 message=(
-                    f"race reporting truncated after {max_findings} "
+                    f"race reporting truncated after {MAX_RACE_FINDINGS} "
                     "findings — the dependence structure needs a rework, "
                     "not a longer list"
                 ),

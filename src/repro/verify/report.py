@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import json
 
-from repro.verify.findings import Report, Severity
+from repro.verify.engine import Severity
+from repro.verify.findings import Report
 
 _BADGE = {
     Severity.ERROR: "error",
@@ -71,10 +72,10 @@ def render_text(report: Report) -> str:
     return "\n".join(lines)
 
 
-def render_json(report: Report, *, indent: int = 2) -> str:
+def render_json(report: Report) -> str:
     """JSON rendering of :meth:`Report.to_dict`.
 
     Deterministic: keys are sorted and findings use the report's full
     ordering, so two runs over the same program diff clean.
     """
-    return json.dumps(report.to_dict(), indent=indent, sort_keys=True)
+    return json.dumps(report.to_dict(), indent=2, sort_keys=True)

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import json
 
-from repro.verify.engine import RuleRegistry
-from repro.verify.findings import Finding, Report, Severity
+from repro.verify.engine import RuleRegistry, Severity
+from repro.verify.findings import Finding, Report
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"

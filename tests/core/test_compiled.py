@@ -246,18 +246,6 @@ class TestCompileProgram:
         assert default.key == scaled.key == bare.key
         assert default.to_bytes() == scaled.to_bytes() == bare.to_bytes()
 
-    def test_replay_costs_column(self):
-        costs = DiscoveryCosts()
-        c = compile_program(redirect_program(), ABCP)
-        rc = c.replay_costs(costs)
-        assert len(rc) == c.n_tasks
-        (stub,) = c.stub_tids
-        assert rc[stub] == 0.0
-        user = c.user_tids[0]
-        assert rc[user] == pytest.approx(
-            costs.c_replay + costs.c_fp_byte * c.fp_bytes[user]
-        )
-
     def test_round_trip_dict(self):
         c = compile_program(redirect_program(), ABCP, costs=DiscoveryCosts())
         back = CompiledTDG.from_bytes(c.to_bytes(), c.key)

@@ -1,31 +1,24 @@
-"""Rule engine: registry, per-run config, baselines, fingerprints, and
-the deterministic finding order the whole workflow keys on."""
+"""Rule engine: registry, registry-owned severities, baselines,
+fingerprints, and the deterministic finding order the whole workflow
+keys on."""
 
 import json
 
 import pytest
 
 from repro.verify import CLUSTER_PASSES, PASSES, REGISTRY
-from repro.verify.engine import (
-    Baseline,
-    Rule,
-    RuleConfig,
-    RuleRegistry,
-    apply_policy,
-)
+from repro.verify.engine import Baseline, Rule, RuleRegistry, Severity
 from repro.verify.findings import (
     REPORT_SCHEMA,
     REPORT_SCHEMA_VERSION,
     Finding,
     Report,
-    Severity,
 )
 
 
-def mk(rule="V-RACE", sev=Severity.ERROR, tasks=("a", "b"), rank=-1, **data):
+def mk(rule="V-RACE", tasks=("a", "b"), rank=-1, **data):
     return Finding(
         rule=rule,
-        severity=sev,
         message=f"{rule} on {'/'.join(tasks)}",
         tasks=tasks,
         rank=rank,
@@ -49,30 +42,26 @@ class TestRegistry:
         assert len(REGISTRY) == len(REGISTRY.ids())
 
     def test_by_family_and_catalogue(self):
-        mpi = {r.id for r in REGISTRY.by_family("mpi")}
+        mpi = {r.id for r in REGISTRY if r.family == "mpi"}
         assert mpi == {"V-MPI-UNMATCHED", "V-MPI-CYCLE", "V-MPI-TAGDUP"}
         cat = REGISTRY.catalogue()
         assert cat["V-MPI-CYCLE"].endswith("[error]")
 
 
-class TestRuleConfig:
-    def test_unknown_rule_rejected(self):
-        cfg = RuleConfig.from_dict({"disable": ["V-NOPE"]})
-        with pytest.raises(ValueError, match="V-NOPE"):
-            cfg.validate(REGISTRY)
+class TestFindingSeverity:
+    def test_unregistered_rule_raises(self):
+        with pytest.raises(ValueError, match="unregistered rule 'V-NOPE'"):
+            Finding(rule="V-NOPE", message="m")
 
-    def test_disable_and_override(self):
-        cfg = RuleConfig.from_dict(
-            {"disable": ["V-RACE"], "severity": {"V-DISC-BOUND": "error"}}
-        )
-        cfg.validate(REGISTRY)
-        fs = [
-            mk("V-RACE"),
-            mk("V-DISC-BOUND", Severity.WARNING, tasks=()),
-        ]
-        out = cfg.apply(fs)
-        assert [f.rule for f in out] == ["V-DISC-BOUND"]
-        assert out[0].severity == Severity.ERROR
+    def test_severity_is_the_registered_one(self):
+        for rule in REGISTRY:
+            f = Finding(rule=rule.id, message="m")
+            assert f.severity is rule.severity
+            assert f.to_dict()["severity"] == rule.severity.name.lower()
+
+    def test_severity_is_not_settable(self):
+        with pytest.raises(TypeError):
+            Finding(rule="V-RACE", severity=Severity.INFO, message="m")
 
 
 class TestFingerprint:
@@ -93,7 +82,7 @@ class TestFingerprint:
     def test_stable_value(self):
         # Pin one fingerprint: a change here is a baseline-breaking event
         # and must be released as such.
-        f = Finding(rule="V-RACE", severity=Severity.ERROR, message="m")
+        f = Finding(rule="V-RACE", message="m")
         assert f.fingerprint == f.fingerprint
         assert len(f.fingerprint) == 16
         assert json.dumps(f.to_dict())  # JSON-safe
@@ -101,7 +90,7 @@ class TestFingerprint:
 
 class TestBaseline:
     def test_roundtrip_and_apply(self, tmp_path):
-        rep = Report("p", findings=[mk(), mk("V-DUP-DEP", Severity.WARNING)])
+        rep = Report("p", findings=[mk(), mk("V-DUP-DEP")])
         bl = Baseline.from_report(rep)
         path = tmp_path / "b.json"
         bl.save(path)
@@ -113,8 +102,8 @@ class TestBaseline:
             "p",
             findings=[
                 mk(),
-                mk("V-DUP-DEP", Severity.WARNING),
-                mk("V-WAW-DEAD", Severity.WARNING, tasks=("w",)),
+                mk("V-DUP-DEP"),
+                mk("V-WAW-DEAD", tasks=("w",)),
             ],
         )
         assert loaded.apply(fresh) == 2
@@ -122,13 +111,6 @@ class TestBaseline:
         assert len(fresh.suppressed) == 2
         # Suppressed findings no longer gate the exit code.
         assert fresh.at_least(Severity.ERROR) == []
-
-    def test_unused_entries_reported(self):
-        rep = Report("p", findings=[mk()])
-        bl = Baseline.from_report(rep)
-        bl.entries["deadbeefdeadbeef"] = {"rule": "V-RACE"}
-        bl.apply(rep)
-        assert bl.unused(rep) == ["deadbeefdeadbeef"]
 
     def test_rewrite_keeps_suppressed(self):
         rep = Report("p", findings=[mk()])
@@ -144,20 +126,22 @@ class TestBaseline:
             Baseline.load(path)
 
     def test_apply_policy_composes(self):
-        rep = Report("p", findings=[mk(), mk("V-DUP-DEP", Severity.WARNING)])
+        # A baseline is the only policy: it suppresses what it matches and
+        # leaves every other finding at its rule's registered severity.
+        rep = Report("p", findings=[mk(), mk("V-DUP-DEP")])
         bl = Baseline.from_report(Report("p", findings=[mk()]))
-        cfg = RuleConfig.from_dict({"severity": {"V-DUP-DEP": "info"}})
-        apply_policy(rep, config=cfg, baseline=bl)
+        assert bl.apply(rep) == 1
         assert [f.rule for f in rep.findings] == ["V-DUP-DEP"]
-        assert rep.findings[0].severity == Severity.INFO
+        assert rep.findings[0].severity == Severity.WARNING
         assert [f.rule for f in rep.suppressed] == ["V-RACE"]
+        assert rep.worst == Severity.WARNING
 
 
 class TestReportDeterminism:
     def test_sorted_is_emission_order_independent(self):
         fs = [
             mk("V-RACE", tasks=("b", "c")),
-            mk("V-DUP-DEP", Severity.WARNING, tasks=("z",)),
+            mk("V-DUP-DEP", tasks=("z",)),
             mk("V-RACE", tasks=("a", "b"), rank=1),
             mk("V-RACE", tasks=("a", "b")),
         ]

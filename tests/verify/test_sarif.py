@@ -4,7 +4,7 @@ import json
 
 from repro.verify import REGISTRY
 from repro.verify.engine import Baseline
-from repro.verify.findings import Finding, Report, Severity
+from repro.verify.findings import Finding, Report
 from repro.verify.sarif import (
     FINGERPRINT_KEY,
     SARIF_VERSION,
@@ -19,13 +19,11 @@ def report_with_suppression():
         findings=[
             Finding(
                 rule="V-RACE",
-                severity=Severity.ERROR,
                 message="race",
                 tasks=("a", "b"),
             ),
             Finding(
                 rule="V-DISC-BOUND",
-                severity=Severity.WARNING,
                 message="bound",
                 hint="coarsen",
                 data={"n_tasks": 10},
@@ -78,8 +76,7 @@ class TestSarif:
             findings=[
                 Finding(
                     rule="V-PTSG-MISSED",
-                    severity=Severity.INFO,
-                    message="missed",
+                        message="missed",
                 )
             ],
         )

@@ -5,10 +5,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.calibration import scaled_mpc
+from repro.campaign.runner import build_programs
+from repro.campaign.spec import ExperimentSpec
 from repro.cli import main
 from repro.core.program import ProgramBuilder
 from repro.core.task import AccessMode
-from repro.verify import PASSES, RULES, Severity, verify_program
+from repro.verify import PASSES, REGISTRY, Severity, verify_program
 from repro.verify.report import render_json, render_text
 
 
@@ -28,19 +31,31 @@ class TestVerifyProgram:
         assert rep.worst == Severity.ERROR
         assert rep.summary["n_tasks"] == 2
 
-    def test_pass_selection(self):
-        rep = verify_program(racy_program(), passes=["lint"])
-        assert rep.by_rule("V-RACE") == []
-        assert "discovery_total" not in rep.summary
-        assert rep.summary["n_tasks"] == 2
-
-    def test_unknown_pass_rejected(self):
-        with pytest.raises(ValueError, match="unknown verify passes"):
-            verify_program(racy_program(), passes=["racez"])
-
     def test_rules_registry_covers_emitted_rules(self):
         rep = verify_program(racy_program())
-        assert {f.rule for f in rep} <= set(RULES)
+        assert {f.rule for f in rep} <= set(REGISTRY.catalogue())
+
+    def test_findings_report_registry_severity(self):
+        # One small program per app and opts regime, plus the seeded race:
+        # together they emit findings of all three severities.
+        programs = [(racy_program(), "abcp")]
+        for app, opts, params in (
+            ("lulesh", "abc", {"s": 8, "iterations": 2, "tpl": 8}),
+            ("hpcg", "ab", {"n_rows": 4096, "iterations": 2, "tpl": 8}),
+            ("cholesky", "abcp", {"n": 256, "b": 128}),
+        ):
+            spec = ExperimentSpec(
+                app=app, config=scaled_mpc(opts=opts), params=params
+            )
+            programs.append((build_programs(spec)[0], opts))
+        seen = set()
+        for program, opts in programs:
+            for f in verify_program(program, opts):
+                rule = REGISTRY.get(f.rule)
+                assert f.severity is rule.severity
+                assert f.to_dict()["severity"] == rule.severity.name.lower()
+                seen.add(f.severity)
+        assert seen == set(Severity)
 
     def test_renderers(self):
         rep = verify_program(racy_program())
@@ -154,5 +169,5 @@ class TestInfoListsVerify:
         assert main(["info"]) == 0
         out = capsys.readouterr().out
         assert "verify passes" in out
-        for rule in RULES:
+        for rule in REGISTRY.catalogue():
             assert rule in out
