@@ -66,59 +66,3 @@ def metg(
         else:
             out[name] = MetgResult(name, efficiency, None, None, best_total)
     return out
-
-
-def metg_from_db(
-    db,
-    *,
-    efficiency: float = 0.95,
-    campaign: Optional[str] = None,
-    param: str = "tpl",
-) -> dict[str, MetgResult]:
-    """Compute METG per runtime config from stored campaign runs.
-
-    ``db`` is a :class:`repro.db.CampaignDB`.  Each ``config_name`` in
-    the selected rows is one runtime under comparison (one
-    :func:`~repro.analysis.sweep.run_spec_sweep` per runtime); total
-    time and grain come straight from the ``runs`` columns
-    (``makespan``, ``work_total / n_tasks``) — the result documents are
-    never parsed.
-    """
-    import json as _json
-
-    if not 0 < efficiency <= 1:
-        raise ValueError(f"efficiency must be in (0, 1], got {efficiency}")
-    where, args = "", []
-    if campaign is not None:
-        where, args = "AND r.campaign = ? ", [campaign]
-    _, rows = db.query(
-        "SELECT s.config_name, s.params, r.makespan, "
-        "r.work_total * 1.0 / r.n_tasks AS grain "
-        "FROM runs r JOIN specs s ON s.key = r.key "
-        f"WHERE r.n_tasks > 0 {where}ORDER BY s.config_name, r.key",
-        args,
-    )
-    by_config: dict[str, list[tuple[float, float, int]]] = {}
-    for config_name, params_json, total, grain in rows:
-        params = _json.loads(params_json)
-        if param not in params:
-            continue
-        by_config.setdefault(config_name, []).append(
-            (total, grain, int(params[param]))
-        )
-    if not by_config:
-        raise ValueError("store holds no swept runs matching the filters")
-    best_total = min(t for pts in by_config.values() for t, _, _ in pts)
-    out: dict[str, MetgResult] = {}
-    for name in sorted(by_config):
-        qualifying = [
-            (total, grain, tpl)
-            for total, grain, tpl in by_config[name]
-            if total > 0 and best_total / total >= efficiency
-        ]
-        if qualifying:
-            total, grain, tpl = min(qualifying, key=lambda p: p[1])
-            out[name] = MetgResult(name, efficiency, grain, tpl, best_total)
-        else:
-            out[name] = MetgResult(name, efficiency, None, None, best_total)
-    return out

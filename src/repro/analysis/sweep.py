@@ -113,7 +113,6 @@ class Sweep:
         cls,
         db,
         *,
-        param: str = "tpl",
         campaign: Optional[str] = None,
         app: Optional[str] = None,
         config_name: Optional[str] = None,
@@ -124,9 +123,10 @@ class Sweep:
         ``db`` is a :class:`repro.db.CampaignDB` (or anything with its
         ``query``); SQL selects exactly the matching runs — instead of
         re-running the sweep — and each row's stored RunResult document
-        becomes one point.  Points are ordered by the swept parameter;
-        filters narrow multi-app or multi-config stores down to one
-        series.
+        becomes one point.  Points are ordered by their ``tpl`` app
+        parameter (runs without one are skipped); filters narrow
+        multi-app or multi-config stores down to one series.  METG over
+        a store is ``metg({name: Sweep.from_db(db, config_name=name)})``.
         """
         import json as _json
 
@@ -149,11 +149,11 @@ class Sweep:
         points = []
         for params_json, doc in rows:
             params = _json.loads(params_json)
-            if param not in params:
+            if "tpl" not in params:
                 continue
             points.append(
                 SweepPoint(
-                    tpl=int(params[param]),
+                    tpl=int(params["tpl"]),
                     result=RunResult.from_dict(_json.loads(doc)),
                 )
             )

@@ -349,7 +349,6 @@ def cmd_lint(args) -> int:
     from pathlib import Path
 
     from repro.verify import (
-        REGISTRY,
         Baseline,
         Severity,
         render_json,
@@ -394,7 +393,7 @@ def cmd_lint(args) -> int:
             file=sys.stderr,
         )
     if args.sarif:
-        Path(args.sarif).write_text(render_sarif(report, REGISTRY) + "\n")
+        Path(args.sarif).write_text(render_sarif(report) + "\n")
 
     print(render_json(report) if args.json else render_text(report))
     return 1 if report.at_least(threshold) else 0

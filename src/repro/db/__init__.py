@@ -2,8 +2,8 @@
 
 One WAL-journaled SQLite file per campaign holds specs, run results,
 streamed trace columns and discovery counters — the pyotter
-architecture (buffered batched writers in, read-only SQL out) adapted
-to this simulator's content-addressed campaign engine.  See
+architecture (transactional ``executemany`` writes in, read-only SQL
+out) adapted to this simulator's content-addressed campaign engine.  See
 :mod:`repro.db.schema` for the layout and its versioning policy.
 """
 
@@ -36,12 +36,9 @@ from repro.db.store import (
     write_metrics,
     write_trace,
 )
-from repro.db.writer import DEFAULT_BATCH, BufferedWriter
 
 __all__ = [
-    "BufferedWriter",
     "CampaignDB",
-    "DEFAULT_BATCH",
     "DbResultStore",
     "REPORTS",
     "SCHEMA_VERSION",

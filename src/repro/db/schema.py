@@ -9,9 +9,9 @@ wholesale.
 Design rules (they are what make stores diffable in CI):
 
 - **Single source of truth.**  :data:`TABLES` declares every table as
-  data; the ``CREATE TABLE`` statements, the insert statements of the
-  buffered writers and the ``repro info`` inventory are all generated
-  from it, so they can never drift apart.
+  data; the ``CREATE TABLE`` statements, the store's insert statements
+  and the ``repro info`` inventory are all generated from it, so they
+  can never drift apart.
 - **Deterministic row order.**  Every table is ``WITHOUT ROWID`` with an
   explicit primary key, so ``iterdump()`` emits rows in key order no
   matter which worker process inserted them first — two identical
@@ -267,8 +267,8 @@ def insert_sql(
     """Generated INSERT statement for ``table``.
 
     Covers every column unless ``columns`` names a subset (columns left
-    out take their default NULL — the streaming span writer uses this to
-    skip the annotation columns, which measurably cheapens each row).
+    out take their default NULL — ``write_trace`` uses this to skip the
+    span annotation columns, which measurably cheapens each row).
     """
     cols = columns_of(table) if columns is None else columns
     unknown = set(cols) - set(columns_of(table))

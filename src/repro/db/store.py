@@ -1,10 +1,11 @@
 """Campaign-scoped SQLite stores: results, traces, counters.
 
 :class:`CampaignDB` owns one store file and its two connections — a
-buffered **write** connection (WAL journal, ``executemany`` batches via
-:class:`~repro.db.writer.BufferedWriter`) and a lazily-opened
-**read-only** query connection — the pyotter ``otter/db`` split that
-lets analyses run against a store a campaign is still writing.
+**write** connection (WAL journal) and a lazily-opened **read-only**
+query connection — the pyotter ``otter/db`` split that lets analyses
+run against a store a campaign is still writing.  Every write is one
+transaction of plain ``executemany`` calls (:func:`_transaction`), so a
+failed write leaves the store as it was.
 
 :class:`DbResultStore` is the campaign result store built on it:
 ``get`` / ``put`` / ``put_error`` keyed by the spec's sha256, so
@@ -27,9 +28,10 @@ import hashlib
 import json
 import math
 import sqlite3
+from contextlib import contextmanager
 from itertools import count, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
 from repro.db.schema import (
     SCHEMA_VERSION,
@@ -40,7 +42,6 @@ from repro.db.schema import (
     insert_sql,
     stored_version,
 )
-from repro.db.writer import DEFAULT_BATCH, BufferedWriter
 from repro.util.serde import canonical_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -177,10 +178,6 @@ class CampaignDB:
         columns = [d[0] for d in cur.description] if cur.description else []
         return columns, cur.fetchall()
 
-    def writer(self, table: str, *, batch: int = DEFAULT_BATCH) -> BufferedWriter:
-        """A buffered batched writer for ``table`` on the write connection."""
-        return BufferedWriter(self.conn, table, batch=batch)
-
     def table_counts(self) -> dict[str, int]:
         """Row count per table (deterministic key order)."""
         from repro.db.schema import TABLES
@@ -201,6 +198,27 @@ class CampaignDB:
         ever stored (schema rule), so it is stable across re-runs.
         """
         return "\n".join(self.conn.iterdump())
+
+
+@contextmanager
+def _transaction(db: CampaignDB) -> Iterator[sqlite3.Connection]:
+    """One ``BEGIN IMMEDIATE … COMMIT`` on ``db``'s write connection.
+
+    Any exception rolls the whole transaction back.  A transaction that
+    is already open is joined, not nested, so a composite write (e.g.
+    :func:`store_profile`) commits once or not at all.
+    """
+    conn = db.conn
+    if conn.in_transaction:
+        yield conn
+        return
+    conn.execute("BEGIN IMMEDIATE")
+    try:
+        yield conn
+        conn.execute("COMMIT")
+    except BaseException:
+        conn.execute("ROLLBACK")
+        raise
 
 
 # ======================================================================
@@ -251,15 +269,11 @@ class DbResultStore:
 
     def get(self, spec: "ExperimentSpec") -> Optional["RunResult"]:
         """The stored result for ``spec``, or None on miss."""
-        return self.get_key(spec.key)
-
-    def get_key(self, key: str) -> Optional["RunResult"]:
-        """The stored result for a spec content key, or None."""
         from repro.runtime.result import RunResult
 
         try:
             row = self.db.read.execute(
-                "SELECT doc FROM runs WHERE key = ?", (key,)
+                "SELECT doc FROM runs WHERE key = ?", (spec.key,)
             ).fetchone()
         except SchemaError:
             return None
@@ -267,7 +281,7 @@ class DbResultStore:
             return None
         return RunResult.from_dict(json.loads(row[0]))
 
-    def put(self, spec: "ExperimentSpec", result: "RunResult") -> Path:
+    def put(self, spec: "ExperimentSpec", result: "RunResult") -> None:
         """Store spec + result rows in one transaction (the resume unit)."""
         extra = result.extra
         bounds = extra.get("bounds") or {}
@@ -302,23 +316,16 @@ class DbResultStore:
             bounds.get("makespan_upper"),
             canonical_json(result.to_dict()),
         )
-        conn = self.db.conn
-        conn.execute("BEGIN IMMEDIATE")
-        try:
+        with _transaction(self.db) as conn:
             conn.execute(insert_sql("specs", replace=True), spec_row)
             conn.execute(insert_sql("runs", replace=True), run_row)
             # A fresh success supersedes any stale failure record.
             conn.execute("DELETE FROM errors WHERE key = ?", (spec.key,))
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        return self.db.path
 
-    def put_error(self, spec: "ExperimentSpec", message: str) -> Path:
-        conn = self.db.conn
-        conn.execute(insert_sql("errors", replace=True), (spec.key, message))
-        return self.db.path
+    def put_error(self, spec: "ExperimentSpec", message: str) -> None:
+        self.db.conn.execute(
+            insert_sql("errors", replace=True), (spec.key, message)
+        )
 
     def get_error(self, spec: "ExperimentSpec") -> Optional[str]:
         try:
@@ -368,68 +375,52 @@ def open_store(locator: Union[str, Path], *, campaign: str = "") -> DbResultStor
 def delete_trace(db: CampaignDB, run: str) -> None:
     """Drop every trace row of ``run`` (spans/barriers/comms/counters)."""
     rid = run_id(run)
-    conn = db.conn
-    conn.execute("BEGIN IMMEDIATE")
-    try:
+    with _transaction(db) as conn:
         for table in ("spans", "barriers", "comms", "counters"):
             conn.execute(f"DELETE FROM {table} WHERE run = ?", (rid,))
-        conn.execute("COMMIT")
-    except BaseException:
-        conn.execute("ROLLBACK")
-        raise
 
 
 def write_trace(db: CampaignDB, run: str, recorder: "TraceRecorder") -> None:
     """Store a finished recording: spans, then barriers and comm records.
 
     Replaces every trace row ``run`` already has, its counters included
-    (write those after with :func:`write_counters`).  Only the recorded
-    span columns are written: ``slack``/``on_path`` stay NULL until
+    (write those after with :func:`write_counters`), in one transaction:
+    a failed write keeps the earlier recording.  Only the recorded span
+    columns are written: ``slack``/``on_path`` stay NULL until
     :func:`annotate_critical_path` stamps them through the ``(run, seq)``
     key, so ``spans`` needs no secondary index, and omitting them cuts
     the per-row insert cost by ~40%.
     """
-    delete_trace(db, run)
     rid = run_id(run)
-    conn = db.conn
-    conn.execute(insert_sql("trace_runs", replace=True), (rid, run))
-    # Defer WAL checkpoints until every table is written, so a recording
-    # costs one checkpoint rather than one per table commit.
-    conn.execute("PRAGMA wal_autocheckpoint=0")
-    try:
-        names = recorder.name_table()
-        spans = BufferedWriter(
-            conn, "spans", columns=columns_of("spans")[:10]
-        )
-        spans.extend(
+    names = recorder.name_table()
+    with _transaction(db) as conn:
+        delete_trace(db, run)
+        conn.execute(insert_sql("trace_runs", replace=True), (rid, run))
+        conn.executemany(
+            insert_sql("spans", columns=columns_of("spans")[:10]),
             zip(
                 repeat(rid), count(), recorder.span_tid,
                 map(names.__getitem__, recorder.span_name),
                 recorder.span_loop, recorder.span_iteration,
                 recorder.span_rank, recorder.span_worker,
                 recorder.span_start, recorder.span_end,
-            )
+            ),
         )
-        spans.flush()
-        barriers = BufferedWriter(conn, "barriers")
-        barriers.extend(
+        conn.executemany(
+            insert_sql("barriers"),
             zip(repeat(rid), count(), recorder.barrier_kind,
-                recorder.barrier_time)
+                recorder.barrier_time),
         )
-        barriers.flush()
-        comms = BufferedWriter(conn, "comms")
-        comms.extend(
-            (rid, i, rec.kind, rec.rank, rec.peer, rec.nbytes,
-             rec.post_time,
-             None if math.isnan(rec.complete_time) else rec.complete_time,
-             rec.iteration)
-            for i, rec in enumerate(recorder.comm_records)
+        conn.executemany(
+            insert_sql("comms"),
+            (
+                (rid, i, rec.kind, rec.rank, rec.peer, rec.nbytes,
+                 rec.post_time,
+                 None if math.isnan(rec.complete_time) else rec.complete_time,
+                 rec.iteration)
+                for i, rec in enumerate(recorder.comm_records)
+            ),
         )
-        comms.flush()
-    finally:
-        # Re-arm WAL autocheckpointing (SQLite default 1000 pages); the
-        # deferred checkpoint runs on the next commit or connection close.
-        conn.execute("PRAGMA wal_autocheckpoint=1000")
 
 
 def write_counters(db: CampaignDB, run: str, doc: dict) -> int:
@@ -437,20 +428,17 @@ def write_counters(db: CampaignDB, run: str, doc: dict) -> int:
 
     ``doc`` is a ``repro.obs.counters`` snapshot
     (:meth:`~repro.obs.counters.DiscoveryCounters.to_dict`); rows
-    ``run`` already has are replaced.  Returns the number of rows
-    written.
+    ``run`` already has are replaced in the same transaction.  Returns
+    the number of rows written.
     """
     rid = run_id(run)
-    conn = db.conn
-    conn.execute("DELETE FROM counters WHERE run = ?", (rid,))
-    conn.execute(insert_sql("trace_runs", replace=True), (rid, run))
     columns = columns_of("counters")[1:]
-    writer = BufferedWriter(conn, "counters")
-    writer.extend(
-        (rid, *(row[c] for c in columns)) for row in doc["per_iteration"]
-    )
-    writer.flush()
-    return writer.rows_written
+    rows = [(rid, *(row[c] for c in columns)) for row in doc["per_iteration"]]
+    with _transaction(db) as conn:
+        conn.execute("DELETE FROM counters WHERE run = ?", (rid,))
+        conn.execute(insert_sql("trace_runs", replace=True), (rid, run))
+        conn.executemany(insert_sql("counters"), rows)
+    return len(rows)
 
 
 def read_trace(db: CampaignDB, run: str) -> "TraceRecorder":
@@ -523,9 +511,7 @@ def annotate_critical_path(
     """
     rid = run_id(run)
     persistent = cp.persistent
-    conn = db.conn
-    conn.execute("BEGIN IMMEDIATE")
-    try:
+    with _transaction(db) as conn:
         seqs: dict[object, list[int]] = {}
         for seq, tid, iteration in conn.execute(
             "SELECT seq, tid, iteration FROM spans WHERE run = ? AND rank = ?",
@@ -544,10 +530,6 @@ def annotate_critical_path(
             _ANNOTATE_SQL,
             [(slack, on, rid, seq) for seq, (slack, on) in sorted(stamps.items())],
         )
-        conn.execute("COMMIT")
-    except BaseException:
-        conn.execute("ROLLBACK")
-        raise
     return len(stamps)
 
 
@@ -569,23 +551,22 @@ def write_metrics(
     re-running a campaign overwrites its snapshots instead of colliding.
     Returns the number of rows written.
     """
-    writer = BufferedWriter(db.conn, "metrics", replace=True)
-    for row in rows:
-        doc = row.get("doc")
-        writer.append(
-            (
-                campaign,
-                snapshot,
-                row["name"],
-                canonical_json(row.get("labels") or {}),
-                row["kind"],
-                row.get("help") or "",
-                float(row["value"]),
-                None if doc is None else canonical_json(doc),
-            )
+    values = [
+        (
+            campaign,
+            snapshot,
+            row["name"],
+            canonical_json(row.get("labels") or {}),
+            row["kind"],
+            row.get("help") or "",
+            float(row["value"]),
+            None if row.get("doc") is None else canonical_json(row["doc"]),
         )
-    writer.flush()
-    return writer.rows_written
+        for row in rows
+    ]
+    with _transaction(db) as conn:
+        conn.executemany(insert_sql("metrics", replace=True), values)
+    return len(values)
 
 
 def metrics_snapshots(
@@ -674,13 +655,17 @@ def store_profile(
 
     Writes the spec + result rows (so the run joins campaign queries),
     the recording and the discovery counters, and — when the engine
-    compiled a TDG — annotates spans with measured critical-path slack.
+    compiled a TDG — annotates spans with measured critical-path slack,
+    all in one transaction: a profile is stored whole or not at all.
     Returns the run key (the profiled spec's key).
     """
     run = report.spec.key
-    write_trace(db, run, report.recorder)
-    write_counters(db, run, report.counters)
-    if report.cp is not None:
-        annotate_critical_path(db, run, report.cp, rank=report.profiled_rank)
-    DbResultStore(db, campaign=campaign).put(report.spec, report.result)
+    with _transaction(db):
+        write_trace(db, run, report.recorder)
+        write_counters(db, run, report.counters)
+        if report.cp is not None:
+            annotate_critical_path(
+                db, run, report.cp, rank=report.profiled_rank
+            )
+        DbResultStore(db, campaign=campaign).put(report.spec, report.result)
     return run

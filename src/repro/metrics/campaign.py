@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 from repro.metrics.registry import MetricsRegistry
 
@@ -46,6 +46,9 @@ WALL_BUCKETS = (0.01, 0.1, 0.5, 1.0, 5.0, 15.0, 60.0, 300.0)
 #: Outcome label values of ``repro_campaign_runs_total``.
 EVENTS = ("started", "done", "cached", "retried", "failed")
 
+#: Settle timestamps the rolling throughput (and so the ETA) spans.
+SETTLE_WINDOW = 32
+
 
 class CampaignMetrics:
     """Bus observer turning campaign events into registry metrics.
@@ -54,15 +57,9 @@ class CampaignMetrics:
     ----------
     n_total:
         Specs submitted (the denominator of progress/ETA).
-    registry:
-        Attach the families to an existing registry (default: own one).
-    store:
-        A :class:`~repro.db.DbResultStore` or :class:`~repro.db.CampaignDB`
-        to persist deterministic snapshots into (the ``metrics`` table).
-    campaign:
-        Campaign id for persisted rows (defaults to the store's).
     snapshot_every:
-        Persist a snapshot every N settled runs (0: final snapshot only).
+        Persist a snapshot every N settled runs (0: final snapshot only);
+        snapshots persist only once :meth:`bind_store` names a store.
     clock:
         Injectable monotonic clock (tests freeze it).
     """
@@ -71,22 +68,16 @@ class CampaignMetrics:
         self,
         n_total: int,
         *,
-        registry: Optional[MetricsRegistry] = None,
-        store: "Optional[Union[DbResultStore, CampaignDB]]" = None,
-        campaign: Optional[str] = None,
         snapshot_every: int = 0,
-        window: int = 32,
         clock=time.monotonic,
     ) -> None:
         self.n_total = n_total
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self.snapshot_every = snapshot_every
         self._clock = clock
         self._t0 = clock()
         self.db: "Optional[CampaignDB]" = None
-        self.campaign = campaign or ""
-        if store is not None:
-            self.bind_store(store, campaign=campaign)
+        self.campaign = ""
 
         r = self.registry
         self._specs = r.gauge(
@@ -144,17 +135,13 @@ class CampaignMetrics:
         #: Labels of failed specs, in failure order (the live recap).
         self.failures: list[str] = []
         self.finished = False
-        self._settle_stamps: deque = deque(maxlen=max(2, window))
+        self._settle_stamps: deque = deque(maxlen=SETTLE_WINDOW)
 
     # -- store binding ---------------------------------------------------
-    def bind_store(self, store, *, campaign: Optional[str] = None) -> None:
-        """Persist snapshots into ``store`` (a DbResultStore or CampaignDB)."""
-        db = getattr(store, "db", store)
-        self.db = db
-        if campaign:
-            self.campaign = campaign
-        elif not self.campaign:
-            self.campaign = getattr(store, "campaign", "") or ""
+    def bind_store(self, store: "DbResultStore") -> None:
+        """Persist snapshots into ``store``'s file under its campaign id."""
+        self.db = store.db
+        self.campaign = store.campaign
 
     # -- derived views ----------------------------------------------------
     @property

@@ -24,6 +24,12 @@ from typing import Optional
 
 from repro.metrics.campaign import CampaignMetrics
 
+#: Progress-bar cells of the live status line.
+BAR_WIDTH = 30
+
+#: Minimum seconds between status-line redraws on a TTY (pipes: 2 s).
+REDRAW_INTERVAL = 0.1
+
 
 def _fmt_duration(seconds: float) -> str:
     """``63.2 -> "1:03"``, ``5025 -> "1:23:45"`` — coarse wall-clock."""
@@ -47,15 +53,11 @@ class LiveRenderer:
         *,
         live: bool = True,
         stream=None,
-        width: int = 30,
-        interval: float = 0.1,
         clock=time.monotonic,
     ) -> None:
         self.metrics = metrics
         self.live = live
         self.stream = stream if stream is not None else sys.stderr
-        self.width = width
-        self.interval = interval
         self._clock = clock
         self._last_draw: Optional[float] = None
         self._tty = bool(getattr(self.stream, "isatty", lambda: False)())
@@ -66,11 +68,11 @@ class LiveRenderer:
         m = self.metrics
         total = max(m.n_total, 1)
         frac = min(m.settled / total, 1.0)
-        fill = int(frac * self.width)
-        if 0 < fill < self.width:
-            bar = "=" * (fill - 1) + ">" + "-" * (self.width - fill)
+        fill = int(frac * BAR_WIDTH)
+        if 0 < fill < BAR_WIDTH:
+            bar = "=" * (fill - 1) + ">" + "-" * (BAR_WIDTH - fill)
         else:
-            bar = "=" * fill + "-" * (self.width - fill)
+            bar = "=" * fill + "-" * (BAR_WIDTH - fill)
         eta = m.eta()
         eta_text = _fmt_duration(eta) if eta is not None and not m.finished else "-:--"
         parts = [
@@ -89,7 +91,7 @@ class LiveRenderer:
         now = self._clock()
         if not force and self._last_draw is not None:
             # Pipes throttle harder: one line per ~2s beats 1000 lines of log.
-            min_gap = self.interval if self._tty else max(self.interval, 2.0)
+            min_gap = REDRAW_INTERVAL if self._tty else 2.0
             if now - self._last_draw < min_gap:
                 return
         self._last_draw = now

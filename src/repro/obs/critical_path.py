@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.core.graph_stats import shape_from_csr
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.compiled import CompiledTDG
     from repro.obs.recorder import TraceRecorder
@@ -203,7 +201,7 @@ def measured_critical_path(
     offsets, targets = compiled.succ_offsets, compiled.succ_targets
     order = compiled.topo_order
     weights = [f / flops_per_core for f in compiled.flops]
-    static_shape = shape_from_csr(offsets, targets, weights, order)
+    static_t_inf = _longest_path(offsets, targets, weights, order)[0]
     durations = recorder.durations(rank=rank)
 
     if compiled.persistent:
@@ -238,7 +236,7 @@ def measured_critical_path(
         )
         total += length
 
-    static_total = static_shape.critical_path_weight * max(1, len(iterations))
+    static_total = static_t_inf * max(1, len(iterations))
 
     # Aggregate on-path seconds by loop and by name.
     by_loop: dict[int, float] = {}
@@ -270,75 +268,4 @@ def measured_critical_path(
         by_name=rank_desc(by_name),
         n_path_tasks=n_path,
         n_tasks=len(durations),
-    )
-
-
-# ======================================================================
-# from the store
-# ======================================================================
-@dataclass(frozen=True)
-class CriticalPathSummary:
-    """Critical-path aggregates rebuilt by SQL from annotated spans.
-
-    A store holding a run written by :func:`repro.db.store_profile` has
-    per-span ``slack``/``on_path`` columns; the path aggregates of
-    :class:`CriticalPathResult` (length, by_loop, by_name, path-task
-    counts) are then pure SQL — no recompilation, no re-simulation, no
-    trace re-parse.  The per-iteration path chains stay in the full
-    in-memory analysis.
-    """
-
-    run: str
-    #: Measured critical-path seconds (sum of on-path span durations).
-    length: float
-    #: Seconds on the measured path per loop id, descending.
-    by_loop: list[tuple[int, float]]
-    #: Seconds on the measured path per task name, descending.
-    by_name: list[tuple[str, float]]
-    n_path_tasks: int
-    #: Spans the analysis measured (annotated spans in the store).
-    n_tasks: int
-
-
-def critical_path_from_db(db, run: Optional[str] = None) -> CriticalPathSummary:
-    """Rebuild the path aggregates of a stored run with SQL.
-
-    ``db`` is a :class:`repro.db.CampaignDB`; ``run`` defaults to the
-    store's single annotated run (ambiguity raises).  Ranking matches
-    :func:`measured_critical_path` exactly: seconds descending, loop id /
-    task name ascending as the tiebreak, zero-duration path tasks
-    excluded.
-    """
-    from repro.db.queries import _default_run
-    from repro.db.store import run_id
-
-    if run is None:
-        run = _default_run(db, annotated=True)
-    rid = run_id(run)
-    on_path = (
-        "FROM spans WHERE run = ? AND on_path = 1 AND t_end > t_start "
-    )
-    _, loops = db.query(
-        "SELECT loop, SUM(t_end - t_start) AS seconds " + on_path +
-        "GROUP BY loop ORDER BY seconds DESC, loop ASC", (rid,)
-    )
-    _, names = db.query(
-        "SELECT name, SUM(t_end - t_start) AS seconds " + on_path +
-        "GROUP BY name ORDER BY seconds DESC, name ASC", (rid,)
-    )
-    _, totals = db.query(
-        "SELECT COALESCE(SUM(t_end - t_start), 0.0), COUNT(*) " + on_path,
-        (rid,),
-    )
-    _, measured = db.query(
-        "SELECT COUNT(*) FROM spans WHERE run = ? AND slack IS NOT NULL",
-        (rid,),
-    )
-    return CriticalPathSummary(
-        run=run,
-        length=totals[0][0],
-        by_loop=[(int(l), s) for l, s in loops],
-        by_name=[(n, s) for n, s in names],
-        n_path_tasks=int(totals[0][1]),
-        n_tasks=int(measured[0][0]),
     )

@@ -4,8 +4,9 @@ SARIF (Static Analysis Results Interchange Format, OASIS standard) is
 what code-scanning UIs ingest; exporting it lets the CI lint gate upload
 findings as a reviewable artifact.  The mapping:
 
-- the :class:`~repro.verify.engine.RuleRegistry` becomes
-  ``tool.driver.rules`` (ids, descriptions, default levels);
+- the rule registry (:data:`~repro.verify.engine.REGISTRY`, the one
+  source of each finding's severity) becomes ``tool.driver.rules``
+  (ids, descriptions, default levels);
 - each :class:`~repro.verify.findings.Finding` becomes a ``result`` with
   the finding's :attr:`~repro.verify.findings.Finding.fingerprint` under
   ``partialFingerprints`` — the same stable hash the baseline workflow
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import json
 
-from repro.verify.engine import RuleRegistry, Severity
+from repro.verify.engine import REGISTRY, Severity
 from repro.verify.findings import Finding, Report
 
 SARIF_VERSION = "2.1.0"
@@ -66,11 +67,11 @@ def _result(
     return result
 
 
-def to_sarif(report: Report, registry: RuleRegistry) -> dict:
+def to_sarif(report: Report) -> dict:
     """The report as a SARIF 2.1.0 log (one run)."""
     rules = []
     rule_index: dict[str, int] = {}
-    for rule in registry:
+    for rule in REGISTRY:
         rule_index[rule.id] = len(rules)
         entry: dict = {
             "id": rule.id,
@@ -113,5 +114,5 @@ def to_sarif(report: Report, registry: RuleRegistry) -> dict:
     }
 
 
-def render_sarif(report: Report, registry: RuleRegistry) -> str:
-    return json.dumps(to_sarif(report, registry), indent=2, sort_keys=True)
+def render_sarif(report: Report) -> str:
+    return json.dumps(to_sarif(report), indent=2, sort_keys=True)

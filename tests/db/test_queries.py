@@ -1,4 +1,4 @@
-"""Canned reports and the from_db analysis constructors vs in-memory."""
+"""Canned reports and ``Sweep.from_db`` vs the in-memory analyses."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from repro.analysis.metg import metg, metg_from_db
+from repro.analysis.metg import metg
 from repro.analysis.sweep import Sweep, run_spec_sweep
 from repro.campaign.engine import run_campaign
 from repro.campaign.spec import ExperimentSpec
@@ -19,7 +19,6 @@ from repro.db import (
     top_critical_tasks,
 )
 from repro.memory.machine import tiny_test_machine
-from repro.obs.critical_path import critical_path_from_db
 from repro.obs.profile import profile_spec
 from repro.runtime import presets
 
@@ -80,21 +79,6 @@ class TestSlackByLoop:
                 assert r[i_min] == pytest.approx(0.0, abs=1e-9)
 
 
-class TestCriticalPathFromDb:
-    def test_matches_report(self, profiled_store):
-        path, report = profiled_store
-        with CampaignDB(path) as db:
-            summary = critical_path_from_db(db)
-            _, keys = db.query(
-                "SELECT key FROM trace_runs "
-                "WHERE id IN (SELECT DISTINCT run FROM spans)")
-        assert summary.run == keys[0][0]
-        assert summary.length == pytest.approx(report.cp.length, rel=REL_TOL)
-        assert [n for n, _ in summary.by_name] == \
-            [n for n, _ in report.cp.by_name]
-        assert summary.n_path_tasks == report.cp.n_path_tasks
-
-
 class TestDiscoveryRegressions:
     def test_joins_matching_specs_across_campaigns(self, tmp_path):
         base = [SPEC.with_params(tpl=t) for t in (4, 8)]
@@ -132,11 +116,10 @@ class TestAnalysisFromDb:
         sweep = run_spec_sweep(SPEC, tpls, store=str(path))
         with CampaignDB(path) as db:
             from_db = Sweep.from_db(db)
-            db_metg = metg_from_db(db)
         assert [p.tpl for p in from_db.points] == [p.tpl for p in sweep.points]
         for a, b in zip(from_db.points, sweep.points):
             assert a.total == b.total and a.discovery == b.discovery
         mem = metg({"mpc-omp": sweep})["mpc-omp"]
-        got = db_metg["mpc-omp"]
+        got = metg({"mpc-omp": from_db})["mpc-omp"]
         assert (got.metg, got.tpl, got.best_total) == \
             (mem.metg, mem.tpl, mem.best_total)

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.db import CampaignDB, read_metrics
+from repro.db import CampaignDB, DbResultStore, read_metrics
 from repro.db.store import metrics_snapshots
 from repro.metrics.campaign import EVENTS, CampaignMetrics
 
@@ -32,9 +32,15 @@ def result(makespan: float = 0.5):
     return SimpleNamespace(makespan=makespan)
 
 
-def metrics(n_total: int = 4, **kw) -> tuple[CampaignMetrics, FakeClock]:
+def metrics(
+    n_total: int = 4, *, db=None, **kw
+) -> tuple[CampaignMetrics, FakeClock]:
+    """A metrics observer on a frozen clock, bound to ``db`` as campaign c1."""
     clock = FakeClock()
-    return CampaignMetrics(n_total, clock=clock, **kw), clock
+    m = CampaignMetrics(n_total, clock=clock, **kw)
+    if db is not None:
+        m.bind_store(DbResultStore(db, campaign="c1"))
+    return m, clock
 
 
 class TestEventCounting:
@@ -139,22 +145,21 @@ class TestPersistence:
 
     def test_snapshot_every_n_settled_runs(self, tmp_path):
         with CampaignDB(tmp_path / "m.sqlite") as db:
-            m, _ = metrics(n_total=4, store=db, campaign="c1",
-                           snapshot_every=2)
+            m, _ = metrics(n_total=4, db=db, snapshot_every=2)
             self._drive(m, 4)
             m.on_campaign_done(SimpleNamespace())
             assert metrics_snapshots(db) == [("c1", 2), ("c1", 4)]
 
     def test_final_snapshot_without_snapshot_every(self, tmp_path):
         with CampaignDB(tmp_path / "m.sqlite") as db:
-            m, _ = metrics(n_total=2, store=db, campaign="c1")
+            m, _ = metrics(n_total=2, db=db)
             self._drive(m, 2)
             m.on_campaign_done(SimpleNamespace())
             assert metrics_snapshots(db) == [("c1", 2)]
 
     def test_persisted_rows_round_trip(self, tmp_path):
         with CampaignDB(tmp_path / "m.sqlite") as db:
-            m, _ = metrics(n_total=2, store=db, campaign="c1")
+            m, _ = metrics(n_total=2, db=db)
             self._drive(m, 2)
             m.on_campaign_done(SimpleNamespace())
             rows = read_metrics(db, campaign="c1")
@@ -171,8 +176,7 @@ class TestPersistence:
         dumps = []
         for name in ("a", "b"):
             with CampaignDB(tmp_path / f"{name}.sqlite") as db:
-                m, clock = metrics(n_total=3, store=db, campaign="c1",
-                                   snapshot_every=1)
+                m, clock = metrics(n_total=3, db=db, snapshot_every=1)
                 for i in range(3):
                     m.on_run_start(i, spec(f"s{i}"), 1)
                     # wall clock differs per "machine"; rows must not
@@ -183,8 +187,6 @@ class TestPersistence:
         assert dumps[0] == dumps[1]
 
     def test_bind_store_takes_store_campaign(self, tmp_path):
-        from repro.db import DbResultStore
-
         store = DbResultStore(tmp_path / "m.sqlite", campaign="from-store")
         m, _ = metrics(n_total=1)
         m.bind_store(store)

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 from repro.campaign.bus import CampaignBus
 from repro.metrics.campaign import CampaignMetrics
-from repro.metrics.live import LiveRenderer, _fmt_duration
+from repro.metrics.live import BAR_WIDTH, LiveRenderer, _fmt_duration
 
 
 class FakeClock:
@@ -79,7 +79,7 @@ class TestStatusLine:
         m.on_run_start(0, spec(), 1)
         clock.tick(1.0)
         m.on_run_done(0, spec(), result(), wall=1.0)
-        assert "=" * r.width in r.status_line()
+        assert "=" * BAR_WIDTH in r.status_line()
 
 
 class TestRendering:

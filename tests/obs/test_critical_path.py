@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import ProgramBuilder
 from repro.core.compiled import compile_program
-from repro.core.graph_stats import topological_order
+from repro.core.graph_stats import shape_from_csr, topological_order
 from repro.core.optimizations import OptimizationSet
 from repro.memory import tiny_test_machine
 from repro.obs import TraceRecorder, measured_critical_path
@@ -118,6 +118,19 @@ class TestMeasuredCriticalPath:
         # Descending by seconds.
         secs = [s for _, s in cp.by_name]
         assert secs == sorted(secs, reverse=True)
+
+    @pytest.mark.parametrize("opts", ["", "abc", "abcp"])
+    def test_static_t_inf_is_the_shape_critical_path(self, opts):
+        # Same max-plus recurrence over the static weights: bitwise equal.
+        compiled, cp = profile(OptimizationSet.parse(opts))
+        flops_per_core = tiny_test_machine(4).flops_per_core
+        shape = shape_from_csr(
+            compiled.succ_offsets, compiled.succ_targets,
+            [f / flops_per_core for f in compiled.flops], compiled.topo_order,
+        )
+        assert cp.static_t_inf == (
+            shape.critical_path_weight * len(cp.iterations)
+        )
 
     def test_check_rejects_tampering(self):
         _, cp = profile(OptimizationSet.none())

@@ -38,7 +38,7 @@ def report_with_suppression():
 
 class TestSarif:
     def test_log_structure(self):
-        log = to_sarif(report_with_suppression(), REGISTRY)
+        log = to_sarif(report_with_suppression())
         assert log["version"] == SARIF_VERSION
         (run,) = log["runs"]
         driver = run["tool"]["driver"]
@@ -47,14 +47,14 @@ class TestSarif:
         assert run["properties"]["ranks"] == 2
 
     def test_results_reference_rules_by_index(self):
-        log = to_sarif(report_with_suppression(), REGISTRY)
+        log = to_sarif(report_with_suppression())
         (run,) = log["runs"]
         rules = run["tool"]["driver"]["rules"]
         for res in run["results"]:
             assert rules[res["ruleIndex"]]["id"] == res["ruleId"]
 
     def test_levels_and_fingerprints(self):
-        log = to_sarif(report_with_suppression(), REGISTRY)
+        log = to_sarif(report_with_suppression())
         (run,) = log["runs"]
         by_rule = {r["ruleId"]: r for r in run["results"]}
         assert by_rule["V-RACE"]["level"] == "error"
@@ -63,7 +63,7 @@ class TestSarif:
             assert FINGERPRINT_KEY in res["partialFingerprints"]
 
     def test_baselined_results_carry_suppressions(self):
-        log = to_sarif(report_with_suppression(), REGISTRY)
+        log = to_sarif(report_with_suppression())
         (run,) = log["runs"]
         by_rule = {r["ruleId"]: r for r in run["results"]}
         (sup,) = by_rule["V-RACE"]["suppressions"]
@@ -80,12 +80,12 @@ class TestSarif:
                 )
             ],
         )
-        (run,) = to_sarif(rep, REGISTRY)["runs"]
+        (run,) = to_sarif(rep)["runs"]
         assert run["results"][0]["level"] == "note"
 
     def test_render_is_deterministic_json(self):
         rep = report_with_suppression()
-        a = render_sarif(rep, REGISTRY)
-        b = render_sarif(rep, REGISTRY)
+        a = render_sarif(rep)
+        b = render_sarif(rep)
         assert a == b
         json.loads(a)
