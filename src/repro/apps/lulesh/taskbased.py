@@ -55,6 +55,14 @@ def build_task_program(
         Mark the element-centric loops ``device=True`` for the §7
         accelerator-offloading extension (requires a configured
         :class:`~repro.accel.AcceleratorSpec` on the runtime).
+
+    Each loop's reads and writes become an access plan once per loop.
+    Each ``(array, group, block, mode)`` access is expanded into depend
+    items and a footprint entry once per call, memoized, and every spec
+    that names it shares those immutable tuples, compute and comm tasks
+    alike.  Addresses and chunk ids are interned in order of first use,
+    so the ids, and with them every structural key, are fixed by the
+    order in which the walk first names each location.
     """
     addr = _Interner()
     chunk = _Interner()
@@ -69,80 +77,101 @@ def build_task_program(
     # readers) — the m*n explosion optimization (c) collapses.
     n_super = max(1, tpl // 8)
 
-    def dep_block(array: str, group: str, block: int) -> int:
-        if array == "nodes" and group == "force":
-            return block * n_super // tpl
-        return block
+    # A key misses its memo exactly where the walk first names it, so the
+    # interners hand out the ids an expansion per spec would.
+    dep_memo: dict[tuple[str, str, int, DepMode], tuple[Dep, ...]] = {}
+    fp_memo: dict[tuple[str, str, int, AccessMode], FootprintAccess] = {}
 
-    # ------------------------------------------------------------------
-    def dep_addrs(array: str, group: str, block: int, mode: DepMode) -> list[Dep]:
-        """Expand one (array, group, block) access into depend items.
+    def dep_items(array: str, group: str, block: int, mode: DepMode) -> tuple[Dep, ...]:
+        """The depend items of one (array, group, block) access.
 
         Without optimization (a) the node-centric accesses name one address
         per *field* (x, y, z separately — the Fig. 3 pattern found in the
         Ferat et al. port); element-centric accesses were already merged in
         that port, so they stay one address per group.
         """
-        block = dep_block(array, group, block)
-        if opt_a or array != "nodes":
-            return [(addr((array, group, block)), mode)]
-        nf = _group_fields(array, group)
-        return [(addr((array, group, block, f)), mode) for f in range(nf)]
+        key = (array, group, block, mode)
+        items = dep_memo.get(key)
+        if items is None:
+            if array == "nodes" and group == "force":
+                block = block * n_super // tpl
+            if opt_a or array != "nodes":
+                items = ((addr((array, group, block)), mode),)
+            else:
+                items = tuple(
+                    (addr((array, group, block, f)), mode)
+                    for f in range(_group_fields(array, group))
+                )
+            dep_memo[key] = items
+        return items
 
-    def block_chunk(
+    def footprint_entry(
         array: str, group: str, block: int, mode: AccessMode
     ) -> FootprintAccess:
-        return (
-            chunk((array, group, block)),
-            cfg.group_block_bytes(array, group),
-            mode,
-        )
-
-    def neighborhood(block: int) -> range:
-        return range(max(0, block - 1), min(tpl, block + 2))
+        key = (array, group, block, mode)
+        entry = fp_memo.get(key)
+        if entry is None:
+            entry = fp_memo[key] = (
+                chunk((array, group, block)),
+                cfg.group_block_bytes(array, group),
+                mode,
+            )
+        return entry
 
     dt_addr = addr("dt")
+    dt_in: Dep = (dt_addr, DepMode.IN)
     n_nodes, n_elems = cfg.n_nodes, cfg.n_elems
 
     # ------------------------------------------------------------------
+    def access_plan(loop: LoopDef) -> list[tuple[str, str, bool, DepMode, AccessMode]]:
+        """``(array, group, gathers, depend mode, access mode)`` per access,
+        in clause order; ``gathers`` accesses span the +-1 block
+        neighborhood, the others the task's own block."""
+        plan = [
+            (array, group, array[0] != loop.over[0], DepMode.IN, AccessMode.READ)
+            for array, group in loop.reads
+        ]
+        if loop.ioset:
+            # Scatter-accumulation: each writer read-modify-writes its
+            # neighborhood blocks, concurrently with its inoutset peers.
+            plan += [
+                (array, group, True, DepMode.INOUTSET, AccessMode.READWRITE)
+                for array, group in loop.writes
+            ]
+        else:
+            plan += [
+                (array, group, False, DepMode.OUT, AccessMode.WRITE)
+                for array, group in loop.writes
+            ]
+        return plan
+
     def loop_tasks(loop_idx: int, loop: LoopDef) -> None:
         items = n_nodes if loop.over == "nodes" else n_elems
         flops = cfg.flops_per_item * loop.flops_scale * items / tpl
+        device = offload and loop.over == "elems"
+        plan = access_plan(loop)
         for i in range(tpl):
-            deps: list[Dep] = [(dt_addr, DepMode.IN)]
+            own = (i,)
+            near = range(max(0, i - 1), min(tpl, i + 2))
+            deps: list[Dep] = [dt_in]
             fp: list[FootprintAccess] = []
-            for array, group in loop.reads:
-                blocks = [i] if array[0] == loop.over[0] else neighborhood(i)
-                for b in blocks:
-                    deps.extend(dep_addrs(array, group, b, DepMode.IN))
-                    fp.append(block_chunk(array, group, b, AccessMode.READ))
-            if loop.ioset:
-                # Scatter-accumulation: each writer read-modify-writes its
-                # neighborhood blocks, concurrently with its inoutset peers.
-                for array, group in loop.writes:
-                    for b in neighborhood(i):
-                        deps.extend(dep_addrs(array, group, b, DepMode.INOUTSET))
-                        fp.append(
-                            block_chunk(array, group, b, AccessMode.READWRITE)
-                        )
-            else:
-                for array, group in loop.writes:
-                    deps.extend(dep_addrs(array, group, i, DepMode.OUT))
-                    fp.append(block_chunk(array, group, i, AccessMode.WRITE))
+            for array, group, gathers, dep_mode, mode in plan:
+                for b in near if gathers else own:
+                    deps.extend(dep_items(array, group, b, dep_mode))
+                    fp.append(footprint_entry(array, group, b, mode))
             if loop.dt_partial:
                 deps.append((addr(("dtred", loop.name, i)), DepMode.OUT))
             # Superblock mapping can repeat an item within one clause list;
             # real clauses name each location once.
-            deps = list(dict.fromkeys(deps))
             specs.append(
                 TaskSpec(
                     name=f"{loop.name}[{i}]",
-                    depends=tuple(deps),
+                    depends=tuple(dict.fromkeys(deps)),
                     flops=flops,
                     footprint=tuple(fp),
                     fp_bytes=48,
                     loop_id=loop_idx,
-                    device=offload and loop.over == "elems",
+                    device=device,
                 )
             )
 
@@ -191,15 +220,14 @@ def build_task_program(
                     priority=True,
                 )
             )
-            pack_deps: list[Dep] = list(dep_addrs("nodes", "force", boundary, DepMode.IN))
-            pack_deps.append((sbuf, DepMode.OUT))
             specs.append(
                 TaskSpec(
                     name=f"Pack[{nb.rank}]",
-                    depends=tuple(pack_deps),
+                    depends=dep_items("nodes", "force", boundary, DepMode.IN)
+                    + ((sbuf, DepMode.OUT),),
                     flops=nbytes / 8.0,
                     footprint=(
-                        block_chunk("nodes", "force", boundary, AccessMode.READ),
+                        footprint_entry("nodes", "force", boundary, AccessMode.READ),
                         (chunk(("sbuf", nb.rank)), nbytes, AccessMode.WRITE),
                     ),
                     fp_bytes=32,
@@ -220,15 +248,14 @@ def build_task_program(
                     priority=True,
                 )
             )
-            unpack_deps: list[Dep] = [(rbuf, DepMode.IN)]
-            unpack_deps.extend(dep_addrs("nodes", "force", boundary, DepMode.INOUT))
             specs.append(
                 TaskSpec(
                     name=f"Unpack[{nb.rank}]",
-                    depends=tuple(unpack_deps),
+                    depends=((rbuf, DepMode.IN),)
+                    + dep_items("nodes", "force", boundary, DepMode.INOUT),
                     flops=nbytes / 8.0,
                     footprint=(
-                        block_chunk(
+                        footprint_entry(
                             "nodes", "force", boundary, AccessMode.READWRITE
                         ),
                         (chunk(("rbuf", nb.rank)), nbytes, AccessMode.READ),

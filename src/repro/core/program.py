@@ -188,8 +188,9 @@ class Program:
 
     @property
     def n_tasks(self) -> int:
-        """Total tasks submitted over all iterations."""
-        return sum(len(it) for it in self.iterations)
+        """Total tasks submitted over all iterations (a ``taskwait``
+        marker creates no task, so it is not counted)."""
+        return sum(not s.barrier for it in self.iterations for s in it.tasks)
 
     def specs(self) -> Iterator[tuple[int, TaskSpec]]:
         """Yield ``(iteration index, spec)`` in global submission order."""

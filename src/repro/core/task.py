@@ -64,7 +64,8 @@ def split_footprint(
 
     Accepts a mix of bare ``(chunk, bytes)`` entries and annotated
     ``(chunk, bytes, mode)`` entries; bare entries default to
-    :attr:`AccessMode.READWRITE`.  The 2-tuple view feeds the memory
+    :attr:`AccessMode.READWRITE`, and plain int modes are converted (an
+    invalid one raises ``ValueError``).  The 2-tuple view feeds the memory
     hierarchy unchanged; the mode tuple feeds the static analyses.
     """
     chunks: list[FootprintChunk] = []
@@ -75,7 +76,8 @@ def split_footprint(
             mode = AccessMode.READWRITE
         else:
             cid, nbytes, mode = entry  # type: ignore[misc]
-            mode = AccessMode(mode)
+            if type(mode) is not AccessMode:
+                mode = AccessMode(mode)
         chunks.append((cid, nbytes))
         modes.append(mode)
     return tuple(chunks), tuple(modes)

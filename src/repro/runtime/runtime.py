@@ -332,7 +332,9 @@ class TaskRuntime:
         if self._started:
             raise RuntimeError("start() called twice")
         self._started = True
-        if self.program.n_tasks == 0:
+        # A program of taskwait markers alone still walks them (and emits
+        # their barrier hooks); only one without any spec is done at once.
+        if not any(it.tasks for it in self._iterations):
             self._producer_state = "done"
             return
         self._schedule_producer()

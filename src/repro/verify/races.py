@@ -27,18 +27,13 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.core.program import TaskSpec
-from repro.core.task import AccessMode, DepMode
+from repro.core.task import DepMode
 from repro.verify.findings import Finding
 from repro.verify.static_graph import StaticTDG
 
 #: Hard cap on reported races — beyond this the program needs structural
 #: fixes, not a longer list.
 MAX_RACE_FINDINGS = 50
-
-
-def _inoutset_addrs(spec: TaskSpec) -> frozenset[int]:
-    return frozenset(a for a, m in spec.depends if m == DepMode.INOUTSET)
 
 
 def scan_conflicts(
@@ -61,42 +56,44 @@ def scan_conflicts(
     c = tdg.compiled
     names, iteration, comm_kind = c.name, c.iteration, c.comm_kind
 
-    # chunk id -> list of (tid, spec, access mode)
-    accesses: dict[int, list[tuple[int, TaskSpec, AccessMode]]] = {}
+    # chunk id -> list of (tid, whether the access writes); tid -> the
+    # task's inoutset addresses.  Built once: the pair loop reads both
+    # for every pair.
+    accesses: dict[int, list[tuple[int, bool]]] = {}
+    inoutset: dict[int, frozenset[int]] = {}
     for tid, spec in enumerate(tdg.specs):
         if spec is None:
             continue
+        inoutset[tid] = frozenset(
+            a for a, m in spec.depends if m == DepMode.INOUTSET
+        )
         for cid, _nbytes, mode in spec.accesses():
-            accesses.setdefault(cid, []).append((tid, spec, mode))
+            accesses.setdefault(cid, []).append((tid, mode.writes))
 
     findings: list[Finding] = []
     truncated = False
     for cid in sorted(accesses):
         accs = accesses[cid]
-        if not any(m.writes for _, _, m in accs):
+        if not any(w for _, w in accs):
             continue
         for i in range(len(accs)):
-            a, sa, ma = accs[i]
+            a, wa = accs[i]
             for j in range(i + 1, len(accs)):
-                b, sb, mb = accs[j]
+                b, wb = accs[j]
                 if a == b:
                     continue
-                if not (ma.writes or mb.writes):
+                if not (wa or wb):
                     continue
                 if ordered(a, b):
                     continue
-                if (
-                    ma.writes
-                    and mb.writes
-                    and _inoutset_addrs(sa) & _inoutset_addrs(sb)
-                ):
+                if wa and wb and not inoutset[a].isdisjoint(inoutset[b]):
                     # Sanctioned concurrency: same inoutset group.
                     continue
                 if len(findings) >= MAX_RACE_FINDINGS:
                     truncated = True
                     break
-                writer, other = (a, b) if ma.writes else (b, a)
-                kind = "write/write" if (ma.writes and mb.writes) else "read/write"
+                writer, other = (a, b) if wa else (b, a)
+                kind = "write/write" if (wa and wb) else "read/write"
                 rule = (
                     "V-RACE-XRANK"
                     if xrank and (comm_kind[writer] >= 0 or comm_kind[other] >= 0)

@@ -1,5 +1,8 @@
 """Structural tests of the LULESH task/for program builders."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.apps.lulesh import (
@@ -143,6 +146,136 @@ class TestTaskProgram:
                 default=0,
             )
         assert max_chunk(c_fine) < max_chunk(c_coarse)
+
+
+def template_digest(prog) -> str:
+    """sha256 over every field of every template spec, after the iteration
+    count: depend and access modes as ints, flops as ``float.hex``."""
+    h = hashlib.sha256(f"n_iterations={prog.n_iterations}\n".encode())
+    for spec in prog.iterations[0].tasks:
+        comm = spec.comm
+        record = [
+            spec.name,
+            [[a, int(m)] for a, m in spec.depends],
+            float.hex(spec.flops),
+            [[int(x) for x in entry] for entry in spec.footprint],
+            spec.fp_bytes,
+            spec.loop_id,
+            None if comm is None
+            else [int(comm.kind), comm.nbytes, comm.peer, comm.tag, comm.detached],
+            spec.barrier,
+            spec.priority,
+            spec.device,
+            spec.body is None,
+        ]
+        h.update(json.dumps(record, separators=(",", ":")).encode() + b"\n")
+    return h.hexdigest()
+
+
+_NEIGHBORS = {
+    "alone": lambda: (),
+    "rank0of8": lambda: RankGrid.cubic(8).neighbors(0),
+    "rank13of27": lambda: RankGrid.cubic(27).neighbors(13),
+}
+
+#: (s, iterations, tpl, flops_per_item, builder options) of every pinned
+#: template.  tpl 4 and 16 map several task blocks onto one force
+#: superblock, so their clause lists go through the duplicate-item filter.
+_SMALL = {
+    f"{'a' if opt_a else 'noa'}-tpl{tpl}-{nb}": (
+        8, 2, tpl, 60.0, {"opt_a": opt_a, "neighbors": nb})
+    for opt_a in (False, True)
+    for tpl in (4, 16)
+    for nb in _NEIGHBORS
+}
+_PINNED_CASES = {
+    **_SMALL,
+    "taskwait-rank0of8": (8, 2, 16, 60.0, {"neighbors": "rank0of8",
+                                           "taskwait_around_comm": True}),
+    "offload-rank13of27": (8, 2, 16, 60.0, {"opt_a": True,
+                                            "neighbors": "rank13of27",
+                                            "offload": True}),
+    # The four benchmark workloads at full size (benchmarks/suite): the
+    # llvm preset leaves opt (a) off, the mpc presets (abc, abcp) turn it on.
+    "des-discovery": (32, 4, 576, 25.0, {}),
+    "des-persistent": (32, 6, 576, 25.0, {"opt_a": True}),
+    **{
+        f"sweep-campaign-tpl{tpl}-{'a' if opt_a else 'noa'}": (
+            32, 4, tpl, 25.0, {"opt_a": opt_a})
+        for tpl in (8, 32, 96)
+        for opt_a in (False, True)
+    },
+    "profile-store": (16, 3, 48, 25.0, {}),
+}
+
+#: Recorded at b93b13e, from the builder that expanded every access once
+#: per spec naming it.
+PINNED_DIGESTS = {
+    "a-tpl16-alone": "15a6a6dbed2fe51e48b89034ab1da1e5d2c1833200c548087058e281cf1c553c",
+    "a-tpl16-rank0of8": "96a8e93399957d8a34b45b20090c81317f3520ba51753b5b195ee9b629be4f3a",
+    "a-tpl16-rank13of27": "89c17b868da24012c589d247c68bb7cf68f1c1e985fcb06776ecabf49301d5aa",
+    "a-tpl4-alone": "7624c77601031cbc5fc0fc87de60257a8a82bbe0c8d1ced906160e798a9ea276",
+    "a-tpl4-rank0of8": "4ad0bc9bf4f102aac9c66427ad9d35613225a08da507a7e9df8eae8e25d00ef9",
+    "a-tpl4-rank13of27": "357388ce6b8853f905ddfe5edf0ad9a140da1a074d808a53defc3025145ae5ae",
+    "des-discovery": "a174454519a1201b75c7f1a02bd9805cb5561f52d91dc6bc6b36c042e64df3c0",
+    "des-persistent": "b5e92d476df04246884d0eff67f1cc9f06700433410d695e870dd7fe22ccd1e3",
+    "noa-tpl16-alone": "e04d50c8e6ddb66f40bcfeb8d6a76296a339e06658ae7e70139394387d3e100b",
+    "noa-tpl16-rank0of8": "c57586eaa4f72060b599747ac22eb2793b330ea489b289568437ebdf7f62bec2",
+    "noa-tpl16-rank13of27": "4820a1394bfbdbea1342f93bb07e89b621afffae454c6b2bf8a7c1e805237515",
+    "noa-tpl4-alone": "dec304e2122abbdf29a40d631ddf4a9da124c0d018d6ef070d36868569339e5e",
+    "noa-tpl4-rank0of8": "ab88f351fae00f43802dd7f4895c025b8da26455e06ce4d5c5059eabb4fc419b",
+    "noa-tpl4-rank13of27": "5a6378ac112869ed1369488a7404b45812a2553659ab836a6c0be26fafd729a0",
+    "offload-rank13of27": "e8d0b27122fccfb793b93d9aa9b9c140e8ee5b6aeb792f8442a6ab8ecedaeedc",
+    "profile-store": "7ddbb616c3062ede70cbf408b49495163db669cd0c7c8129d2ff0a9a9f2efc15",
+    "sweep-campaign-tpl32-a": "e5f89022d1405120892af2bcb7a36daa881afa1959377ce0dbbc1153e59e7b20",
+    "sweep-campaign-tpl32-noa": "6d5ac663a634bb1b32e7fd7d42d6a9c3cf36c022b12f3e4a5e9e5d565340f125",
+    "sweep-campaign-tpl8-a": "a18304748bde43bb9633f60751ffa0b3c7db0ca95fda6d16e90376e19e390f65",
+    "sweep-campaign-tpl8-noa": "c368415a121851cae15b8b090271a9ae10393149762c3642261680021736bf96",
+    "sweep-campaign-tpl96-a": "881695d103175e50f737684b82e7f4e1f80589bb3e7c51dfbfc675f36014aeb6",
+    "sweep-campaign-tpl96-noa": "08d64c12cc35aafc149e0a7db13e89ec11e94fd685c4831e47a47f9b8a5c8153",
+    "taskwait-rank0of8": "f34ffc91165c2e8f4c2647645b6a2143c11554c1898f9dd9332a0d51213808b3",
+}
+
+
+def build_pinned(case: str):
+    s, iterations, tpl, flops_per_item, options = _PINNED_CASES[case]
+    options = dict(options)
+    if "neighbors" in options:
+        options["neighbors"] = _NEIGHBORS[options["neighbors"]]()
+    cfg = LuleshConfig(s=s, iterations=iterations, tpl=tpl,
+                       flops_per_item=flops_per_item)
+    return build_task_program(cfg, **options)
+
+
+class TestPinnedTemplates:
+    """The builder's output, spec for spec, is pinned: the interners hand
+    out ids in order of first use, so any reordering of the walk (or a
+    memo keyed in hash order) changes a digest here, and with it every
+    structural key, compiled artifact and golden trace downstream."""
+
+    @pytest.mark.parametrize("case", sorted(_PINNED_CASES))
+    def test_template_digest(self, case):
+        prog = build_pinned(case)
+        assert all(it.tasks is prog.iterations[0].tasks for it in prog.iterations)
+        assert template_digest(prog) == PINNED_DIGESTS[case]
+
+    def test_specs_naming_one_block_share_its_tuples(self):
+        """Every access is expanded once per build: two specs naming the
+        same block hold one footprint entry and one depend item, not equal
+        copies, compute and comm tasks alike."""
+        specs = build_pinned("noa-tpl4-rank0of8").iterations[0].tasks
+        by_name = {s.name: s for s in specs}
+        # Both read elems/vol of block 1 first (after the dt item).
+        a = by_name["EvalEOS_compression[1]"]
+        b = by_name["EvalEOS_compHalfStep[1]"]
+        assert a.footprint[0] is b.footprint[0]
+        assert a.depends[1] is b.depends[1]
+        # The first Pack reads boundary block 0 of the node forces, as the
+        # block-0 task of CalcAccelerationForNodes does.
+        pack = next(s for s in specs if s.name.startswith("Pack["))
+        accel = by_name["CalcAccelerationForNodes[0]"]
+        assert pack.footprint[0] is accel.footprint[0]
+        assert pack.depends[0] is accel.depends[1]
 
 
 class TestForProgram:

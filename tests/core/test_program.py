@@ -135,6 +135,24 @@ class TestProgram:
         assert prog.n_tasks == 4
         assert prog.iterations[0].tasks is prog.iterations[3].tasks
 
+    def test_n_tasks_skips_taskwait_markers(self):
+        """A ``taskwait`` marker submits no task, so it is not counted."""
+        from repro.apps.lulesh import (
+            LuleshConfig,
+            build_task_program,
+            tasks_per_iteration,
+        )
+        from repro.cluster.mapping import RankGrid
+
+        cfg = LuleshConfig(s=12, iterations=2, tpl=8)
+        nbs = RankGrid.cubic(8).neighbors(0)
+        prog = build_task_program(cfg, neighbors=nbs, taskwait_around_comm=True)
+        n_markers = sum(s.barrier for _, s in prog.specs())
+        assert n_markers == 4
+        assert prog.n_tasks == 2 * tasks_per_iteration(cfg, len(nbs)) == 586
+        marker = TaskSpec(name="taskwait", barrier=True)
+        assert Program.from_template([marker], 3).n_tasks == 0
+
     def test_from_template_bad_iterations(self):
         with pytest.raises(ValueError):
             Program.from_template([TaskSpec(name="t")], 0)

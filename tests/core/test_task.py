@@ -2,8 +2,9 @@
 
 import math
 
+import pytest
 
-from repro.core.task import DepMode
+from repro.core.task import AccessMode, DepMode, split_footprint
 from repro.sim.table import COMPLETED, CREATED, TaskTable
 
 
@@ -74,3 +75,45 @@ class TestDepMode:
         assert DepMode.OUT == 1
         assert DepMode.INOUT == 2
         assert DepMode.INOUTSET == 3
+
+
+def reference_split_footprint(footprint):
+    """``split_footprint`` as first written: one ``AccessMode`` call per
+    annotated entry, member or not."""
+    chunks, modes = [], []
+    for entry in footprint:
+        if len(entry) == 2:
+            cid, nbytes = entry
+            mode = AccessMode.READWRITE
+        else:
+            cid, nbytes, mode = entry
+            mode = AccessMode(mode)
+        chunks.append((cid, nbytes))
+        modes.append(mode)
+    return tuple(chunks), tuple(modes)
+
+
+class TestSplitFootprint:
+    def test_int_modes_convert(self):
+        chunks, modes = split_footprint([(1, 8, 0), (2, 16, 1), (3, 4, 2), (4, 2)])
+        assert chunks == ((1, 8), (2, 16), (3, 4), (4, 2))
+        assert modes == (AccessMode.READ, AccessMode.WRITE,
+                         AccessMode.READWRITE, AccessMode.READWRITE)
+        assert all(type(m) is AccessMode for m in modes)
+
+    def test_invalid_mode_raises(self):
+        with pytest.raises(ValueError):
+            split_footprint([(1, 8, AccessMode.READ), (2, 8, 7)])
+
+    def test_equals_reference_on_a_lulesh_template(self):
+        from repro.apps.lulesh import LuleshConfig, build_task_program
+        from repro.cluster.mapping import RankGrid
+
+        prog = build_task_program(
+            LuleshConfig(s=8, iterations=1, tpl=16),
+            neighbors=RankGrid.cubic(27).neighbors(13),
+        )
+        for spec in prog.iterations[0].tasks:
+            got = split_footprint(spec.footprint)
+            assert got == reference_split_footprint(spec.footprint)
+            assert all(type(m) is AccessMode for m in got[1])

@@ -47,6 +47,23 @@ class TestTaskwaitExecution:
         end_ab = max(t.span_end[names.index("a")], t.span_end[names.index("b")])
         assert start_c >= end_ab - 1e-12
 
+    def test_marker_only_program_walks_its_markers(self):
+        """A program of markers alone counts no task but is not empty: the
+        producer still walks every marker and emits its barrier hook."""
+        marker_only = Program.from_template(
+            [TaskSpec(name="taskwait", barrier=True)], 2
+        )
+        empty = Program([IterationSpec(index=0), IterationSpec(index=1)])
+        hooks = {}
+        for label, prog in (("markers", marker_only), ("empty", empty)):
+            assert prog.n_tasks == 0
+            rt = TaskRuntime(prog, cfg())
+            seen = hooks[label] = []
+            rt.bus.subscribe("barrier", lambda kind, now: seen.append(kind))
+            r = rt.run()
+            assert r.n_tasks == 0 and r.makespan == 0.0
+        assert hooks == {"markers": ["taskwait", "taskwait"], "empty": []}
+
     def test_without_taskwait_c_runs_concurrently(self):
         specs = [
             TaskSpec(name="a", depends=((0, DepMode.OUT),), flops=50_000.0),
