@@ -111,8 +111,7 @@ class DependenceResolver:
         predecessor is the dominant operation count of discovery, and
         per-edge bound-method dispatch and attribute loads dominate its
         cost at simulation scale.  Semantics are identical to
-        ``add_edge``; the INOUTSET path and group closing stay in their
-        (rare) helpers.
+        ``add_edge``; only group closing stays in its (rare) helper.
         """
         res = ResolutionResult(n_addrs=len(depends))
         addr_map = self._addr_map
@@ -132,8 +131,18 @@ class DependenceResolver:
                 preds = st.writers
                 st.readers.append(tid)
             elif mode == _INOUTSET:
-                self._resolve_inoutset(tid, st, res)
-                continue
+                if st.ioset_open:
+                    # Join the open group: concurrent with its members,
+                    # ordered after the predecessors its opener waited for.
+                    preds = st.ioset_preds
+                    st.writers.append(tid)
+                else:
+                    # Open a group: ordered like a write.  The replaced
+                    # lists are never mutated again, so no copy is needed.
+                    preds = st.ioset_preds = st.readers or st.writers
+                    st.writers = [tid]
+                    st.readers = []
+                    st.ioset_open = True
             else:  # OUT and INOUT are equivalent for ordering purposes
                 if st.ioset_open:
                     self._close_ioset(st, res)
@@ -224,33 +233,3 @@ class DependenceResolver:
                 table.npred[redirect] + table.presat[redirect]
             )
             st.writers = [redirect]
-
-    def _resolve_inoutset(self, tid: int, st: AddrState, res: ResolutionResult) -> None:
-        if st.ioset_open:
-            # Join the open group: concurrent with its members, ordered
-            # after the same predecessors the group opener waited for.
-            preds = st.ioset_preds
-            st.writers.append(tid)
-        else:
-            preds = st.ioset_preds = list(st.readers) if st.readers else list(st.writers)
-            st.writers = [tid]
-            st.readers = []
-            st.ioset_open = True
-        if preds:
-            add_edge = self.table.add_edge
-            dedup = self._dedup
-            stats = self.table.stats
-            dup_skip0 = stats.duplicates_skipped
-            dup_made0 = stats.duplicates_created
-            pruned0 = stats.pruned
-            ne = ns = 0
-            for p in preds:
-                if add_edge(p, tid, dedup=dedup):
-                    ne += 1
-                else:
-                    ns += 1
-            res.n_edges += ne
-            res.n_skipped += ns
-            res.n_dup_skipped += stats.duplicates_skipped - dup_skip0
-            res.n_dup_created += stats.duplicates_created - dup_made0
-            res.n_pruned += stats.pruned - pruned0

@@ -7,7 +7,7 @@ from repro.memory.machine import (
     tiny_test_machine,
 )
 from repro.memory.cache import LRUCache
-from repro.memory.hierarchy import AccessResult, MemCounters, MemoryHierarchy
+from repro.memory.hierarchy import MemCounters, MemoryHierarchy
 
 __all__ = [
     "MachineSpec",
@@ -15,7 +15,6 @@ __all__ = [
     "skylake_8168",
     "tiny_test_machine",
     "LRUCache",
-    "AccessResult",
     "MemCounters",
     "MemoryHierarchy",
 ]

@@ -10,7 +10,7 @@ above TPL 2,176).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.task import FootprintChunk
@@ -66,14 +66,6 @@ class MemCounters:
         self.bytes_dram += other.bytes_dram
 
 
-@dataclass(slots=True)
-class AccessResult:
-    """Outcome of one task's footprint traversal."""
-
-    time: float = 0.0
-    bytes_dram: int = 0
-
-
 class MemoryHierarchy:
     """The cache/DRAM model of one shared-memory domain.
 
@@ -108,7 +100,7 @@ class MemoryHierarchy:
         worker: int,
         footprint: Sequence[FootprintChunk],
         dram_sharers: int = 1,
-    ) -> AccessResult:
+    ) -> float:
         """Charge one task's footprint against the hierarchy.
 
         Parameters
@@ -121,8 +113,8 @@ class MemoryHierarchy:
             Number of cores concurrently generating DRAM traffic; the
             aggregate DRAM bandwidth is divided among them.
 
-        Returns the memory time and DRAM bytes; counters accumulate on
-        :attr:`counters`.
+        Returns the footprint's memory time in seconds; misses, stalls and
+        bytes per level accumulate on :attr:`counters`.
         """
         if worker < 0 or worker >= self.machine.n_cores:
             raise IndexError(f"worker {worker} out of range")
@@ -149,7 +141,7 @@ class MemoryHierarchy:
         stall1 = stall2 = stall3 = 0.0
         b1 = b2 = b3 = 0
         time = 0.0
-        bytes_dram = 0
+        b_dram = 0
         for chunk, nbytes in footprint:
             if nbytes <= 0:
                 continue
@@ -181,7 +173,7 @@ class MemoryHierarchy:
             else:
                 miss3 += lines
                 stall3 += lines * l3_lat
-                bytes_dram += nbytes
+                b_dram += nbytes
                 time += nbytes / eff_dram_bw
                 if nbytes <= cap3:
                     limit = cap3 - nbytes
@@ -214,8 +206,8 @@ class MemoryHierarchy:
         ctr.bytes_l1 += b1
         ctr.bytes_l2 += b2
         ctr.bytes_l3 += b3
-        ctr.bytes_dram += bytes_dram
-        return AccessResult(time=time, bytes_dram=bytes_dram)
+        ctr.bytes_dram += b_dram
+        return time
 
     # ------------------------------------------------------------------
     def stream_time(self, nbytes: int, threads: int) -> float:

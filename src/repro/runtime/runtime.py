@@ -574,7 +574,8 @@ class TaskRuntime:
             self._complete_task(stub, -1, self.engine.now)
 
     def _task_armed(self, tid: int, iteration: int, spec: TaskSpec) -> None:
-        now = self.engine.now
+        engine = self.engine
+        now = engine.now
         self._disc_last = now
         if now > self._last_activity:
             self._last_activity = now
@@ -586,10 +587,23 @@ class TaskRuntime:
         tb.armed[tid] = True
         self._alive += 1
         self._iter_live += 1
+        # The follow-ups are the woken worker's try, then the producer's
+        # next step, both at `now`.  When no queued event is due at `now`
+        # they would be the next two dispatched, in that order, so they
+        # run here instead (every event they push keeps its order).  The
+        # guard is read once: a zero-length body the try pushes is due
+        # at `now` but still fires after the producer's step.
+        in_place = engine.next_time() > now
+        w = -1
         if tb.npred[tid] == 0 and tb.state[tid] == _CREATED:
-            self._make_ready(tid, -1)
+            w = self._make_ready(tid, -1, not in_place)
         self._producer_state = "idle"
-        self._schedule_producer()
+        if not in_place:
+            self._schedule_producer()
+            return
+        if w >= 0:
+            self._worker_try(w)
+        self._producer_step()
 
     def _bulk_replay(self, pos: int, now: float) -> None:
         """Arm the replay chain starting at template position ``pos``.
@@ -768,10 +782,16 @@ class TaskRuntime:
         base = self._c_steal if source == "steal" else self._c_pop
         return base + self._c_contention * self._busy_count
 
-    def _wake_workers(self, k: int) -> None:
-        """Schedule up to ``k`` idle workers to look for work now."""
+    def _wake_workers(self, k: int, queue: bool = True) -> int:
+        """Schedule up to ``k`` idle workers to look for work now.
+
+        With ``queue=False`` (``k == 1``) the claimed worker's try is not
+        queued: the worker is returned for the caller to run in place.
+        Returns -1 when no worker was claimed that way.
+        """
         if self._gate_closed or k <= 0:
-            return
+            return -1
+        claimed = -1
         idle = self._idle_workers
         if idle:
             engine = self.engine
@@ -783,7 +803,10 @@ class TaskRuntime:
                 for w in idle:
                     break
                 idle.discard(w)
-                engine.push(engine.now, worker_try, w)
+                if queue:
+                    engine.push(engine.now, worker_try, w)
+                else:
+                    claimed = w
             else:
                 now = engine.now
                 batch = []
@@ -796,6 +819,7 @@ class TaskRuntime:
         # The throttled producer also consumes.
         if self._producer_state == "throttled":
             self._schedule_producer()
+        return claimed
 
     def _worker_try(self, w: int) -> None:
         if self._gate_closed or self._busy[w]:
@@ -835,7 +859,7 @@ class TaskRuntime:
         duration = tb.flops[tid] / self._flops_per_core
         footprint = tb.footprint[tid]
         if footprint:
-            duration += self._mem_access(w, footprint, self._busy_count).time
+            duration += self._mem_access(w, footprint, self._busy_count)
         if tb.comm[tid] is not None:
             duration += self._c_post
         self.engine.push(t_start + duration, self._finish_body, w, tid, t_start, duration)
@@ -1019,7 +1043,13 @@ class TaskRuntime:
         if self._producer_state in ("throttled", "barrier", "taskwait"):
             self._schedule_producer()
 
-    def _make_ready(self, tid: int, w: int) -> None:
+    def _make_ready(self, tid: int, w: int, queue_wake: bool = True) -> int:
+        """Hand a task whose predecessors are done to the scheduler.
+
+        A spawned task (``w < 0``) wakes one idle worker; with
+        ``queue_wake=False`` that worker is returned instead of having its
+        try queued (see :meth:`_wake_workers`).  Returns -1 otherwise.
+        """
         tb = self.table
         tb.state[tid] = _READY
         cbs = self.bus.task_ready
@@ -1029,9 +1059,9 @@ class TaskRuntime:
         if tb.is_stub[tid]:
             # Empty redirect node: completes in place, cascading releases.
             self._complete_task(tid, w, self.engine.now)
-            return
+            return -1
         if w >= 0:
             self.scheduler.push_local(w, tid, tb.priority[tid])
-        else:
-            self.scheduler.push_spawn(tid, tb.priority[tid])
-            self._wake_workers(1)
+            return -1
+        self.scheduler.push_spawn(tid, tb.priority[tid])
+        return self._wake_workers(1, queue_wake)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Iterable
 
+_INF = float("inf")
+
 #: One pre-built event for :meth:`EventQueue.push_many`:
 #: ``(time, handler, args-tuple)``.
 Event = "tuple[float, Callable, tuple]"
@@ -23,20 +25,17 @@ class EventQueue:
     ends when the queue drains.
     """
 
-    __slots__ = ("_heap", "_seq", "_now", "_n_dispatched")
+    __slots__ = ("_heap", "_seq", "now", "_n_dispatched")
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, Callable, tuple]] = []
         self._seq = 0
-        self._now = 0.0
+        #: Current simulated time in seconds: the time of the event being
+        #: dispatched.  Only the dispatch loop writes it.
+        self.now = 0.0
         self._n_dispatched = 0
 
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
     @property
     def n_dispatched(self) -> int:
         """Number of events dispatched so far (debug/metrics)."""
@@ -44,6 +43,15 @@ class EventQueue:
 
     def __len__(self) -> int:
         return len(self._heap)
+
+    def next_time(self) -> float:
+        """Time of the earliest queued event; ``inf`` when none is queued.
+
+        No queued event is due at :attr:`now` exactly when this is later
+        than ``now`` (nothing can be queued in the past).
+        """
+        heap = self._heap
+        return heap[0][0] if heap else _INF
 
     # ------------------------------------------------------------------
     def push(self, time: float, fn: Callable, *args: Any) -> None:
@@ -54,20 +62,20 @@ class EventQueue:
         False against everything, which would silently corrupt the heap
         ordering instead of failing loudly.
         """
-        if not time >= self._now:  # catches both past times and NaN
+        if not time >= self.now:  # catches both past times and NaN
             if time != time:
                 raise ValueError(
                     f"cannot schedule event at NaN time (handler {fn!r})"
                 )
             raise ValueError(
-                f"cannot schedule event at {time} before current time {self._now}"
+                f"cannot schedule event at {time} before current time {self.now}"
             )
         heapq.heappush(self._heap, (time, self._seq, fn, args))
         self._seq += 1
 
     def push_now(self, fn: Callable, *args: Any) -> None:
         """Schedule ``fn(*args)`` at the current time (after pending ties)."""
-        self.push(self._now, fn, *args)
+        self.push(self.now, fn, *args)
 
     def push_many(self, events: Iterable[tuple[float, Callable, tuple]]) -> int:
         """Schedule a batch of pre-built ``(time, fn, args)`` handler tuples.
@@ -79,7 +87,7 @@ class EventQueue:
         of :meth:`push` calls.  Returns the number of events pushed.
         """
         heap = self._heap
-        now = self._now
+        now = self.now
         seq = self._seq
         pushed = 0
         try:
@@ -105,7 +113,7 @@ class EventQueue:
         if not self._heap:
             return False
         time, _, fn, args = heapq.heappop(self._heap)
-        self._now = time
+        self.now = time
         self._n_dispatched += 1
         fn(*args)
         return True
@@ -123,7 +131,7 @@ class EventQueue:
             try:
                 while heap:
                     time, _, fn, args = pop(heap)
-                    self._now = time
+                    self.now = time
                     n += 1
                     fn(*args)
             finally:

@@ -565,6 +565,8 @@ def _run_round(
     push = ready.append
     pop = ready.pop if lifo else ready.popleft
     heap: list[tuple[float, int]] = []
+    heappush, heappop = heapq.heappush, heapq.heappop
+    inf = float("inf")
     free = workers - 1 if workers > 1 else 0
     alive = 0
     completed = 0
@@ -572,45 +574,36 @@ def _run_round(
     target = len(walk) + len(prearm)
     disc_busy = 0.0
     disc_last = t0
-    exec_first = float("inf")
+    exec_first = inf
     exec_last = t0
     work = 0.0
     now = t0
 
-    def complete(tid: int, at: float) -> None:
-        nonlocal alive, completed, completed_user, exec_last
+    # Arming a task, completing one and pricing a submission are inlined
+    # below (they run once per task); only a redirect stub, which
+    # completes the moment it is ready, recurses: its successors are
+    # released depth first, so the ready pool sees the DES's push order.
+    def complete_stub(tid: int) -> None:
+        nonlocal alive, completed
         completed += 1
         alive -= 1
-        if not is_stub[tid]:
-            completed_user += 1
-            if at > exec_last:
-                exec_last = at
         for s in targets[offsets[tid]:offsets[tid + 1]]:
-            npred[s] -= 1
-            if npred[s] == 0 and armed[s]:
+            left = npred[s] - 1
+            npred[s] = left
+            if left == 0 and armed[s]:
                 if is_stub[s]:
-                    complete(s, at)
+                    complete_stub(s)
                 else:
                     push(s)
 
-    def arm(tid: int, at: float) -> None:
-        nonlocal alive
+    for tid in prearm:
         armed[tid] = True
         alive += 1
         if npred[tid] == 0:
             if is_stub[tid]:
-                complete(tid, at)
+                complete_stub(tid)
             else:
                 push(tid)
-
-    for tid in prearm:
-        arm(tid, now)
-
-    def arm_cost(tid: int) -> float:
-        # Re-price already-satisfied (prunable) edges at submission time.
-        if prune_delta:
-            return cost[tid] - (npred0[tid] - npred[tid]) * prune_delta
-        return cost[tid]
 
     if non_overlapped:
         # Gate closed: the full walk happens before any execution.
@@ -618,15 +611,31 @@ def _run_round(
             c = cost[tid]
             disc_busy += c
             now += c
-            arm(tid, now)
+            armed[tid] = True
+            alive += 1
+            if npred[tid] == 0:
+                if is_stub[tid]:
+                    complete_stub(tid)
+                else:
+                    push(tid)
         disc_last = now
         free = workers
     idx = 0
     n_walk = 0 if non_overlapped else len(walk)
     cur_seg = seg[walk[0]] if n_walk else -1
     p_busy = n_walk > 0  # producer mid-submission
-    pending = arm_cost(walk[0]) if p_busy else 0.0
-    next_arm = t0 + pending if p_busy else float("inf")
+    # A submission's price: its creation cost, with already-satisfied
+    # (prunable) edges re-priced at submission time.
+    if p_busy:
+        nxt = walk[0]
+        pending = (
+            cost[nxt] - (npred0[nxt] - npred[nxt]) * prune_delta
+            if prune_delta else cost[nxt]
+        )
+        next_arm = t0 + pending
+    else:
+        pending = 0.0
+        next_arm = inf
 
     while completed < target or heap:
         # Fill free workers from the ready pool.
@@ -641,31 +650,40 @@ def _run_round(
                 k = len(heap) + 1
                 b += mem[tid] * (k if k < mem_cap else mem_cap)
             work += b
-            heapq.heappush(heap, (now + b + ovh[tid], tid))
+            heappush(heap, (now + b + ovh[tid], tid))
             free -= 1
-        if p_busy and next_arm <= (heap[0][0] if heap else float("inf")):
+        if p_busy and next_arm <= (heap[0][0] if heap else inf):
             now = next_arm
             disc_busy += pending
             disc_last = now
-            arm(walk[idx], now)
+            tid = walk[idx]
+            armed[tid] = True
+            alive += 1
+            if npred[tid] == 0:
+                if is_stub[tid]:
+                    complete_stub(tid)
+                else:
+                    push(tid)
             idx += 1
             if idx >= n_walk:
                 # Walk done: the producer joins the pool for good.
                 p_busy = False
                 free += 1
-            elif seg[walk[idx]] != cur_seg:
-                if alive == 0:
-                    # Already quiescent: cross the barrier immediately.
-                    cur_seg = seg[walk[idx]]
-                    pending = arm_cost(walk[idx])
-                    next_arm = now + pending
-                else:
+                continue
+            nxt = walk[idx]
+            if seg[nxt] != cur_seg:
+                if alive:
                     # Taskwait: wait for quiescence, helping as a worker.
                     p_busy = False
                     free += 1
-            else:
-                pending = arm_cost(walk[idx])
-                next_arm = now + pending
+                    continue
+                # Already quiescent: cross the barrier immediately.
+                cur_seg = seg[nxt]
+            pending = (
+                cost[nxt] - (npred0[nxt] - npred[nxt]) * prune_delta
+                if prune_delta else cost[nxt]
+            )
+            next_arm = now + pending
             continue
         if not heap:
             if completed >= target:
@@ -674,16 +692,33 @@ def _run_round(
                 "replay deadlock: no running task and nothing ready "
                 f"({completed}/{target} complete)"
             )
-        now, tid = heapq.heappop(heap)
+        # A running (never a stub) task completes.
+        now, tid = heappop(heap)
         free += 1
-        complete(tid, now)
+        completed += 1
+        completed_user += 1
+        alive -= 1
+        if now > exec_last:
+            exec_last = now
+        for s in targets[offsets[tid]:offsets[tid + 1]]:
+            left = npred[s] - 1
+            npred[s] = left
+            if left == 0 and armed[s]:
+                if is_stub[s]:
+                    complete_stub(s)
+                else:
+                    push(s)
         if not p_busy and idx < n_walk and alive == 0:
             # Quiescent: the producer takes its thread back and crosses
             # the barrier.
             free -= 1
-            cur_seg = seg[walk[idx]]
+            nxt = walk[idx]
+            cur_seg = seg[nxt]
             p_busy = True
-            pending = arm_cost(walk[idx])
+            pending = (
+                cost[nxt] - (npred0[nxt] - npred[nxt]) * prune_delta
+                if prune_delta else cost[nxt]
+            )
             next_arm = now + pending
 
     return now, {

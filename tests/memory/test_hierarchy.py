@@ -1,4 +1,8 @@
-"""Unit tests for the cache hierarchy / DRAM contention model."""
+"""Unit tests for the cache hierarchy / DRAM contention model.
+
+``access`` returns the footprint's memory seconds; the DRAM bytes of one
+access are the change it makes to ``counters.bytes_dram``.
+"""
 
 import pytest
 
@@ -11,24 +15,28 @@ def hier():
     return MemoryHierarchy(tiny_test_machine(2))
 
 
+def dram_bytes(hier, *args, **kwargs):
+    """DRAM bytes of one ``access``: its ``counters.bytes_dram`` delta."""
+    before = hier.counters.bytes_dram
+    hier.access(*args, **kwargs)
+    return hier.counters.bytes_dram - before
+
+
 class TestLevels:
     def test_cold_access_hits_dram(self, hier):
-        res = hier.access(0, [(1, 512)])
-        assert res.bytes_dram == 512
+        assert dram_bytes(hier, 0, [(1, 512)]) == 512
         assert hier.counters.l3_misses > 0
 
     def test_immediate_reuse_hits_l1(self, hier):
         hier.access(0, [(1, 512)])
         before = hier.counters.l1_misses
-        res = hier.access(0, [(1, 512)])
-        assert res.bytes_dram == 0
+        assert dram_bytes(hier, 0, [(1, 512)]) == 0
         assert hier.counters.l1_misses == before
         assert hier.counters.bytes_l1 == 512
 
     def test_other_worker_hits_shared_l3(self, hier):
         hier.access(0, [(1, 512)])
-        res = hier.access(1, [(1, 512)])
-        assert res.bytes_dram == 0
+        assert dram_bytes(hier, 1, [(1, 512)]) == 0
         assert hier.counters.bytes_l3 == 512
 
     def test_l1_eviction_falls_to_l2(self, hier):
@@ -36,9 +44,8 @@ class TestLevels:
         # Fill L1 (1 KiB) with other chunks; chunk 1 should land in L2.
         hier.access(0, [(1, 512)])
         hier.access(0, [(2, 512), (3, 512)])
-        res = hier.access(0, [(1, 512)])
+        assert dram_bytes(hier, 0, [(1, 512)]) == 0
         assert hier.counters.bytes_l2 >= 512
-        assert res.bytes_dram == 0
 
     def test_miss_counting_in_lines(self, hier):
         hier.access(0, [(1, 640)])  # 10 lines of 64B
@@ -55,12 +62,10 @@ class TestLevels:
         )
 
     def test_empty_footprint(self, hier):
-        res = hier.access(0, [])
-        assert res.time == 0.0
+        assert hier.access(0, []) == 0.0
 
     def test_zero_byte_chunk_skipped(self, hier):
-        res = hier.access(0, [(1, 0)])
-        assert res.time == 0.0
+        assert hier.access(0, [(1, 0)]) == 0.0
 
     def test_bad_worker_rejected(self, hier):
         with pytest.raises(IndexError):
@@ -69,9 +74,9 @@ class TestLevels:
 
 class TestContention:
     def test_dram_sharing_slows_access(self, hier):
-        t1 = hier.access(0, [(1, 4096)], dram_sharers=1).time
+        t1 = hier.access(0, [(1, 4096)], dram_sharers=1)
         hier.reset()
-        t2 = hier.access(0, [(1, 4096)], dram_sharers=2).time
+        t2 = hier.access(0, [(1, 4096)], dram_sharers=2)
         assert t2 > t1
         assert t2 == pytest.approx(
             4096 / (hier.machine.dram_bw / 2), rel=1e-6
@@ -79,8 +84,8 @@ class TestContention:
 
     def test_cached_access_unaffected_by_sharers(self, hier):
         hier.access(0, [(1, 512)])
-        t1 = hier.access(0, [(1, 512)], dram_sharers=1).time
-        t2 = hier.access(0, [(1, 512)], dram_sharers=8).time
+        t1 = hier.access(0, [(1, 512)], dram_sharers=1)
+        t2 = hier.access(0, [(1, 512)], dram_sharers=8)
         assert t1 == pytest.approx(t2)
 
 
@@ -119,8 +124,7 @@ class TestReset:
         hier.access(0, [(1, 512)])
         hier.reset()
         assert hier.counters.l1_misses == 0
-        res = hier.access(0, [(1, 512)])
-        assert res.bytes_dram == 512
+        assert dram_bytes(hier, 0, [(1, 512)]) == 512
 
 
 class TestCounters:
