@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.core.task import FootprintChunk
+from repro.core.task import FootprintAccess, FootprintChunk
 from repro.memory.cache import LRUCache
 from repro.sim.events import EventQueue
 from repro.util.units import MiB, us
@@ -99,15 +99,18 @@ class Accelerator:
 
     # ------------------------------------------------------------------
     def kernel_duration(
-        self, flops: float, footprint: Sequence[FootprintChunk]
+        self, flops: float, footprint: Sequence[FootprintChunk | FootprintAccess]
     ) -> tuple[float, int]:
         """(execution time once started, bytes needing H2D transfer) of a
-        kernel doing ``flops`` over ``(chunk, bytes)`` ``footprint``."""
+        kernel doing ``flops`` over ``footprint``'s ``(chunk, bytes)`` or
+        ``(chunk, bytes, mode)`` entries."""
         flop_time = flops / self.spec.flops_per_stream
-        mem_bytes = sum(nbytes for _, nbytes in footprint)
+        mem_bytes = sum(entry[1] for entry in footprint)
         mem_time = mem_bytes / self.spec.mem_bw
         h2d = 0
-        for chunk, nbytes in footprint:
+        for entry in footprint:
+            chunk = entry[0]
+            nbytes = entry[1]
             if self._memory.touch(chunk):
                 self.stats.resident_hits += 1
                 self.stats.resident_bytes += nbytes
@@ -123,7 +126,7 @@ class Accelerator:
     def submit(
         self,
         flops: float,
-        footprint: Sequence[FootprintChunk],
+        footprint: Sequence[FootprintChunk | FootprintAccess],
         now: float,
         on_complete: Callable[[float], None],
     ) -> float:

@@ -402,7 +402,9 @@ class CompiledTDG:
         chunk_extent: dict[int, int] = {}
         for fp in table.footprint:
             tot = 0
-            for cid, nb in fp:
+            for entry in fp:  # (chunk, bytes) or (chunk, bytes, mode)
+                cid = entry[0]
+                nb = entry[1]
                 tot += nb
                 if nb > chunk_extent.get(cid, 0):
                     chunk_extent[cid] = nb
@@ -646,16 +648,12 @@ def compile_program(
     simulated discovery.  The artifact itself never depends on ``costs``.
     """
     from repro.core.dependences import DependenceResolver
-    from repro.core.task import split_footprint
     from repro.sim.table import TaskTable
 
     persistent = opts.p and program.persistent_candidate
     table = TaskTable(persistent=persistent)
     resolver = DependenceResolver(table, opts)
     create_cbs = bus.task_create if bus is not None else None
-    # Normalized footprint per spec object: ``Program.from_template``
-    # shares spec objects across iterations, so each is split once.
-    spec_prep: dict[int, tuple] = {}
     segment: list[int] = []
     spec_pos: list[int] = []
     disc: list[tuple[int, int, int, int]] = []
@@ -670,12 +668,9 @@ def compile_program(
             if spec.barrier:
                 seg += 1
                 continue
-            prep = spec_prep.get(id(spec))
-            if prep is None:
-                prep = spec_prep[id(spec)] = split_footprint(spec.footprint)
             tid = table.new_fast(
                 spec.name, spec.loop_id, it.index, spec.flops,
-                prep[0], spec.fp_bytes, spec.comm, None,
+                spec.footprint, spec.fp_bytes, spec.comm, None,
             )
             segment.append(seg)
             spec_pos.append(pos)

@@ -77,8 +77,9 @@ class ResolutionResult:
     n_dup_created: int = 0
     #: Completed-predecessor edges pruned (non-persistent graphs).
     n_pruned: int = 0
-    #: Redirect stub tids (the runtime arms and counts them).
-    redirect_tids: list[int] = field(default_factory=list)
+    #: Redirect stub tids (the runtime arms and counts them); most tasks
+    #: make none, so this stays the shared empty tuple until one is made.
+    redirect_tids: tuple[int, ...] = ()
 
 
 class DependenceResolver:
@@ -171,13 +172,15 @@ class DependenceResolver:
                         continue
                     # Persistent graph: the edge must exist for future
                     # iterations, but it is already satisfied now.
-                    succs[p].append(tid)
-                    last_succ[p] = tid
                     presat[tid] += 1
                 else:
-                    succs[p].append(tid)
-                    last_succ[p] = tid
                     npred[tid] += 1
+                out = succs[p]
+                if out:
+                    out.append(tid)
+                else:  # the row's first out-edge (its list was ``()``)
+                    succs[p] = [tid]
+                last_succ[p] = tid
                 n_created += 1
                 ne += 1
         if ne or ns:
@@ -216,7 +219,7 @@ class DependenceResolver:
             table = self.table
             redirect = table.new_stub()
             res.n_redirects += 1
-            res.redirect_tids.append(redirect)
+            res.redirect_tids += (redirect,)
             stats = table.stats
             dup_skip0 = stats.duplicates_skipped
             dup_made0 = stats.duplicates_created

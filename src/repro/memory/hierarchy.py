@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.task import FootprintChunk
+from repro.core.task import FootprintAccess, FootprintChunk
 from repro.memory.cache import LRUCache
 from repro.memory.machine import MachineSpec
 
@@ -98,7 +98,7 @@ class MemoryHierarchy:
     def access(
         self,
         worker: int,
-        footprint: Sequence[FootprintChunk],
+        footprint: Sequence[FootprintChunk | FootprintAccess],
         dram_sharers: int = 1,
     ) -> float:
         """Charge one task's footprint against the hierarchy.
@@ -108,7 +108,9 @@ class MemoryHierarchy:
         worker:
             Index of the executing core (selects the private L1/L2).
         footprint:
-            ``(chunk id, bytes)`` pairs the task reads/writes.
+            The task's footprint entries: ``(chunk id, bytes)`` or
+            ``(chunk id, bytes, mode)`` tuples (only the first two
+            fields are read, so a spec's footprint is passed as is).
         dram_sharers:
             Number of cores concurrently generating DRAM traffic; the
             aggregate DRAM bandwidth is divided among them.
@@ -142,7 +144,9 @@ class MemoryHierarchy:
         b1 = b2 = b3 = 0
         time = 0.0
         b_dram = 0
-        for chunk, nbytes in footprint:
+        for entry in footprint:
+            chunk = entry[0]
+            nbytes = entry[1]
             if nbytes <= 0:
                 continue
             if chunk in e1:

@@ -37,7 +37,6 @@ from repro.core.dependences import DependenceResolver
 from repro.core.optimizations import OptimizationSet
 from repro.core.persistent import PersistentStructureError, first_divergence
 from repro.core.program import CommKind, CommSpec, Program, TaskSpec
-from repro.core.task import split_footprint
 from repro.core.throttling import ThrottleConfig
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.machine import MachineSpec, skylake_8168
@@ -255,10 +254,6 @@ class TaskRuntime:
         # point — the per-task arm events the bulk walk elides.
         self._arm_time: list[float] = []
         self._replay_iter_index = 0
-        #: Per-spec normalized footprint cache.  Programs built by
-        #: ``Program.from_template`` share spec tuples across iterations,
-        #: so each spec's footprint is normalized exactly once per run.
-        self._spec_prep: dict[int, tuple] = {}
 
         # Producer cursor.
         self._iter_idx = 0
@@ -509,12 +504,9 @@ class TaskRuntime:
                     cb(self.table, tid, iteration.index, cost, now)
         else:
             tb = self.table
-            prep = self._spec_prep.get(id(spec))
-            if prep is None:
-                prep = self._spec_prep[id(spec)] = split_footprint(spec.footprint)
             tid = tb.new_fast(
                 spec.name, spec.loop_id, iteration.index, spec.flops,
-                prep[0], spec.fp_bytes, spec.comm, spec.body,
+                spec.footprint, spec.fp_bytes, spec.comm, spec.body,
             )
             if spec.priority:
                 tb.priority[tid] = True

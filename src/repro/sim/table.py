@@ -10,12 +10,17 @@ materialized per task, by the runtime, the static compile, the verifier or
 the analysis layer.  This is the array-based layout of Álvarez et al.
 (arXiv:2105.07902).
 
-Successor lists are per-row Python lists of ``tid`` while the graph is
-being discovered (edges arrive against arbitrary earlier rows, so a flat
-layout cannot be appended in order); :meth:`build_csr` flattens them into
-the classic ``(offsets, targets)`` compressed-sparse-row pair once a graph
-is frozen — the layout the persistent-replay loop and the analysis layer
-iterate.
+A row references what the program already holds instead of copying it:
+its ``footprint`` is the spec's own entry tuple (readers take
+``entry[0]`` and ``entry[1]``), its successor list is the shared empty
+tuple until its first out-edge (most rows never get one: completed
+predecessors are pruned), and its timestamps live unboxed in
+``array('d')`` columns.  Successor lists are per-row Python lists of
+``tid`` while the graph is being discovered (edges arrive against
+arbitrary earlier rows, so a flat layout cannot be appended in order);
+:meth:`build_csr` flattens them into the classic ``(offsets, targets)``
+compressed-sparse-row pair once a graph is frozen — the layout the
+persistent-replay loop and the analysis layer iterate.
 
 Task states are the plain ints :data:`CREATED`, :data:`READY`,
 :data:`RUNNING` and :data:`COMPLETED`; timestamps use NaN for "never".
@@ -23,6 +28,7 @@ Task states are the plain ints :data:`CREATED`, :data:`READY`,
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterator
 
 from repro.core.graph_stats import EdgeStats
@@ -58,7 +64,8 @@ class TaskTable:
         self.loop_id: list[int] = []
         self.iteration: list[int] = []
         self.flops: list[float] = []
-        #: Normalized ``(chunk, bytes)`` 2-tuples (memory-model input).
+        #: The spec's own footprint tuple: ``(chunk, bytes)`` or
+        #: ``(chunk, bytes, mode)`` entries (memory-model input).
         self.footprint: list[tuple] = []
         self.fp_bytes: list[int] = []
         self.comm: list[object] = []
@@ -74,8 +81,10 @@ class TaskTable:
         #: Predecessor count at the end of discovery — what a persistent
         #: re-arm restores ``npred`` to.
         self.npred_initial: list[int] = []
-        #: Successor tids per row (flattened on demand by build_csr).
-        self.succs: list[list[int]] = []
+        #: Successor tids per row (flattened on demand by build_csr): the
+        #: empty tuple until the row's first out-edge makes it a list, so
+        #: add edges only through :meth:`add_edge` (or the resolver).
+        self.succs: list[list[int] | tuple[()]] = []
         #: Most recent successor an edge was created towards (-1: none).
         #: Sequential submission makes duplicate-edge detection O(1).
         self.last_succ: list[int] = []
@@ -87,8 +96,9 @@ class TaskTable:
         #: Set once the producer finished creating (or re-instancing) the
         #: task; readiness is only actioned for armed tasks.
         self.armed: list[bool] = []
-        self.started_at: list[float] = []
-        self.completed_at: list[float] = []
+        #: Unboxed timestamps (NaN: never).
+        self.started_at = array("d")
+        self.completed_at = array("d")
         self.persistent = persistent
         #: Persistent graphs must create every edge — pruning would lose
         #: constraints needed by later iterations (§3.2).
@@ -120,8 +130,9 @@ class TaskTable:
         """Allocate one task row; returns its ``tid``.
 
         ``footprint`` accepts the mixed 2/3-tuple form of
-        :func:`repro.core.task.split_footprint`; hot paths that already
-        hold normalized chunks should use :meth:`new_fast`.
+        :func:`repro.core.task.split_footprint` and is normalized to
+        ``(chunk, bytes)`` 2-tuples; hot paths that hold a spec's
+        footprint should pass it as is to :meth:`new_fast`.
         """
         from repro.core.task import split_footprint
 
@@ -136,19 +147,20 @@ class TaskTable:
         loop_id: int,
         iteration: int,
         flops: float,
-        chunks: tuple,
+        footprint: tuple,
         fp_bytes: int,
         comm,
         body,
         is_stub: bool = False,
     ) -> int:
-        """Positional fast path with pre-normalized footprint chunks."""
+        """Positional fast path: ``footprint`` is stored as given (the
+        spec's own 2- or 3-tuple entries, not a copy)."""
         tid = len(self.state)
         self.name.append(name)
         self.loop_id.append(loop_id)
         self.iteration.append(iteration)
         self.flops.append(flops)
-        self.footprint.append(chunks)
+        self.footprint.append(footprint)
         self.fp_bytes.append(fp_bytes)
         self.comm.append(comm)
         self.body.append(body)
@@ -156,7 +168,7 @@ class TaskTable:
         self.npred.append(0)
         self.presat.append(0)
         self.npred_initial.append(0)
-        self.succs.append([])
+        self.succs.append(())
         self.last_succ.append(-1)
         self.priority.append(False)
         self.device.append(False)
@@ -198,14 +210,15 @@ class TaskTable:
                 return False
             # Persistent graph: the edge must exist for future iterations,
             # but it is already satisfied for the current one.
-            self.succs[pred].append(succ)
-            self.last_succ[pred] = succ
             self.presat[succ] += 1
-            stats.created += 1
-            return True
-        self.succs[pred].append(succ)
+        else:
+            self.npred[succ] += 1
+        succ_list = self.succs[pred]
+        if succ_list:
+            succ_list.append(succ)
+        else:
+            self.succs[pred] = [succ]
         self.last_succ[pred] = succ
-        self.npred[succ] += 1
         stats.created += 1
         return True
 
@@ -252,6 +265,7 @@ class TaskTable:
         n = len(self.state)
         self.state[:] = [CREATED] * n
         self.npred[:] = self.npred_initial
-        self.started_at[:] = [_NAN] * n
-        self.completed_at[:] = [_NAN] * n
+        never = array("d", [_NAN]) * n
+        self.started_at[:] = never
+        self.completed_at[:] = never
         self.armed[:] = [False] * n

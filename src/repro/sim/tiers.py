@@ -445,9 +445,12 @@ def replay(
     ovh = tw.overhead.tolist()
     mem = tw.mem_shared.tolist() if tw.mem_shared.any() else None
     creation = tw.creation.tolist()
-    replay_cost = tw.replay.tolist()
-    user = compiled.user_tids
-    stubs = compiled.stub_tids
+    # Persistent rounds after the first walk the user tids at replay
+    # cost and re-arm the stubs wholesale; a single round needs neither.
+    later = (
+        (compiled.user_tids, tw.replay.tolist(), compiled.stub_tids)
+        if rounds > 1 else None
+    )
 
     makespan = 0.0
     disc_busy = 0.0
@@ -477,15 +480,11 @@ def replay(
         if rnd == 0:
             # First discovery: every tid (stubs armed by their
             # creator at zero cost, in creation order).
-            walk = list(range(n))
-            cost = creation
-            prearm: list[int] = []
+            walk, cost, prearm = list(range(n)), creation, []
         else:
             # Persistent replay: stubs re-arm wholesale at the
             # barrier, the producer re-instances user tasks only.
-            walk = user
-            cost = replay_cost
-            prearm = stubs
+            walk, cost, prearm = later
         t, stats = _run_round(
             t0=t,
             walk=walk,
@@ -656,7 +655,7 @@ def _run_round(
             now = next_arm
             disc_busy += pending
             disc_last = now
-            tid = walk[idx]
+            tid = nxt  # walk[idx], read when this arm was priced
             armed[tid] = True
             alive += 1
             if npred[tid] == 0:

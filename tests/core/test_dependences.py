@@ -143,7 +143,7 @@ class TestInoutset:
         g, writers, _ = self._build("", 5, 0)
         for w in writers:
             assert g.npred[w] == 0
-            assert g.succs[w] == []
+            assert list(g.succs[w]) == []
 
     def test_mn_edges_without_c(self):
         m, n = 5, 7

@@ -14,7 +14,7 @@ class TestTaskBasics:
         tid = t.new("t")
         assert t.state[tid] == CREATED
         assert t.npred[tid] == 0
-        assert t.succs[tid] == []
+        assert list(t.succs[tid]) == []
         assert not t.armed[tid]
 
     def test_identity_fields(self):

@@ -12,7 +12,7 @@ class TestAllocation:
         tid = t.new("a", flops=10.0)
         assert t.state[tid] == CREATED
         assert t.npred[tid] == 0
-        assert t.succs[tid] == []
+        assert list(t.succs[tid]) == []
         assert math.isnan(t.started_at[tid])
 
     def test_footprint_normalized_to_chunks_and_modes(self):
@@ -102,7 +102,7 @@ class TestCsr:
         assert offsets == [0, 2, 2, 3, 3]
         assert targets == [1, 2, 3]
         for tid in tids:
-            assert targets[offsets[tid]:offsets[tid + 1]] == t.succs[tid]
+            assert targets[offsets[tid]:offsets[tid + 1]] == list(t.succs[tid])
 
 
 class TestReplay:
